@@ -13,8 +13,11 @@ Gradient and Hessian are analytic: with prefix sums S_m = Σ_{j≤m} y_j,
     ∂F_n/∂y_m   = n^{−1/2} V(S_{m−1}/√n) + n^{−1} Σ_{i>m} V′(S_{i−1}/√n) yᵢ,
     ∂²F_n/∂y_l∂y_m = n^{−1} V′(S_{M−1}/√n)·1{l≠m} + n^{−3/2} Σ_{i>M} V″(S_{i−1}/√n) yᵢ,
 
-with M = max(l, m): banded-plus-suffix-sum structure, so batched Hessians
-cost O(B·n²) memory but only O(B·n) potential evaluations.
+with M = max(l, m): a max-index matrix plus a diagonal.  So a Hessian-vector
+product, tr H and ‖H‖_F² each cost O(n), and the Jacobian series of an F_n
+level set (``CylFunctional.moments_batch``) needs O(n) work and memory per
+sample for J ≤ 4; only ``hess_batch``, kept as the dense reference, builds
+the O(B·n²) stack.
 """
 
 from __future__ import annotations
@@ -25,12 +28,13 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .gmf import GmfVector, RegionSpec, gmf_surface_mc, gmf_two_sided
+from .gmf import GmfVector, RegionSpec, gmf_halfspace, gmf_surface_mc, gmf_two_sided
 from ._mc import as_seed_sequence
 from .malliavin import SmoothFunctional
 from .series import DEFAULT_ORDER
 
-#: Default cap on the time-grid size; Hessian work grows like n² per sample.
+#: Default cap on the time-grid size.  The moment kernel is O(n) per sample
+#: for J ≤ 4 and O(n²·J) above; a dense Hessian stack is O(n²) memory.
 MAX_TIME_GRID = 256
 
 
@@ -144,17 +148,82 @@ class CylFunctional:
         tail = _suffix_excl(self.potential.d1(args) * y)
         return vals / np.sqrt(n) + tail / n
 
+    def _hess_parts(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The Hessian as H = A + diag(−V′/n), A_{lm} = a_{max(l,m)}.
+
+        Returns ``(d1n, tail2)`` with d1n = V′(S_{m−1}/√n)/n and tail2 the
+        scaled suffix sum, so a = d1n + tail2 and diag H = tail2.
+        """
+        n = self.n
+        args = self._prefix_args(y)
+        d1n = self.potential.d1(args) / n
+        tail2 = _suffix_excl(self.potential.d2(args) * y) * n**-1.5
+        return d1n, tail2
+
     def hess_batch(self, y: np.ndarray) -> np.ndarray:
         y = np.asarray(y, dtype=float)
         n = self.n
-        args = self._prefix_args(y)
-        d1 = self.potential.d1(args)
-        tail2 = _suffix_excl(self.potential.d2(args) * y) * n**-1.5
+        d1n, tail2 = self._hess_parts(y)
         idx = _max_index_matrix(n)
-        h = d1[:, idx] / n + tail2[:, idx]
+        h = d1n[:, idx] + tail2[:, idx]
         diag = np.arange(n)
         h[:, diag, diag] = tail2
         return h
+
+    def moments_batch(
+        self, y: np.ndarray, v: np.ndarray, order: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Curvature moments τ_m = tr(Hᵐ), μ_k = vᵀHᵏv without forming H.
+
+        Hw = a∘cumsum(w) + suffix_excl(a∘w) − d1n∘w costs O(n) per row, as
+        do τ₁ = Σ tail2, τ₂ = Σ_M 2M·a_M² + Σ tail2² (0-based M) and τ₃, so
+        orders ≤ 3 are O(n·order) per row.  τ_m for m ≥ 4 sums the diagonal
+        of Hᵐ column by column: O(n²·m) time per row but O(B·n) memory.
+        """
+        y = np.asarray(y, dtype=float)
+        v = np.asarray(v, dtype=float)
+        nb, n = y.shape
+        d1n, tail2 = self._hess_parts(y)
+        a = d1n + tail2
+
+        def hv(w):
+            return a * np.cumsum(w, axis=1) + _suffix_excl(a * w) - d1n * w
+
+        def power_products(w0, top):
+            """w_j·w_{m−j} with w_j = Hʲw0, j = ⌊m/2⌋: w0ᵀHᵐw0 for m = 1..top."""
+            ws = [w0]
+            for _ in range((top + 1) // 2):
+                ws.append(hv(ws[-1]))
+            return [
+                np.einsum("bi,bi->b", ws[m // 2], ws[m - m // 2]) for m in range(1, top + 1)
+            ]
+
+        m = np.arange(n)
+        a2 = a * a
+        tau = np.zeros((nb, order))
+        mu = np.zeros((nb, order))
+        if order >= 1:
+            tau[:, 0] = tail2.sum(axis=1)
+            mu[:] = np.stack(power_products(v, order), axis=1)
+        if order >= 2:
+            tau[:, 1] = 2.0 * np.einsum("bi,i->b", a2, m) + (tail2**2).sum(axis=1)
+        if order >= 3:
+            # tr((A + D)³) with D = −diag(d1n); a triple of indices with sorted
+            # values p ≤ q ≤ r contributes a_q·a_r² to tr(A³)
+            lower = (6.0 * m + 3.0) * a
+            tr_a3 = np.einsum("bi,i->b", a2 * a, 3.0 * m + 1.0) + np.einsum(
+                "bi,bi->b", a2, np.cumsum(lower, axis=1) - lower
+            )
+            diag_a2 = (m + 1.0) * a2 + _suffix_excl(a2)  # (A²)_ll
+            cross = 3.0 * diag_a2 - 3.0 * a * d1n + d1n**2
+            tau[:, 2] = tr_a3 - np.einsum("bi,bi->b", d1n, cross)
+        if order >= 4:
+            e = np.zeros((nb, n))
+            for i in range(n):
+                e[:, i] = 1.0
+                tau[:, 3:] += np.stack(power_products(e, order)[3:], axis=1)
+                e[:, i] = 0.0
+        return tau, mu
 
     def value(self, y: np.ndarray) -> float:
         return float(self.value_batch(np.asarray(y, dtype=float)[None, :])[0])
@@ -175,6 +244,7 @@ class CylFunctional:
             value_batch=self.value_batch,
             grad_batch=self.grad_batch,
             hess_batch=self.hess_batch,
+            moments_batch=self.moments_batch,
         )
 
     def excursion(self, u: float) -> RegionSpec:
@@ -257,6 +327,12 @@ def convergence_study(
     n_grid = tuple(int(n) for n in n_grid)
     if any(b <= a for a, b in zip(n_grid, n_grid[1:])):
         raise ValueError(f"n_grid must be strictly increasing, got {n_grid}")
+    # built first, so a level outside the target's domain fails before any sampling
+    target = None
+    if potential.name == "identity":
+        target = limit_gmf_chisq(u, order)
+    elif potential.name == "one":
+        target = gmf_halfspace(u, order)
     root = as_seed_sequence(rng)
     children = root.spawn(len(n_grid))
     estimates = []
@@ -265,13 +341,6 @@ def convergence_study(
         estimates.append(
             gmf_surface_mc(region, order, n_samples, eps=eps, rng=child, workers=workers)
         )
-    target = None
-    if potential.name == "identity":
-        target = limit_gmf_chisq(u, order)
-    elif potential.name == "one":
-        from .gmf import gmf_halfspace
-
-        target = gmf_halfspace(u, order)
     return ConvergenceReport(u=u, n_grid=n_grid, estimates=tuple(estimates), target=target)
 
 

@@ -313,6 +313,17 @@ class EcEstimate:
     reps: int
 
 
+def check_resolution(space: ParamSpace, cov: SpatialCov) -> None:
+    """Reject a grid too coarse to resolve the field: 4·spacing·√λ₂ ≥ 1."""
+    cov.compatible_with(space)
+    guard = 4.0 * space.spacing * np.sqrt(cov.lambda2)
+    if guard >= 1.0:
+        raise ValueError(
+            f"spatial grid too coarse for lambda2={cov.lambda2:.3g}: "
+            f"4*spacing*sqrt(lambda2) = {guard:.3g} >= 1"
+        )
+
+
 def simulate_field(
     space: ParamSpace,
     cov: SpatialCov,
@@ -331,13 +342,7 @@ def simulate_field(
     """
     if time_n < 2:
         raise ValueError(f"time_n must be >= 2, got {time_n}")
-    cov.compatible_with(space)
-    guard = 4.0 * space.spacing * np.sqrt(cov.lambda2)
-    if guard >= 1.0:
-        raise ValueError(
-            f"spatial grid too coarse for lambda2={cov.lambda2:.3g}: "
-            f"4*spacing*sqrt(lambda2) = {guard:.3g} >= 1"
-        )
+    check_resolution(space, cov)
     root = as_seed_sequence(rng)
     gen = np.random.default_rng(root)
     basis = cov.basis(space.points())  # (G, 2K)

@@ -34,7 +34,7 @@ from scipy import special
 
 from ._mc import as_seed_sequence, block_sizes, fsum_arrays, run_blocks
 from .errors import SurfaceDegeneracyError
-from .malliavin import DEFAULT_GRAD_FLOOR, SmoothFunctional, jacobian_coeffs_batch
+from .malliavin import DEFAULT_GRAD_FLOOR, SmoothFunctional
 from .series import DEFAULT_ORDER, gaussian_pdf, gaussian_tail, hermite_all
 
 _SUB_LEVEL = "sub-level"
@@ -240,8 +240,10 @@ def gmf_surface_mc(
     factorials = special.factorial(np.arange(max(order, 1)))
     kappa_norm = 1.0 / (eps * math.sqrt(2.0 * math.pi))
 
-    # Hessian stacks are the memory hog (chunk × k² floats); cap the chunk.
-    hess_chunk = max(256, min(32768, (1 << 22) // max(k * k, 1)))
+    # A functional without a moment oracle falls back to a dense Hessian
+    # stack of chunk × k² floats; the cap keeps it at 32 MiB.  The moment
+    # route holds O(chunk·k) and is no slower in chunks of this size.
+    chunk = max(256, min(32768, (1 << 22) // max(k * k, 1)))
 
     def one_block(b: int):
         gen = np.random.default_rng(children[b + 1])
@@ -254,17 +256,16 @@ def gmf_surface_mc(
         n_window = window_idx.shape[0]
         n_degenerate = 0
         if order >= 1 and n_window:
-            for start in range(0, n_window, hess_chunk):
-                idx = window_idx[start : start + hess_chunk]
+            for start in range(0, n_window, chunk):
+                idx = window_idx[start : start + chunk]
                 xw = x[idx]
                 grads = func.grads(xw)
                 gn = np.linalg.norm(grads, axis=1)
                 degenerate = gn < grad_floor
                 kappa = kappa_norm * np.exp(-0.5 * t[idx] ** 2)
                 if order >= 2:
-                    hess = func.hessians(xw)
-                    coeffs, degenerate = jacobian_coeffs_batch(
-                        xw, grads, hess, orientation, order - 1, grad_floor
+                    coeffs, degenerate = func.jacobian_coeffs(
+                        xw, grads, orientation, order - 1, grad_floor
                     )
                 else:
                     coeffs = np.ones((idx.shape[0], 1))

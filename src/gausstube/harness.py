@@ -26,6 +26,7 @@ from .errors import ConfigError
 from .fields import (
     ParamSpace,
     SpatialCov,
+    check_resolution,
     crofton_lkc_rhs,
     ec_mc_levels,
     excursion_volume_mc,
@@ -300,17 +301,23 @@ def run(config: ExperimentConfig) -> RunResult:
             workers=config.workers,
         )
         rows.extend(study.rows())
+        counters["gmf_meta"] = [
+            {"n": n, **est.meta} for n, est in zip(study.n_grid, study.estimates)
+        ]
 
     elif config.experiment in ("gkf", "crofton"):
         space = _build_space(config.space)
         cov = _build_cov(config.cov)
         potential = _potential(config)
         cov.compatible_with(space)
+        index = 0 if config.experiment == "gkf" else int(config.index)
+        if index in (0, space.dim):
+            # these indices simulate fields: reject a coarse grid before any sampling
+            check_resolution(space, cov)
         validate_assumptions(cov, potential, rng=root.spawn(1)[0])
         if config.J < space.dim:
             raise ConfigError(f"J={config.J} must be >= space dimension {space.dim}")
         lhs_seed, rhs_seed, vol_seed = root.spawn(3)
-        index = 0 if config.experiment == "gkf" else int(config.index)
         ec = None
         if index == 0:
             # only the Euler-characteristic index has an EC Monte Carlo side
@@ -319,12 +326,14 @@ def run(config: ExperimentConfig) -> RunResult:
                 rng=lhs_seed, workers=config.workers,
             )
         rhs_children = rhs_seed.spawn(len(config.u_levels))
+        gmf_meta = []
         for i, u in enumerate(config.u_levels):
             region = CylFunctional(config.n, potential).excursion(float(u))
             gmfs = gmf_surface_mc(
                 region, config.J, config.N, eps=config.eps,
                 rng=rhs_children[i], workers=config.workers,
             )
+            gmf_meta.append({"u": float(u), **gmfs.meta})
             value, stderr = crofton_lkc_rhs(
                 index, space, cov, potential, float(u), config.n, config.J,
                 config.N, gmfs=gmfs,
@@ -353,6 +362,7 @@ def run(config: ExperimentConfig) -> RunResult:
                 row.update({"volume_mc": vol, "volume_stderr": vol_se})
             rows.append(row)
         counters["lkc"] = [float(v) for v in lkc(space, cov)]
+        counters["gmf_meta"] = gmf_meta
 
     else:  # pragma: no cover - from_dict already validated
         raise ConfigError(f"unknown experiment {config.experiment!r}")

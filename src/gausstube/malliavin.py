@@ -42,6 +42,10 @@ class SmoothFunctional:
     ``value``, ``grad`` and ``hess`` act on a single point (a (k,) array).
     The optional ``*_batch`` oracles act on (B, k) stacks and exist purely
     for speed; when absent the per-point oracle is applied row by row.
+    ``moments_batch(x, v, order)`` returns the curvature moments
+    (τ, μ) of :func:`hessian_moments` without a dense Hessian stack, for
+    functionals whose Hessian has structure; when absent they are taken
+    from the Hessian stack.
     """
 
     dim: int
@@ -51,6 +55,9 @@ class SmoothFunctional:
     value_batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
     grad_batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
     hess_batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    moments_batch: Optional[
+        Callable[[np.ndarray, np.ndarray, int], tuple[np.ndarray, np.ndarray]]
+    ] = None
 
     def values(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -69,6 +76,25 @@ class SmoothFunctional:
         if self.hess_batch is not None:
             return np.asarray(self.hess_batch(x), dtype=float)
         return np.stack([np.asarray(self.hess(row), dtype=float) for row in x])
+
+    def jacobian_coeffs(
+        self,
+        x: np.ndarray,
+        grads: np.ndarray,
+        orientation: int,
+        order: int,
+        grad_floor: float = DEFAULT_GRAD_FLOOR,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """:func:`jacobian_coeffs_batch` at the rows of x, from ``moments_batch``
+        when the functional has one and from its Hessian stack otherwise."""
+        x = np.asarray(x, dtype=float)
+        if self.moments_batch is None:
+            return jacobian_coeffs_batch(
+                x, grads, self.hessians(x), orientation, order, grad_floor
+            )
+        return _jacobian_coeffs(
+            x, grads, lambda v: self.moments_batch(x, v, order), orientation, grad_floor
+        )
 
 
 @dataclass(frozen=True)
@@ -252,6 +278,104 @@ def jacobian_series(
     return series_exp(TruncSeries(order, expo))
 
 
+def hessian_moments(
+    hessians: np.ndarray, v: np.ndarray, order: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Curvature moments of a dense Hessian stack.
+
+    Returns ``(tau, mu)``, both (B, order): ``tau[:, m−1] = tr(Hᵐ)`` and
+    ``mu[:, k−1] = vᵀHᵏv`` for each row's Hessian H and direction v.  This
+    is the reference for, and the fallback of, the structured
+    ``SmoothFunctional.moments_batch`` oracles.
+    """
+    h = np.asarray(hessians, dtype=float)
+    nb = h.shape[0]
+    tau = np.empty((nb, order))
+    mu = np.empty((nb, order))
+    if order >= 1:
+        tau[:, 0] = np.einsum("bii->b", h)
+    if order >= 2:
+        tau[:, 1] = np.einsum("bij,bji->b", h, h)
+    if order >= 3:
+        p = np.matmul(h, h)
+        for m in range(3, order + 1):
+            p = np.matmul(p, h)
+            tau[:, m - 1] = np.einsum("bii->b", p)
+    w = v
+    for k in range(1, order + 1):
+        w = np.einsum("bij,bj->bi", h, w)
+        mu[:, k - 1] = np.einsum("bi,bi->b", v, w)
+    return tau, mu
+
+
+def jacobian_coeffs_from_moments(
+    eta_x: np.ndarray, scale: np.ndarray, tau: np.ndarray, mu: np.ndarray
+) -> np.ndarray:
+    """Taylor coefficients of the Jacobian series from curvature moments.
+
+    With v = ∇F/‖∇F‖, P = I − vvᵀ and s the orientation, the normal's
+    Jacobian is ∇η = (s/‖∇F‖)·PH.  So the integrand of
+    :func:`jacobian_series` is exp(−ρ·η·x − ρ²/2)·det(I + tPH) with
+    t = ρ·``scale``, ``scale`` = s/‖∇F‖, and by the matrix determinant lemma
+
+        log det(I + tPH) = Σ_m (−1)^{m+1} τ_m tᵐ/m
+                           + log(1 − Σ_{k≥1} (−1)^{k−1} μ_k tᵏ),
+
+    with τ_m = tr(Hᵐ) and μ_k = vᵀHᵏv.  ``eta_x`` (B,) is η·x; ``tau`` and
+    ``mu`` are (B, J) as :func:`hessian_moments` returns them.  Returns the
+    (B, J+1) coefficients; coefficient 0 is 1.
+    """
+    nb, order = tau.shape
+    m = np.arange(1, order + 1)
+    signed = (-1.0) ** (m + 1) * np.asarray(scale)[:, None] ** m
+    expo = np.zeros((nb, order + 1))
+    expo[:, 1:] = signed * tau / m
+    # log(1 + w) with w_k = −(−1)^{k−1} μ_k scaleᵏ, from (1 + w)·L′ = w′
+    w = -signed * mu
+    log_w = np.zeros((nb, order + 1))
+    for k in range(1, order + 1):
+        acc = k * w[:, k - 1]
+        for i in range(1, k):
+            acc -= i * log_w[:, i] * w[:, k - i - 1]
+        log_w[:, k] = acc / k
+    expo += log_w
+    if order >= 1:
+        expo[:, 1] -= eta_x
+    if order >= 2:
+        expo[:, 2] -= 0.5
+    # exp of the exponent series, e_n = (1/n) Σ_m m·a_m·e_{n−m}
+    coeffs = np.zeros((nb, order + 1))
+    coeffs[:, 0] = 1.0
+    for n in range(1, order + 1):
+        acc = np.zeros(nb)
+        for j in range(1, n + 1):
+            acc += j * expo[:, j] * coeffs[:, n - j]
+        coeffs[:, n] = acc / n
+    return coeffs
+
+
+def _jacobian_coeffs(
+    x: np.ndarray,
+    grads: np.ndarray,
+    moments: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+    orientation: int,
+    grad_floor: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Unit normals from ``grads``, moments from ``moments(v)``, then the series."""
+    x = np.asarray(x, dtype=float)
+    g = np.asarray(grads, dtype=float)
+    gn = np.linalg.norm(g, axis=1)
+    degenerate = gn < grad_floor
+    gn_safe = np.where(degenerate, 1.0, gn)
+    v = g / gn_safe[:, None]
+    tau, mu = moments(v)
+    s = float(orientation)
+    eta_x = s * np.einsum("bi,bi->b", v, x)
+    coeffs = jacobian_coeffs_from_moments(eta_x, s / gn_safe, tau, mu)
+    coeffs[degenerate] = 0.0
+    return coeffs, degenerate
+
+
 def jacobian_coeffs_batch(
     x: np.ndarray,
     grads: np.ndarray,
@@ -266,43 +390,13 @@ def jacobian_coeffs_batch(
     (B,k,k).  Returns ``(coeffs, degenerate)`` where ``coeffs`` is (B, J+1)
     and ``degenerate`` marks rows whose gradient norm fell below the floor
     (their coefficients are set to 0 and must be skipped by the caller).
+    This is the dense route: moments from :func:`hessian_moments`, then
+    :func:`jacobian_coeffs_from_moments`.
     """
-    x = np.asarray(x, dtype=float)
-    g = np.asarray(grads, dtype=float)
     h = np.asarray(hessians, dtype=float)
-    nb = x.shape[0]
-    gn = np.linalg.norm(g, axis=1)
-    degenerate = gn < grad_floor
-    gn_safe = np.where(degenerate, 1.0, gn)
-
-    s = float(orientation)
-    eta = s * g / gn_safe[:, None]
-    hg = np.einsum("bij,bj->bi", h, g)
-    eta_jac = s * (h / gn_safe[:, None, None] - g[:, :, None] * hg[:, None, :] / gn_safe[:, None, None] ** 3)
-
-    delta = np.einsum("bi,bi->b", eta, x) - np.einsum("bii->b", eta_jac)
-
-    expo = np.zeros((nb, order + 1))
-    if order >= 1:
-        expo[:, 1] = -delta
-    if order >= 2:
-        expo[:, 2] = -0.5 - 0.5 * np.einsum("bij,bji->b", eta_jac, eta_jac)
-    if order >= 3:
-        p = np.matmul(eta_jac, eta_jac)
-        for m in range(3, order + 1):
-            p = np.matmul(p, eta_jac)
-            expo[:, m] = ((-1) ** (m + 1)) * np.einsum("bii->b", p) / m
-
-    # exp of the exponent series, vectorized over the batch
-    coeffs = np.zeros((nb, order + 1))
-    coeffs[:, 0] = 1.0
-    for n in range(1, order + 1):
-        acc = np.zeros(nb)
-        for m in range(1, n + 1):
-            acc += m * expo[:, m] * coeffs[:, n - m]
-        coeffs[:, n] = acc / n
-    coeffs[degenerate] = 0.0
-    return coeffs, degenerate
+    return _jacobian_coeffs(
+        x, grads, lambda v: hessian_moments(h, v, order), orientation, grad_floor
+    )
 
 
 def check_derivatives(

@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import stats
 
+import gausstube.cylinder
 from gausstube.cylinder import (
     CylFunctional,
     PotentialV,
@@ -12,8 +15,8 @@ from gausstube.cylinder import (
     hess_Fn,
     limit_gmf_chisq,
 )
-from gausstube.gmf import gmf_halfspace, gmf_surface_mc, gmf_two_sided
-from gausstube.malliavin import check_derivatives
+from gausstube.gmf import RegionSpec, gmf_halfspace, gmf_surface_mc, gmf_two_sided
+from gausstube.malliavin import check_derivatives, hessian_moments, jacobian_coeffs_batch
 from gausstube.series import gaussian_pdf
 
 
@@ -102,6 +105,54 @@ class TestDerivatives:
             assert vals[i] == pytest.approx(eval_Fn(cyl, y[i]), rel=1e-13)
             assert np.allclose(grads[i], grad_Fn(cyl, y[i]), atol=1e-13)
             assert np.allclose(hessians[i], hess_Fn(cyl, y[i]), atol=1e-13)
+
+
+def _points_off_the_floor(cyl, count, seed):
+    """Gaussian points with ‖∇F_n‖ ≥ 0.3, where both kernels are well conditioned."""
+    y = np.random.default_rng(seed).standard_normal((4 * count, cyl.n))
+    grads = cyl.grad_batch(y)
+    keep = np.linalg.norm(grads, axis=1) >= 0.3
+    return y[keep][:count], grads[keep][:count]
+
+
+class TestMomentKernel:
+    """The structured O(n) moments of F_n against its dense Hessian stack."""
+
+    @pytest.mark.parametrize("n", [2, 8, 64])
+    @pytest.mark.parametrize("name", ["one", "identity", "sin", "cubic"])
+    def test_structured_matches_dense(self, name, n):
+        cyl = CylFunctional(n, PotentialV.preset(name))
+        func = cyl.functional()
+        y, grads = _points_off_the_floor(cyl, 60, 73)
+        hessians = cyl.hess_batch(y)
+        v = grads / np.linalg.norm(grads, axis=1)[:, None]
+        for got, ref in zip(cyl.moments_batch(y, v, 5), hessian_moments(hessians, v, 5)):
+            scale = np.maximum(np.abs(ref).max(axis=1, keepdims=True), 1e-300)
+            assert np.max(np.abs(got - ref) / scale) <= 1e-12
+        for order in range(1, 6):
+            for orientation in (+1, -1):
+                got, got_deg = func.jacobian_coeffs(y, grads, orientation, order)
+                ref, ref_deg = jacobian_coeffs_batch(y, grads, hessians, orientation, order)
+                assert not ref_deg.any() and not got_deg.any()
+                rel = np.max(np.abs(got - ref), axis=1) / np.abs(ref).max(axis=1)
+                assert rel.max() <= 1e-11, (order, orientation)
+
+    def test_surface_mc_needs_no_hessian(self, monkeypatch):
+        region = CylFunctional(16, PotentialV.preset("sin")).excursion(0.3)
+        dense = RegionSpec(
+            dataclasses.replace(region.functional, moments_batch=None), region.level, region.kind
+        )
+        ref = gmf_surface_mc(dense, 4, 40_000, rng=79)
+
+        def no_hessian(self, y):
+            raise AssertionError("the moment route built a Hessian stack")
+
+        monkeypatch.setattr(CylFunctional, "hess_batch", no_hessian)
+        region = CylFunctional(16, PotentialV.preset("sin")).excursion(0.3)
+        got = gmf_surface_mc(region, 4, 40_000, rng=79)
+        assert got.meta["n_window"] == ref.meta["n_window"]
+        assert got.meta["n_degenerate"] == ref.meta["n_degenerate"]
+        assert np.allclose(got.values, ref.values, rtol=1e-12, atol=0.0)
 
 
 class TestChisqLimit:
@@ -205,6 +256,14 @@ class TestConvergenceStudy:
     def test_grid_must_increase(self):
         with pytest.raises(ValueError, match="increasing"):
             convergence_study(PotentialV.preset("identity"), 0.0, 2, [8, 8], 10_000)
+
+    def test_domain_error_before_sampling(self, monkeypatch):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before checking the limit target")
+
+        monkeypatch.setattr(gausstube.cylinder, "gmf_surface_mc", no_sampling)
+        with pytest.raises(ValueError, match="-1/2"):
+            convergence_study(PotentialV.preset("identity"), -0.7, 1, [4, 8], 10_000)
 
     def test_identity_attaches_targets(self):
         report = convergence_study(

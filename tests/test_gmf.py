@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gausstube.cylinder import CylFunctional, PotentialV
 from gausstube.errors import SurfaceDegeneracyError
 from gausstube.functionals import coordinate, norm
 from gausstube.gmf import (
@@ -193,13 +194,19 @@ class TestSurfaceMonteCarlo:
         assert abs(exc.values[0] + sub.values[0] - 1.0) <= 4 * combined
 
     def test_determinism_and_worker_independence(self):
-        region = RegionSpec(coordinate(2), 0.0, "excursion")
-        a = gmf_surface_mc(region, 2, 70_000, rng=127)
-        b = gmf_surface_mc(region, 2, 70_000, rng=127)
-        c = gmf_surface_mc(region, 2, 70_000, rng=127, workers=3)
-        assert np.array_equal(a.values, b.values)
-        assert np.array_equal(a.values, c.values)
-        assert np.array_equal(a.stderr, c.stderr)
+        # a dense-Hessian region and an F_n region on the moment route
+        regions = (
+            (RegionSpec(coordinate(2), 0.0, "excursion"), 2),
+            (CylFunctional(16, PotentialV.preset("sin")).excursion(0.3), 4),
+        )
+        for region, order in regions:
+            a = gmf_surface_mc(region, order, 70_000, rng=127)
+            b = gmf_surface_mc(region, order, 70_000, rng=127)
+            c = gmf_surface_mc(region, order, 70_000, rng=127, workers=3)
+            assert np.array_equal(a.values, b.values)
+            assert np.array_equal(a.values, c.values)
+            assert np.array_equal(a.stderr, c.stderr)
+            assert a.meta == c.meta
 
     def test_small_sample_rejected(self):
         region = RegionSpec(coordinate(2), 0.0, "excursion")

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import gausstube.harness
 from gausstube.errors import ConfigError
 from gausstube.harness import ExperimentConfig, RunResult, report, run
 from gausstube.series import gaussian_pdf, gaussian_tail
@@ -125,6 +126,7 @@ class TestRunConverge:
         result = run(cfg)
         assert {(r["n"], r["j"]) for r in result.rows} == {(4, 0), (4, 1), (8, 0), (8, 1)}
         assert all("target" in r for r in result.rows)
+        assert [m["n"] for m in result.counters["gmf_meta"]] == [4, 8]
 
 
 class TestRunGkf:
@@ -146,6 +148,11 @@ class TestRunGkf:
         result = run(cfg)
         row = result.rows[0]
         assert abs(row["z"]) < 5.0
+        (meta,) = result.counters["gmf_meta"]
+        assert meta["u"] == 1.0 and meta["n_samples"] == 30_000
+        assert 0 < meta["n_window"] <= 30_000
+        assert meta["n_degenerate"] == 0 and meta["skip_fraction"] == 0.0
+        assert meta["eps"] > 0.0
         assert row["rhs"] == pytest.approx(
             gaussian_tail(1.0) + (2 * np.pi) ** -0.5 * 10.0 * gaussian_pdf(1.0), rel=0.15
         )
@@ -172,6 +179,31 @@ class TestRunGkf:
         assert abs(row["rhs"] - row["volume_mc"]) <= 4 * np.hypot(
             row["rhs_stderr"], row["volume_stderr"]
         )
+
+
+    @pytest.mark.parametrize("experiment", ["gkf", "crofton"])
+    def test_coarse_grid_fails_before_any_sampling(self, experiment, monkeypatch):
+        def not_reached(*args, **kwargs):
+            raise AssertionError("ran before the resolution guard")
+
+        for name in ("validate_assumptions", "gmf_surface_mc", "ec_mc_levels"):
+            monkeypatch.setattr(gausstube.harness, name, not_reached)
+        data = {
+            "experiment": experiment,
+            "seed": 17,
+            "space": {"kind": "interval", "length": 10.0, "grid": 10},
+            "cov": {"preset": "cosine", "frequency": 1.0},
+            "potential": "identity",
+            "u_levels": [0.5],
+            "n": 8,
+            "J": 1,
+            "N": 30_000,
+            "reps": 300,
+        }
+        if experiment == "crofton":
+            data["index"] = 1  # the top index: a volume Monte Carlo over fields
+        with pytest.raises(ValueError, match="too coarse"):
+            run(ExperimentConfig.from_dict(data))
 
 
 class TestReport:
