@@ -16,7 +16,7 @@ Gradient and Hessian are analytic: with prefix sums S_m = Σ_{j≤m} y_j,
 with M = max(l, m): a max-index matrix plus a diagonal.  So a Hessian-vector
 product, tr H and ‖H‖_F² each cost O(n), and the Jacobian series of an F_n
 level set (``CylFunctional.moments_batch``) needs O(n) work and memory per
-sample for J ≤ 4; only ``hess_batch``, kept as the dense reference, builds
+sample for J ≤ 3; only ``hess_batch``, kept as the dense reference, builds
 the O(B·n²) stack.
 """
 
@@ -34,7 +34,7 @@ from .malliavin import SmoothFunctional
 from .series import DEFAULT_ORDER
 
 #: Default cap on the time-grid size.  The moment kernel is O(n) per sample
-#: for J ≤ 4 and O(n²·J) above; a dense Hessian stack is O(n²) memory.
+#: for J ≤ 3 and O(n²·J) above; a dense Hessian stack is O(n²) memory.
 MAX_TIME_GRID = 256
 
 
@@ -176,8 +176,8 @@ class CylFunctional:
         """Curvature moments τ_m = tr(Hᵐ), μ_k = vᵀHᵏv without forming H.
 
         Hw = a∘cumsum(w) + suffix_excl(a∘w) − d1n∘w costs O(n) per row, as
-        do τ₁ = Σ tail2, τ₂ = Σ_M 2M·a_M² + Σ tail2² (0-based M) and τ₃, so
-        orders ≤ 3 are O(n·order) per row.  τ_m for m ≥ 4 sums the diagonal
+        do τ₁ = Σ tail2 and τ₂ = Σ_M 2M·a_M² + Σ tail2² (0-based M), so
+        orders ≤ 2 are O(n·order) per row.  τ_m for m ≥ 3 sums the diagonal
         of Hᵐ column by column: O(n²·m) time per row but O(B·n) memory.
         """
         y = np.asarray(y, dtype=float)
@@ -208,20 +208,10 @@ class CylFunctional:
         if order >= 2:
             tau[:, 1] = 2.0 * np.einsum("bi,i->b", a2, m) + (tail2**2).sum(axis=1)
         if order >= 3:
-            # tr((A + D)³) with D = −diag(d1n); a triple of indices with sorted
-            # values p ≤ q ≤ r contributes a_q·a_r² to tr(A³)
-            lower = (6.0 * m + 3.0) * a
-            tr_a3 = np.einsum("bi,i->b", a2 * a, 3.0 * m + 1.0) + np.einsum(
-                "bi,bi->b", a2, np.cumsum(lower, axis=1) - lower
-            )
-            diag_a2 = (m + 1.0) * a2 + _suffix_excl(a2)  # (A²)_ll
-            cross = 3.0 * diag_a2 - 3.0 * a * d1n + d1n**2
-            tau[:, 2] = tr_a3 - np.einsum("bi,bi->b", d1n, cross)
-        if order >= 4:
             e = np.zeros((nb, n))
             for i in range(n):
                 e[:, i] = 1.0
-                tau[:, 3:] += np.stack(power_products(e, order)[3:], axis=1)
+                tau[:, 2:] += np.stack(power_products(e, order)[2:], axis=1)
                 e[:, i] = 0.0
         return tau, mu
 

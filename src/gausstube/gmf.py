@@ -34,7 +34,7 @@ from scipy import special
 
 from ._mc import as_seed_sequence, block_sizes, fsum_arrays, run_blocks
 from .errors import SurfaceDegeneracyError
-from .malliavin import DEFAULT_GRAD_FLOOR, SmoothFunctional
+from .malliavin import DEFAULT_GRAD_FLOOR, SmoothFunctional, jacobian_coeffs
 from .series import DEFAULT_ORDER, gaussian_pdf, gaussian_tail, hermite_all
 
 _SUB_LEVEL = "sub-level"
@@ -264,8 +264,9 @@ def gmf_surface_mc(
                 degenerate = gn < grad_floor
                 kappa = kappa_norm * np.exp(-0.5 * t[idx] ** 2)
                 if order >= 2:
-                    coeffs, degenerate = func.jacobian_coeffs(
-                        xw, grads, orientation, order - 1, grad_floor
+                    coeffs, degenerate = jacobian_coeffs(
+                        xw, grads, lambda v: func.moments(xw, v, order - 1),
+                        orientation, grad_floor,
                     )
                 else:
                     coeffs = np.ones((idx.shape[0], 1))

@@ -301,9 +301,6 @@ def run(config: ExperimentConfig) -> RunResult:
             workers=config.workers,
         )
         rows.extend(study.rows())
-        counters["gmf_meta"] = [
-            {"n": n, **est.meta} for n, est in zip(study.n_grid, study.estimates)
-        ]
 
     elif config.experiment in ("gkf", "crofton"):
         space = _build_space(config.space)

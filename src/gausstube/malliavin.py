@@ -77,24 +77,16 @@ class SmoothFunctional:
             return np.asarray(self.hess_batch(x), dtype=float)
         return np.stack([np.asarray(self.hess(row), dtype=float) for row in x])
 
-    def jacobian_coeffs(
-        self,
-        x: np.ndarray,
-        grads: np.ndarray,
-        orientation: int,
-        order: int,
-        grad_floor: float = DEFAULT_GRAD_FLOOR,
+    def moments(
+        self, x: np.ndarray, v: np.ndarray, order: int
     ) -> tuple[np.ndarray, np.ndarray]:
-        """:func:`jacobian_coeffs_batch` at the rows of x, from ``moments_batch``
-        when the functional has one and from its Hessian stack otherwise."""
+        """Curvature moments (τ, μ) of :func:`hessian_moments` at the rows of
+        x, from ``moments_batch`` when the functional has one and from its
+        Hessian stack otherwise."""
         x = np.asarray(x, dtype=float)
-        if self.moments_batch is None:
-            return jacobian_coeffs_batch(
-                x, grads, self.hessians(x), orientation, order, grad_floor
-            )
-        return _jacobian_coeffs(
-            x, grads, lambda v: self.moments_batch(x, v, order), orientation, grad_floor
-        )
+        if self.moments_batch is not None:
+            return self.moments_batch(x, v, order)
+        return hessian_moments(self.hessians(x), v, order)
 
 
 @dataclass(frozen=True)
@@ -354,14 +346,20 @@ def jacobian_coeffs_from_moments(
     return coeffs
 
 
-def _jacobian_coeffs(
+def jacobian_coeffs(
     x: np.ndarray,
     grads: np.ndarray,
     moments: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     orientation: int,
-    grad_floor: float,
+    grad_floor: float = DEFAULT_GRAD_FLOOR,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Unit normals from ``grads``, moments from ``moments(v)``, then the series."""
+    """Jacobian-series coefficients at a stack of points, from their moments.
+
+    Unit normals v come from ``grads``; ``moments(v)`` returns the (B, J)
+    moments (τ, μ) of :func:`hessian_moments`, for instance
+    ``lambda v: func.moments(x, v, J)``.  Returns ``(coeffs, degenerate)``
+    as :func:`jacobian_coeffs_batch` does.
+    """
     x = np.asarray(x, dtype=float)
     g = np.asarray(grads, dtype=float)
     gn = np.linalg.norm(g, axis=1)
@@ -394,7 +392,7 @@ def jacobian_coeffs_batch(
     :func:`jacobian_coeffs_from_moments`.
     """
     h = np.asarray(hessians, dtype=float)
-    return _jacobian_coeffs(
+    return jacobian_coeffs(
         x, grads, lambda v: hessian_moments(h, v, order), orientation, grad_floor
     )
 

@@ -126,7 +126,6 @@ class TestRunConverge:
         result = run(cfg)
         assert {(r["n"], r["j"]) for r in result.rows} == {(4, 0), (4, 1), (8, 0), (8, 1)}
         assert all("target" in r for r in result.rows)
-        assert [m["n"] for m in result.counters["gmf_meta"]] == [4, 8]
 
 
 class TestRunGkf:
