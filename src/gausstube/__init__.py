@@ -38,7 +38,6 @@ from .fields import (
     ParamSpace,
     SpatialCov,
     crofton_lkc_rhs,
-    ec_mc,
     ec_mc_levels,
     euler_char,
     excursion_volume_mc,

@@ -15,12 +15,10 @@ import sys
 from pathlib import Path
 
 from .errors import ConfigError, GausstubeError
-from .harness import ExperimentConfig, RunResult, report, run
+from .harness import _EXPERIMENTS, ExperimentConfig, RunResult, report, run
 
 #: Environment variable naming the default output directory.
 OUT_DIR_ENV = "GAUSSTUBE_OUT"
-
-_EXPERIMENTS = ("gmf", "tube", "converge", "gkf", "crofton")
 
 
 def _build_parser() -> argparse.ArgumentParser:

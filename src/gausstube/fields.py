@@ -124,6 +124,8 @@ class SpatialCov:
     frequencies: np.ndarray  # (K, dim)
     weights: np.ndarray  # (K,)
     lambda2: float = field(init=False)
+    # wave basis per grid, filled by wave_basis; lives as long as this object
+    _basis_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         freq = np.atleast_2d(np.asarray(self.frequencies, dtype=float))
@@ -198,27 +200,25 @@ class SpatialCov:
         out = np.cos(phase) @ self.weights**2
         return out if out.size > 1 else float(out[0])
 
-    def lambda2_fd(self, step: float = 1e-4) -> np.ndarray:
-        """Mixed-partial finite difference ∂²C/∂x_a∂y_b at the diagonal."""
-        d = self.dim
-        out = np.empty((d, d))
-        for a in range(d):
-            for b in range(d):
-                ea = np.zeros(d)
-                eb = np.zeros(d)
-                ea[a] = step
-                eb[b] = step
-                out[a, b] = (
-                    self.C(ea, eb) - self.C(ea, -eb) - self.C(-ea, eb) + self.C(-ea, -eb)
-                ) / (4.0 * step * step)
-        return out
-
     def basis(self, points: np.ndarray) -> np.ndarray:
         """Orthogonal wave basis e(x), shape (G, 2K): Σ e(x)e(y) = C(x,y)."""
         phase = np.asarray(points, dtype=float) @ self.frequencies.T
         return np.concatenate(
             [self.weights * np.cos(phase), self.weights * np.sin(phase)], axis=1
         )
+
+    def wave_basis(self, space: ParamSpace) -> np.ndarray:
+        """Read-only :meth:`basis` on the grid of ``space``, built once per space.
+
+        Threads racing the first lookup may each build it; all of them get
+        the first one stored.
+        """
+        basis = self._basis_memo.get(space)
+        if basis is None:
+            basis = self.basis(space.points())
+            basis.flags.writeable = False
+            basis = self._basis_memo.setdefault(space, basis)
+        return basis
 
     def compatible_with(self, space: ParamSpace) -> None:
         """Reject frequencies that break periodicity on wrapped spaces."""
@@ -345,7 +345,7 @@ def simulate_field(
     check_resolution(space, cov)
     root = as_seed_sequence(rng)
     gen = np.random.default_rng(root)
-    basis = cov.basis(space.points())  # (G, 2K)
+    basis = cov.wave_basis(space)  # (G, 2K)
     increments = gen.standard_normal((time_n, basis.shape[1])) / np.sqrt(time_n)
     b = np.zeros(basis.shape[0])
     f = np.zeros(basis.shape[0])
@@ -442,20 +442,6 @@ def ec_mc_levels(
     means = chi.mean(axis=0)
     stderrs = chi.std(axis=0, ddof=1) / np.sqrt(reps)
     return [EcEstimate(float(m), float(s), reps) for m, s in zip(means, stderrs)]
-
-
-def ec_mc(
-    space: ParamSpace,
-    cov: SpatialCov,
-    potential: PotentialV,
-    u: float,
-    time_n: int,
-    reps: int,
-    rng=0,
-    workers: int = 1,
-) -> EcEstimate:
-    """Mean and standard error of χ({f ≥ u}) over independent samples."""
-    return ec_mc_levels(space, cov, potential, [u], time_n, reps, rng, workers)[0]
 
 
 def excursion_volume_mc(

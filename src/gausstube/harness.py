@@ -307,13 +307,13 @@ def run(config: ExperimentConfig) -> RunResult:
         cov = _build_cov(config.cov)
         potential = _potential(config)
         cov.compatible_with(space)
+        if config.J < space.dim:
+            raise ConfigError(f"J={config.J} must be >= space dimension {space.dim}")
         index = 0 if config.experiment == "gkf" else int(config.index)
         if index in (0, space.dim):
             # these indices simulate fields: reject a coarse grid before any sampling
             check_resolution(space, cov)
         validate_assumptions(cov, potential, rng=root.spawn(1)[0])
-        if config.J < space.dim:
-            raise ConfigError(f"J={config.J} must be >= space dimension {space.dim}")
         lhs_seed, rhs_seed, vol_seed = root.spawn(3)
         ec = None
         if index == 0:

@@ -19,3 +19,19 @@ def eigen_product_series(lams, order):
         f[1:] += lam * e[:-1]
         out = np.convolve(out, f)[: order + 1]
     return out
+
+
+def lambda2_fd(cov, step=1e-4):
+    """Mixed-partial finite difference ∂²C/∂x_a∂y_b of ``cov`` at the diagonal."""
+    d = cov.dim
+    out = np.empty((d, d))
+    for a in range(d):
+        for b in range(d):
+            ea = np.zeros(d)
+            eb = np.zeros(d)
+            ea[a] = step
+            eb[b] = step
+            out[a, b] = (
+                cov.C(ea, eb) - cov.C(ea, -eb) - cov.C(-ea, eb) + cov.C(-ea, -eb)
+            ) / (4.0 * step * step)
+    return out

@@ -1,3 +1,7 @@
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -8,7 +12,6 @@ from gausstube.fields import (
     ParamSpace,
     SpatialCov,
     crofton_lkc_rhs,
-    ec_mc,
     ec_mc_levels,
     euler_char,
     excursion_volume_mc,
@@ -19,6 +22,8 @@ from gausstube.fields import (
     validate_assumptions,
 )
 from gausstube.series import gaussian_pdf, gaussian_tail
+
+from _oracles import lambda2_fd
 
 ONE = PotentialV.preset("one")
 IDENTITY = PotentialV.preset("identity")
@@ -65,7 +70,7 @@ class TestSpatialCov:
 
     def test_lambda2_matches_finite_differences(self):
         for cov in (SpatialCov.cosine(1.5), SpatialCov.torus_pair(2.0)):
-            fd = cov.lambda2_fd()
+            fd = lambda2_fd(cov)
             assert np.allclose(fd, cov.lambda2 * np.eye(cov.dim), atol=1e-6)
 
     def test_torus_pair_isotropic(self):
@@ -144,6 +149,55 @@ class TestSimulateField:
             var = np.var(draw)
             se = t * np.sqrt(2.0 / reps)
             assert abs(var - t) <= 4 * se
+
+    def test_wave_basis_is_read_only_and_exact(self):
+        space = ParamSpace.torus(2 * np.pi, 2 * np.pi, 16)
+        cov = SpatialCov.torus_pair(2.0)
+        memo = cov.wave_basis(space)
+        assert not memo.flags.writeable
+        assert np.array_equal(memo, cov.basis(space.points()))
+        assert cov.wave_basis(space) is memo
+
+    def test_warm_and_fresh_cov_give_identical_fields(self):
+        space = ParamSpace.circle(2 * np.pi, 128)
+        warm = SpatialCov.cosine(2.0)
+        simulate_field(space, warm, IDENTITY, 8, rng=30)
+        a = simulate_field(space, warm, IDENTITY, 8, rng=31)
+        b = simulate_field(space, SpatialCov.cosine(2.0), IDENTITY, 8, rng=31)
+        assert np.array_equal(a.f_values, b.f_values)
+
+    def test_basis_built_once_per_ec_run(self, monkeypatch):
+        calls = []
+        original = SpatialCov.basis
+
+        def counting(self, points):
+            calls.append(len(points))
+            return original(self, points)
+
+        monkeypatch.setattr(SpatialCov, "basis", counting)
+        space = ParamSpace.interval(5.0, 64)
+        ec_mc_levels(space, SpatialCov.cosine(1.0), ONE, [0.0], 4, 100, rng=32)
+        assert calls == [64]
+
+    def test_threads_share_one_basis(self):
+        # threads racing the first lookup must all get the one stored basis
+        space = ParamSpace.torus(2 * np.pi, 2 * np.pi, 128)
+        cov = SpatialCov.torus_pair(2.0)
+        start = threading.Barrier(8)
+
+        def lookup(_):
+            start.wait(timeout=60)
+            return cov.wave_basis(space)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(lookup, i) for i in range(8)]
+                bases = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(b is cov.wave_basis(space) for b in bases)
 
     def test_resolution_guard(self):
         space = ParamSpace.interval(100.0, 10)
@@ -254,34 +308,38 @@ class TestLkc:
 class TestEcMc:
     def test_reps_floor(self):
         with pytest.raises(ValueError, match="reps"):
-            ec_mc(ParamSpace.interval(5.0, 64), SpatialCov.cosine(1.0), ONE, 0.0, 4, 50, rng=1)
+            ec_mc_levels(
+                ParamSpace.interval(5.0, 64), SpatialCov.cosine(1.0), ONE, [0.0], 4, 50, rng=1
+            )
 
     def test_extreme_levels(self):
         space = ParamSpace.interval(5.0, 64)
         cov = SpatialCov.cosine(1.0)
-        low = ec_mc(space, cov, ONE, -30.0, 4, 100, rng=37)
-        high = ec_mc(space, cov, ONE, 30.0, 4, 100, rng=41)
+        low = ec_mc_levels(space, cov, ONE, [-30.0], 4, 100, rng=37)[0]
+        high = ec_mc_levels(space, cov, ONE, [30.0], 4, 100, rng=41)[0]
         assert low == EcEstimate(1.0, 0.0, 100)
         assert high == EcEstimate(0.0, 0.0, 100)
 
     def test_gaussian_interval_closed_form(self):
         space = ParamSpace.interval(10.0, 400)
         cov = SpatialCov.cosine(1.0)
-        est = ec_mc(space, cov, ONE, 1.0, 8, 1500, rng=43)
+        est = ec_mc_levels(space, cov, ONE, [1.0], 8, 1500, rng=43)[0]
         target = gaussian_tail(1.0) + 10.0 / (2 * np.pi) * np.exp(-0.5)
         assert abs(est.mean - target) <= 3 * est.stderr
 
     def test_grid_stability(self):
         cov = SpatialCov.cosine(1.0)
-        coarse = ec_mc(ParamSpace.interval(10.0, 200), cov, ONE, 1.0, 8, 800, rng=47)
-        fine = ec_mc(ParamSpace.interval(10.0, 400), cov, ONE, 1.0, 8, 800, rng=53)
+        coarse = ec_mc_levels(
+            ParamSpace.interval(10.0, 200), cov, ONE, [1.0], 8, 800, rng=47
+        )[0]
+        fine = ec_mc_levels(ParamSpace.interval(10.0, 400), cov, ONE, [1.0], 8, 800, rng=53)[0]
         assert abs(coarse.mean - fine.mean) <= 2 * np.hypot(coarse.stderr, fine.stderr)
 
     def test_levels_share_samples_deterministically(self):
         space = ParamSpace.interval(5.0, 64)
         cov = SpatialCov.cosine(1.0)
         multi = ec_mc_levels(space, cov, IDENTITY, [0.0, 1.0], 8, 200, rng=59)
-        single = ec_mc(space, cov, IDENTITY, 0.0, 8, 200, rng=59)
+        single = ec_mc_levels(space, cov, IDENTITY, [0.0], 8, 200, rng=59)[0]
         # identical replication substreams: the means agree exactly; the
         # stderr reduction order may differ by a couple of ulps
         assert multi[0].mean == single.mean
@@ -291,8 +349,8 @@ class TestEcMc:
     def test_worker_independence(self):
         space = ParamSpace.circle(6 * np.pi, 128)
         cov = SpatialCov.cosine(1.0)
-        a = ec_mc(space, cov, ONE, 0.5, 4, 200, rng=61)
-        b = ec_mc(space, cov, ONE, 0.5, 4, 200, rng=61, workers=3)
+        a = ec_mc_levels(space, cov, ONE, [0.5], 4, 200, rng=61)[0]
+        b = ec_mc_levels(space, cov, ONE, [0.5], 4, 200, rng=61, workers=3)[0]
         assert a == b
 
 

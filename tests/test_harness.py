@@ -204,6 +204,28 @@ class TestRunGkf:
         with pytest.raises(ValueError, match="too coarse"):
             run(ExperimentConfig.from_dict(data))
 
+    def test_low_order_fails_before_validation(self, monkeypatch):
+        def not_reached(*args, **kwargs):
+            raise AssertionError("ran before the series-order check")
+
+        monkeypatch.setattr(gausstube.harness, "validate_assumptions", not_reached)
+        cfg = ExperimentConfig.from_dict(
+            {
+                "experiment": "gkf",
+                "seed": 19,
+                "space": {"kind": "torus", "lengths": [2 * np.pi, 2 * np.pi], "grid": 64},
+                "cov": {"preset": "torus-pair", "frequency": 2.0},
+                "potential": "one",
+                "u_levels": [1.0],
+                "n": 8,
+                "J": 1,
+                "N": 30_000,
+                "reps": 100,
+            }
+        )
+        with pytest.raises(ConfigError, match="J=1"):
+            run(cfg)
+
 
 class TestReport:
     def test_empty_results_write_nothing(self, tmp_path):
