@@ -19,9 +19,6 @@ from .cylinder import (
     CylFunctional,
     PotentialV,
     convergence_study,
-    eval_Fn,
-    grad_Fn,
-    hess_Fn,
     limit_gmf_chisq,
 )
 from .errors import (
@@ -37,11 +34,10 @@ from .fields import (
     FieldSample,
     ParamSpace,
     SpatialCov,
-    crofton_lkc_rhs,
     ec_mc_levels,
     euler_char,
     excursion_volume_mc,
-    gkf_rhs,
+    kinematic_weights,
     lkc,
     simulate_field,
     validate_assumptions,
@@ -68,7 +64,6 @@ from .malliavin import (
 )
 from .series import (
     DEFAULT_ORDER,
-    HermiteEval,
     TruncSeries,
     gaussian_pdf,
     gaussian_tail,

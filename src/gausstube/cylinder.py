@@ -241,19 +241,6 @@ class CylFunctional:
         return RegionSpec(self.functional(), u, "excursion")
 
 
-def eval_Fn(cyl: CylFunctional, y: np.ndarray) -> float:
-    """F_n at a single point (S₀ = 0 for the empty prefix)."""
-    return cyl.value(y)
-
-
-def grad_Fn(cyl: CylFunctional, y: np.ndarray) -> np.ndarray:
-    return cyl.grad(y)
-
-
-def hess_Fn(cyl: CylFunctional, y: np.ndarray) -> np.ndarray:
-    return cyl.hess(y)
-
-
 def limit_gmf_chisq(u: float, order: int = DEFAULT_ORDER) -> GmfVector:
     """Minkowski functionals of the limiting region for V(b) = b.
 

@@ -1,5 +1,5 @@
 """Random fields driven by Brownian motion, excursion-set Euler characteristics,
-and the kinematic-formula right-hand side on flat parameter spaces.
+and the kinematic-formula weights on flat parameter spaces.
 
 A field f(x) = ∫₀¹ V(B^x(s)) dB^x(s) is simulated from a family of
 Brownian motions indexed by space with covariance
@@ -34,8 +34,7 @@ import numpy as np
 from scipy import special
 
 from ._mc import as_seed_sequence, run_blocks
-from .cylinder import CylFunctional, PotentialV
-from .gmf import GmfVector, gmf_surface_mc
+from .cylinder import PotentialV
 
 _EXPORT_MAGIC = b"GTFS"
 _EXPORT_VERSION = 1
@@ -476,75 +475,32 @@ def unit_ball_volume(dim: int) -> float:
     return float(np.pi ** (dim / 2.0) / special.gamma(dim / 2.0 + 1.0))
 
 
-def crofton_lkc_rhs(
-    index: int,
-    space: ParamSpace,
-    cov: SpatialCov,
-    potential: PotentialV,
-    u: float,
-    n: int,
-    order: int,
-    n_samples: int,
-    rng=0,
-    eps: Optional[float] = None,
-    workers: int = 1,
-    gmfs: Optional[GmfVector] = None,
-) -> tuple[float, float]:
-    """Kinematic prediction for E[L_index(A_u(f; M))].
+def kinematic_weights(index: int, space: ParamSpace, cov: SpatialCov, order: int) -> np.ndarray:
+    """Weights w with E[L_index(A_u(f; M))] = Σ_j w_j·M_j(F⁻¹[u, ∞)).
 
-    Evaluates Σ_{j=0}^{m−i} C(i+j, j)·ω_{i+j}/(ω_i ω_j)·(2π)^{−j/2}·
-    L_{i+j}(M)·M̂_j, with M̂ the surface Monte Carlo Minkowski functionals
-    of the excursion region of the cylindrical functional F_n at level u.
-    For i = 0 the flag coefficients collapse to 1 and the sum is the
-    expected-Euler-characteristic formula.  Pass a precomputed ``gmfs`` to
-    reuse one Monte Carlo run across indices.
+    w_j = C(i+j, j)·ω_{i+j}/(ω_i ω_j)·(2π)^{−j/2}·L_{i+j}(M) for
+    j ≤ dim − i and 0 above, so the vector has length ``order + 1`` and
+    dots with the Minkowski functionals M₀..M_order (see
+    :meth:`GmfVector.dot`).  For i = 0 the flag coefficients collapse to 1
+    and the sum is the expected-Euler-characteristic formula.
     """
     m = space.dim
     if not 0 <= index <= m:
         raise ValueError(f"index must lie in [0, {m}], got {index}")
     if order < m - index:
-        raise ValueError(f"series order {order} too small; need >= {m - index}")
-    if gmfs is None:
-        region = CylFunctional(n, potential).excursion(u)
-        gmfs = gmf_surface_mc(region, order, n_samples, eps=eps, rng=rng, workers=workers)
+        raise ValueError(
+            f"series order {order} must be >= space dimension {m} minus index {index}"
+        )
     curvatures = lkc(space, cov)
-    coeff = np.zeros(order + 1)
+    weights = np.zeros(order + 1)
     for j in range(m - index + 1):
         flag = (
             special.comb(index + j, j, exact=True)
             * unit_ball_volume(index + j)
             / (unit_ball_volume(index) * unit_ball_volume(j))
         )
-        coeff[j] = flag * (2.0 * np.pi) ** (-j / 2.0) * curvatures[index + j]
-    value = float(np.dot(coeff, gmfs.values))
-    if gmfs.cov is not None:
-        var = float(coeff @ gmfs.cov @ coeff)
-        stderr = float(np.sqrt(max(var, 0.0)))
-    else:
-        stderr = float(np.sqrt(np.sum((coeff * gmfs.stderr) ** 2)))
-    return value, stderr
-
-
-def gkf_rhs(
-    space: ParamSpace,
-    cov: SpatialCov,
-    potential: PotentialV,
-    u: float,
-    n: int,
-    order: int,
-    n_samples: int,
-    rng=0,
-    eps: Optional[float] = None,
-    workers: int = 1,
-    gmfs: Optional[GmfVector] = None,
-) -> tuple[float, float]:
-    """Right-hand side Σ_j (2π)^{−j/2} L_j(M) M̂_j of the kinematic formula."""
-    if order < space.dim:
-        raise ValueError(f"series order {order} must be >= space dimension {space.dim}")
-    return crofton_lkc_rhs(
-        0, space, cov, potential, u, n, order, n_samples,
-        rng=rng, eps=eps, workers=workers, gmfs=gmfs,
-    )
+        weights[j] = flag * (2.0 * np.pi) ** (-j / 2.0) * curvatures[index + j]
+    return weights
 
 
 def check_potential_derivatives(potential: PotentialV, rel_tol: float = 1e-5) -> None:

@@ -77,8 +77,9 @@ class GmfVector:
     """Minkowski functionals M₀..M_J with Monte Carlo standard errors.
 
     ``stderr`` is zero for closed forms.  ``cov`` (optional) is the full
-    covariance matrix of the estimator vector, used to propagate errors
-    through linear combinations such as the kinematic formula.
+    covariance matrix of the estimator vector, used by :meth:`dot` to
+    propagate errors through linear combinations such as the kinematic
+    formula.
     """
 
     order: int
@@ -103,6 +104,14 @@ class GmfVector:
         s.flags.writeable = False
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "stderr", s)
+
+    def dot(self, weights) -> tuple[float, float]:
+        """Linear combination w·M and its standard error √(wᵀ·cov·w)."""
+        if self.cov is None:
+            raise ValueError("a linear combination needs the estimator covariance")
+        w = np.asarray(weights, dtype=float)
+        var = float(w @ self.cov @ w)
+        return float(np.dot(w, self.values)), float(np.sqrt(max(var, 0.0)))
 
 
 def assemble_tube_series(gmfs: GmfVector, rho: float) -> float:

@@ -27,10 +27,9 @@ from .fields import (
     ParamSpace,
     SpatialCov,
     check_resolution,
-    crofton_lkc_rhs,
     ec_mc_levels,
     excursion_volume_mc,
-    gkf_rhs,
+    kinematic_weights,
     lkc,
     validate_assumptions,
 )
@@ -309,7 +308,13 @@ def run(config: ExperimentConfig) -> RunResult:
         cov.compatible_with(space)
         if config.J < space.dim:
             raise ConfigError(f"J={config.J} must be >= space dimension {space.dim}")
-        index = 0 if config.experiment == "gkf" else int(config.index)
+        index = 0 if config.experiment == "gkf" else config.index
+        if isinstance(index, bool) or not isinstance(index, int):
+            raise ConfigError(f"index must be an integer, got {index!r}")
+        try:
+            weights = kinematic_weights(index, space, cov, config.J)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if index in (0, space.dim):
             # these indices simulate fields: reject a coarse grid before any sampling
             check_resolution(space, cov)
@@ -331,10 +336,7 @@ def run(config: ExperimentConfig) -> RunResult:
                 rng=rhs_children[i], workers=config.workers,
             )
             gmf_meta.append({"u": float(u), **gmfs.meta})
-            value, stderr = crofton_lkc_rhs(
-                index, space, cov, potential, float(u), config.n, config.J,
-                config.N, gmfs=gmfs,
-            )
+            value, stderr = gmfs.dot(weights)
             row = {
                 "u": float(u),
                 "index": index,

@@ -152,22 +152,6 @@ def unit_normal(
     return eta, eta_jac
 
 
-def normal_field(
-    func: SmoothFunctional,
-    orientation: int,
-    grad_floor: float = DEFAULT_GRAD_FLOOR,
-) -> VectorField:
-    """The outward unit normal of {F ≤ u} / {F ≥ u} packaged as a VectorField."""
-
-    def value(x):
-        return unit_normal(func, orientation, x, grad_floor)[0]
-
-    def jacobian(x):
-        return unit_normal(func, orientation, x, grad_floor)[1]
-
-    return VectorField(dim=func.dim, value=value, jacobian=jacobian)
-
-
 def _trace_powers(a: np.ndarray, max_power: int) -> np.ndarray:
     """tr(A^m) for m = 1..max_power by repeated dense multiplication."""
     traces = np.empty(max_power)
@@ -435,29 +419,4 @@ def check_derivatives(
             raise AssertionError(
                 f"Hessian mismatch at x={x!r}: |fd-hess| = "
                 f"{np.linalg.norm(h_fd - h):.3e} (scale {scale_h:.3e})"
-            )
-
-
-def check_jacobian(
-    field: VectorField,
-    rng: np.random.Generator,
-    n_probes: int = 50,
-    rel_tol: float = 1e-5,
-) -> None:
-    """Finite-difference validation of a VectorField's Jacobian oracle."""
-    k = field.dim
-    for _ in range(n_probes):
-        x = rng.standard_normal(k)
-        step = 1e-4 * (1.0 + np.linalg.norm(x))
-        jac = np.asarray(field.jacobian(x), dtype=float)
-        jac_fd = np.empty((k, k))
-        for i in range(k):
-            e = np.zeros(k)
-            e[i] = step
-            jac_fd[:, i] = (np.asarray(field.value(x + e)) - np.asarray(field.value(x - e))) / (2 * step)
-        scale = max(1.0, float(np.linalg.norm(jac)))
-        if np.linalg.norm(jac_fd - jac) > rel_tol * scale:
-            raise AssertionError(
-                f"Jacobian mismatch at x={x!r}: |fd-jac| = "
-                f"{np.linalg.norm(jac_fd - jac):.3e}"
             )

@@ -155,19 +155,6 @@ def hermite_all(n: int, y) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class HermiteEval:
-    """A single Hermite evaluation (degree, argument, value) record."""
-
-    degree: int
-    argument: float
-    value: float
-
-    @classmethod
-    def at(cls, degree: int, argument: float) -> "HermiteEval":
-        return cls(degree, float(argument), hermite(degree, argument))
-
-
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 

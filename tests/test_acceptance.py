@@ -182,11 +182,14 @@ class TestCriterion8GaussianGkf:
         lhs_seed, rhs_seed = root.spawn(2)
         ec = gt.ec_mc_levels(space, cov, potential, self.U_LEVELS, 16, reps, rng=lhs_seed)
         rhs_children = rhs_seed.spawn(len(self.U_LEVELS))
+        weights = gt.kinematic_weights(0, space, cov, space.dim)
         worst = 0.0
         for i, u in enumerate(self.U_LEVELS):
-            rhs, rse = gt.gkf_rhs(
-                space, cov, potential, u, 16, space.dim, n_samples, rng=rhs_children[i]
+            gmfs = gt.gmf_surface_mc(
+                gt.CylFunctional(16, potential).excursion(u), space.dim, n_samples,
+                rng=rhs_children[i],
             )
+            rhs, rse = gmfs.dot(weights)
             gap = abs(ec[i].mean - rhs)
             combined = math.hypot(ec[i].stderr, rse)
             assert gap <= 3 * combined, (
@@ -229,11 +232,13 @@ class TestCriterion9StochasticIntegralGkf:
         lhs_seed, rhs_seed = root.spawn(2)
         ec = gt.ec_mc_levels(space, cov, potential, u_levels, n, 4000, rng=lhs_seed)
         rhs_children = rhs_seed.spawn(len(u_levels))
+        weights = gt.kinematic_weights(0, space, cov, 1)
         lines = []
         for i, u in enumerate(u_levels):
-            rhs, rse = gt.gkf_rhs(
-                space, cov, potential, u, n, 1, 400_000, rng=rhs_children[i]
+            gmfs = gt.gmf_surface_mc(
+                gt.CylFunctional(n, potential).excursion(u), 1, 400_000, rng=rhs_children[i]
             )
+            rhs, rse = gmfs.dot(weights)
             gap = abs(ec[i].mean - rhs)
             tol = max(3 * math.hypot(ec[i].stderr, rse), 0.10 * abs(rhs))
             assert gap <= tol, (
@@ -252,9 +257,10 @@ class TestCriterion10Crofton:
         potential = gt.PotentialV.preset("identity")
         root = np.random.SeedSequence(20_240_610)
         rhs_seed, vol_seed = root.spawn(2)
-        value, se = gt.crofton_lkc_rhs(
-            1, space, cov, potential, 0.5, 32, 1, 200_000, rng=rhs_seed
+        gmfs = gt.gmf_surface_mc(
+            gt.CylFunctional(32, potential).excursion(0.5), 1, 200_000, rng=rhs_seed
         )
+        value, se = gmfs.dot(gt.kinematic_weights(1, space, cov, 1))
         vol, vol_se = gt.excursion_volume_mc(
             space, cov, potential, 0.5, 32, 2000, rng=vol_seed
         )
@@ -264,13 +270,13 @@ class TestCriterion10Crofton:
         _report(10, "Crofton top index vs direct volume",
                 f"{value:.4f} vs {vol:.4f} (3-sigma {3 * combined:.4f})")
 
-    def test_index_zero_is_gkf_bit_for_bit(self):
+    def test_index_zero_weights_are_gkf_weights(self):
+        # index 0: every flag coefficient is exactly 1, leaving (2π)^{-j/2}·L_j
         space = gt.ParamSpace.interval(10.0, 400)
         cov = gt.SpatialCov.cosine(1.0)
-        potential = gt.PotentialV.preset("identity")
-        a = gt.gkf_rhs(space, cov, potential, 0.5, 16, 1, 50_000, rng=4242)
-        b = gt.crofton_lkc_rhs(0, space, cov, potential, 0.5, 16, 1, 50_000, rng=4242)
-        assert a == b
+        curvatures = gt.lkc(space, cov)
+        expected = np.array([(2.0 * np.pi) ** (-j / 2.0) * curvatures[j] for j in range(2)])
+        assert np.array_equal(gt.kinematic_weights(0, space, cov, 1), expected)
         _report(10, "Crofton index 0 equals kinematic sum", "bit-for-bit")
 
 

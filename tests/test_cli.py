@@ -17,6 +17,20 @@ GMF = {
     "N": 20_000,
 }
 
+CROFTON = {
+    "experiment": "crofton",
+    "seed": 17,
+    "space": {"kind": "interval", "length": 10.0, "grid": 200},
+    "cov": {"preset": "cosine", "frequency": 1.0},
+    "potential": "identity",
+    "u_levels": [0.5],
+    "n": 8,
+    "J": 1,
+    "N": 10_000,
+    "reps": 100,
+    "index": 1,
+}
+
 
 class TestCli:
     def test_gmf_run_writes_outputs(self, tmp_path, capsys):
@@ -51,6 +65,9 @@ class TestCli:
     def test_invalid_config_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, {**GMF, "bogus_key": 1})
         assert main(["gmf", "--config", cfg]) == 2
+        for index in (3, -1, 1.5):
+            cfg = write_config(tmp_path, {**CROFTON, "index": index}, name=f"crofton_{index}.json")
+            assert main(["crofton", "--config", cfg, "--out", str(tmp_path)]) == 2
 
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["gmf", "--config", str(tmp_path / "nope.json")]) == 2

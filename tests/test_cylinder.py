@@ -10,9 +10,6 @@ from gausstube.cylinder import (
     PotentialV,
     convergence_study,
     derivative_sup_moments,
-    eval_Fn,
-    grad_Fn,
-    hess_Fn,
     limit_gmf_chisq,
 )
 from gausstube.gmf import RegionSpec, gmf_halfspace, gmf_surface_mc, gmf_two_sided
@@ -47,19 +44,19 @@ class TestEvaluation:
     def test_constant_potential_is_linear(self):
         cyl = CylFunctional(8, PotentialV.preset("one"))
         y = np.arange(8.0)
-        assert eval_Fn(cyl, y) == pytest.approx(y.sum() / np.sqrt(8.0), rel=1e-14)
+        assert cyl.value(y) == pytest.approx(y.sum() / np.sqrt(8.0), rel=1e-14)
 
     def test_hand_value_n2(self):
         cyl = CylFunctional(2, PotentialV.preset("identity"))
-        assert eval_Fn(cyl, np.array([1.0, 1.0])) == pytest.approx(0.5, abs=1e-15)
+        assert cyl.value(np.array([1.0, 1.0])) == pytest.approx(0.5, abs=1e-15)
 
     def test_zero_input(self):
         for name in ("one", "identity", "sin", "cubic"):
             cyl = CylFunctional(6, PotentialV.preset(name))
             if name == "one":
-                assert eval_Fn(cyl, np.zeros(6)) == 0.0
+                assert cyl.value(np.zeros(6)) == 0.0
             else:
-                assert eval_Fn(cyl, np.zeros(6)) == 0.0
+                assert cyl.value(np.zeros(6)) == 0.0
 
     def test_grid_size_bounds(self):
         with pytest.raises(ValueError):
@@ -72,18 +69,18 @@ class TestDerivatives:
     def test_constant_potential_gradient(self):
         cyl = CylFunctional(5, PotentialV.preset("one"))
         y = np.array([0.3, -1.0, 0.2, 2.0, 0.0])
-        assert np.allclose(grad_Fn(cyl, y), np.full(5, 5.0**-0.5))
-        assert np.allclose(hess_Fn(cyl, y), 0.0)
+        assert np.allclose(cyl.grad(y), np.full(5, 5.0**-0.5))
+        assert np.allclose(cyl.hess(y), 0.0)
 
     def test_hand_gradient_n2(self):
         cyl = CylFunctional(2, PotentialV.preset("identity"))
-        g = grad_Fn(cyl, np.array([1.0, 1.0]))
+        g = cyl.grad(np.array([1.0, 1.0]))
         assert np.allclose(g, [0.5, 0.5])
 
     def test_hand_hessian_n2(self):
         # F_2(y) = y1*y2/2 for V(b)=b
         cyl = CylFunctional(2, PotentialV.preset("identity"))
-        h = hess_Fn(cyl, np.array([0.7, -0.3]))
+        h = cyl.hess(np.array([0.7, -0.3]))
         assert np.allclose(h, [[0.0, 0.5], [0.5, 0.0]])
 
     @pytest.mark.parametrize("name", ["identity", "sin"])
@@ -96,7 +93,7 @@ class TestDerivatives:
         rng = np.random.default_rng(61)
         cyl = CylFunctional(32, PotentialV.preset("cubic"))
         for _ in range(5):
-            h = hess_Fn(cyl, rng.standard_normal(32))
+            h = cyl.hess(rng.standard_normal(32))
             assert np.max(np.abs(h - h.T)) < 1e-12
 
     def test_batch_consistency(self):
@@ -107,9 +104,9 @@ class TestDerivatives:
         grads = cyl.grad_batch(y)
         hessians = cyl.hess_batch(y)
         for i in range(9):
-            assert vals[i] == pytest.approx(eval_Fn(cyl, y[i]), rel=1e-13)
-            assert np.allclose(grads[i], grad_Fn(cyl, y[i]), atol=1e-13)
-            assert np.allclose(hessians[i], hess_Fn(cyl, y[i]), atol=1e-13)
+            assert vals[i] == pytest.approx(cyl.value(y[i]), rel=1e-13)
+            assert np.allclose(grads[i], cyl.grad(y[i]), atol=1e-13)
+            assert np.allclose(hessians[i], cyl.hess(y[i]), atol=1e-13)
 
 
 def _points_off_the_floor(cyl, count, seed):

@@ -5,22 +5,22 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from gausstube.cylinder import PotentialV
+from gausstube.cylinder import CylFunctional, PotentialV
 from gausstube.fields import (
     EcEstimate,
     FieldSample,
     ParamSpace,
     SpatialCov,
-    crofton_lkc_rhs,
     ec_mc_levels,
     euler_char,
     excursion_volume_mc,
-    gkf_rhs,
+    kinematic_weights,
     lkc,
     simulate_field,
     unit_ball_volume,
     validate_assumptions,
 )
+from gausstube.gmf import gmf_surface_mc
 from gausstube.series import gaussian_pdf, gaussian_tail
 
 from _oracles import lambda2_fd
@@ -358,39 +358,50 @@ class TestKinematicRhs:
     def test_gaussian_interval(self):
         space = ParamSpace.interval(10.0, 400)
         cov = SpatialCov.cosine(1.0)
-        value, se = gkf_rhs(space, cov, ONE, 1.0, 8, 1, 100_000, rng=67)
+        gmfs = gmf_surface_mc(CylFunctional(8, ONE).excursion(1.0), 1, 100_000, rng=67)
+        value, se = gmfs.dot(kinematic_weights(0, space, cov, 1))
         target = gaussian_tail(1.0) + (2 * np.pi) ** -0.5 * 10.0 * gaussian_pdf(1.0)
         assert abs(value - target) <= 4 * se
 
     def test_requires_enough_orders(self):
         space = ParamSpace.torus(2 * np.pi, 2 * np.pi, 64)
         with pytest.raises(ValueError, match="dimension"):
-            gkf_rhs(space, SpatialCov.torus_pair(2.0), ONE, 1.0, 8, 1, 20_000, rng=1)
+            kinematic_weights(0, space, SpatialCov.torus_pair(2.0), 1)
 
-    def test_crofton_index_zero_matches_gkf_bitwise(self):
-        space = ParamSpace.interval(10.0, 400)
-        cov = SpatialCov.cosine(1.0)
-        a = gkf_rhs(space, cov, IDENTITY, 0.5, 16, 1, 20_000, rng=71)
-        b = crofton_lkc_rhs(0, space, cov, IDENTITY, 0.5, 16, 1, 20_000, rng=71)
-        assert a == b
+    def test_index_zero_weights_are_lkc_weights(self):
+        # the flag coefficients collapse to 1 exactly, so index 0 is the
+        # expected-Euler-characteristic sum bit for bit
+        for space, cov in [
+            (ParamSpace.interval(10.0, 400), SpatialCov.cosine(1.0)),
+            (ParamSpace.torus(2 * np.pi, 2 * np.pi, 64), SpatialCov.torus_pair(2.0)),
+        ]:
+            curvatures = lkc(space, cov)
+            expected = np.zeros(5)
+            for j in range(space.dim + 1):
+                expected[j] = (2.0 * np.pi) ** (-j / 2.0) * curvatures[j]
+            assert np.array_equal(kinematic_weights(0, space, cov, 4), expected)
+
+    def test_torus_index_one_hand_value(self):
+        space = ParamSpace.torus(2 * np.pi, 2 * np.pi, 64)
+        cov = SpatialCov.torus_pair(2.0)
+        weights = kinematic_weights(1, space, cov, 2)
+        area = lkc(space, cov)[2]
+        assert weights[0] == 0.0
+        assert weights[1] == pytest.approx((np.pi / 2) * (2 * np.pi) ** -0.5 * area, rel=1e-14)
+        assert weights[2] == 0.0
 
     def test_crofton_top_index_is_mass_term(self):
         space = ParamSpace.interval(10.0, 400)
         cov = SpatialCov.cosine(1.0)
-        from gausstube.cylinder import CylFunctional
-        from gausstube.gmf import gmf_surface_mc
-
         gmfs = gmf_surface_mc(CylFunctional(16, IDENTITY).excursion(0.5), 1, 20_000, rng=73)
-        value, se = crofton_lkc_rhs(
-            1, space, cov, IDENTITY, 0.5, 16, 1, 20_000, gmfs=gmfs
-        )
+        value, se = gmfs.dot(kinematic_weights(1, space, cov, 1))
         top = lkc(space, cov)[1]
         assert value == pytest.approx(top * gmfs.values[0], rel=1e-14)
 
     def test_crofton_index_validated(self):
         space = ParamSpace.interval(10.0, 400)
         with pytest.raises(ValueError, match="index"):
-            crofton_lkc_rhs(2, space, SpatialCov.cosine(1.0), ONE, 0.5, 8, 2, 20_000, rng=1)
+            kinematic_weights(2, space, SpatialCov.cosine(1.0), 2)
 
     def test_unit_ball_volumes(self):
         assert unit_ball_volume(0) == pytest.approx(1.0)
@@ -427,9 +438,10 @@ class TestCroftonBoundaryLength:
             lengths[i] = 0.5 * np.sqrt(cov.lambda2) * (np.pi / 4.0) * taxicab
         lhs = lengths.mean()
         lhs_se = lengths.std(ddof=1) / np.sqrt(reps)
-        rhs, rhs_se = crofton_lkc_rhs(
-            1, space, cov, ONE, u, 8, 2, 200_000, rng=root.spawn(reps + 1)[-1]
+        gmfs = gmf_surface_mc(
+            CylFunctional(8, ONE).excursion(u), 2, 200_000, rng=root.spawn(reps + 1)[-1]
         )
+        rhs, rhs_se = gmfs.dot(kinematic_weights(1, space, cov, 2))
         assert abs(lhs - rhs) <= max(0.10 * rhs, 3 * np.hypot(lhs_se, rhs_se))
 
 

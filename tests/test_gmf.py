@@ -107,6 +107,15 @@ class TestGmfVector:
         with pytest.raises(ValueError):
             g.values[0] = 0.0
 
+    def test_dot_propagates_covariance(self):
+        cov = np.array([[0.04, 0.01], [0.01, 0.09]])
+        g = GmfVector(1, np.array([0.25, 2.0]), np.sqrt(np.diag(cov)), cov=cov)
+        value, stderr = g.dot([2.0, -1.0])
+        assert value == pytest.approx(-1.5, rel=1e-15)
+        assert stderr == pytest.approx(np.sqrt(4 * 0.04 - 4 * 0.01 + 0.09), rel=1e-15)
+        with pytest.raises(ValueError, match="covariance"):
+            gmf_halfspace(0.0, 1).dot([1.0, 1.0])
+
 
 class TestAssemble:
     def test_zero_radius_returns_mass(self):

@@ -204,6 +204,31 @@ class TestRunGkf:
         with pytest.raises(ValueError, match="too coarse"):
             run(ExperimentConfig.from_dict(data))
 
+    @pytest.mark.parametrize("index", [3, -1, 1.5])
+    def test_bad_crofton_index_fails_before_any_sampling(self, index, monkeypatch):
+        def not_reached(*args, **kwargs):
+            raise AssertionError("ran before the index check")
+
+        for name in ("validate_assumptions", "gmf_surface_mc", "ec_mc_levels"):
+            monkeypatch.setattr(gausstube.harness, name, not_reached)
+        cfg = ExperimentConfig.from_dict(
+            {
+                "experiment": "crofton",
+                "seed": 17,
+                "space": {"kind": "interval", "length": 10.0, "grid": 200},
+                "cov": {"preset": "cosine", "frequency": 1.0},
+                "potential": "identity",
+                "u_levels": [0.5],
+                "n": 8,
+                "J": 1,
+                "N": 30_000,
+                "reps": 300,
+                "index": index,
+            }
+        )
+        with pytest.raises(ConfigError, match="index"):
+            run(cfg)
+
     def test_low_order_fails_before_validation(self, monkeypatch):
         def not_reached(*args, **kwargs):
             raise AssertionError("ran before the series-order check")
