@@ -305,7 +305,10 @@ def run(config: ExperimentConfig) -> RunResult:
         space = _build_space(config.space)
         cov = _build_cov(config.cov)
         potential = _potential(config)
-        cov.compatible_with(space)
+        try:
+            cov.compatible_with(space)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if config.J < space.dim:
             raise ConfigError(f"J={config.J} must be >= space dimension {space.dim}")
         index = 0 if config.experiment == "gkf" else config.index
@@ -317,7 +320,10 @@ def run(config: ExperimentConfig) -> RunResult:
             raise ConfigError(str(exc)) from None
         if index in (0, space.dim):
             # these indices simulate fields: reject a coarse grid before any sampling
-            check_resolution(space, cov)
+            try:
+                check_resolution(space, cov)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from None
         validate_assumptions(cov, potential, rng=root.spawn(1)[0])
         lhs_seed, rhs_seed, vol_seed = root.spawn(3)
         ec = None

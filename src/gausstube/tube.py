@@ -107,67 +107,91 @@ def projection_oracle(
     return DistanceOracle(region, "projection", tol=tol, maxiter=maxiter)
 
 
-def _retract_to_level(func, y: np.ndarray, u: float, tol_f: float, maxiter: int = 60) -> np.ndarray:
-    """Damped Newton steps along ∇F back to the level set {F = u}."""
+def _sq_norms(v: np.ndarray) -> np.ndarray:
+    return np.einsum("bi,bi->b", v, v)
+
+
+def _retract_to_level(func, y: np.ndarray, u: float, tol_f: float, maxiter: int = 60):
+    """Damped Newton steps along ∇F back to the level set {F = u}, row by row.
+
+    Returns the retracted (m, k) stack and a mask of the rows that reached
+    |F − u| ≤ ``tol_f`` within ``maxiter`` steps; a row whose gradient
+    vanishes first fails.
+    """
+    y = y.copy()
+    ok = np.zeros(y.shape[0], dtype=bool)
+    active = np.arange(y.shape[0])
     for _ in range(maxiter):
-        f = func.value(y)
-        if abs(f - u) <= tol_f:
-            return y
-        g = np.asarray(func.grad(y), dtype=float)
-        gn2 = float(np.dot(g, g))
-        if gn2 == 0.0:
+        if active.size == 0:
             break
-        y = y - (f - u) * g / gn2
-    raise ProjectionError("level-set retraction failed to converge", abs(func.value(y) - u))
+        r = func.values(y[active]) - u
+        done = np.abs(r) <= tol_f
+        ok[active[done]] = True
+        active, r = active[~done], r[~done]
+        g = func.grads(y[active])
+        gn2 = _sq_norms(g)
+        moving = gn2 != 0.0
+        active, r, g, gn2 = active[moving], r[moving], g[moving], gn2[moving]
+        y[active] -= r[:, None] * g / gn2[:, None]
+    return y, ok
 
 
-def _project_distance(oracle: DistanceOracle, x: np.ndarray) -> float:
-    """Distance from an exterior point to the boundary via projected gradient."""
-    region = oracle.region
-    func = region.functional
-    u = region.level
+def _project_exterior(oracle: DistanceOracle, x: np.ndarray) -> np.ndarray:
+    """Distances from a (m, k) stack of exterior points to the region's boundary.
+
+    Projected gradient on the level set, all rows at once: a row stays
+    active until its KKT tangential residual drops below ``tol`` (or its
+    distance is 0), and fails — NaN — when a retraction does not converge,
+    40 Armijo halvings find no sufficient decrease, or ``maxiter``
+    iterations pass.
+    """
+    func = oracle.region.functional
+    u = oracle.region.level
     tol = oracle.tol
     tol_f = tol * (1.0 + abs(u))
 
-    y = _retract_to_level(func, x.copy(), u, tol_f)
-    res = math.inf
+    out = np.full(x.shape[0], np.nan)
+    y, ok = _retract_to_level(func, x, u, tol_f)
+    active = np.nonzero(ok)[0]
     for _ in range(oracle.maxiter):
-        g = np.asarray(func.grad(y), dtype=float)
-        n = g / np.linalg.norm(g)
-        d = y - x
-        dist2 = float(np.dot(d, d))
-        if dist2 == 0.0:
-            return 0.0
-        gt = d - np.dot(d, n) * n  # tangential part; KKT wants it zero
-        gt_norm2 = float(np.dot(gt, gt))
-        res = math.sqrt(gt_norm2) / max(1.0, math.sqrt(dist2))
-        if res < tol:
-            return math.sqrt(dist2)
-        step = 1.0
-        accepted = False
-        for _ in range(40):
-            y_try = _retract_to_level(func, y - step * gt, u, tol_f)
-            if float(np.dot(y_try - x, y_try - x)) <= dist2 - 1e-4 * step * gt_norm2:
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
+        if active.size == 0:
             break
-        y = y_try
-    raise ProjectionError(
-        f"projection did not reach KKT residual {tol:.1e} in {oracle.maxiter} iterations",
-        res,
-    )
+        xa, ya = x[active], y[active]
+        g = func.grads(ya)
+        n = g / np.linalg.norm(g, axis=1)[:, None]
+        d = ya - xa
+        dist2 = _sq_norms(d)
+        gt = d - np.einsum("bi,bi->b", d, n)[:, None] * n  # tangential part; KKT wants it zero
+        gt_norm2 = _sq_norms(gt)
+        res = np.sqrt(gt_norm2) / np.maximum(1.0, np.sqrt(dist2))
+        zero = dist2 == 0.0
+        out[active[zero]] = 0.0
+        conv = ~zero & (res < tol)
+        out[active[conv]] = np.sqrt(dist2[conv])
+        live = ~(zero | conv)
+        active, xa, ya, gt = active[live], xa[live], ya[live], gt[live]
+        dist2, gt_norm2 = dist2[live], gt_norm2[live]
 
-
-def dist_to_region(oracle: DistanceOracle, x: np.ndarray) -> float:
-    """Euclidean distance from a single point to the oracle's region."""
-    x = np.asarray(x, dtype=float)
-    if oracle.method == "closed-form":
-        return float(oracle.formula(x[None, :])[0])
-    if oracle.region.contains(x):
-        return 0.0
-    return _project_distance(oracle, x)
+        # Armijo backtracking; ``trying`` indexes the rows still halving
+        step = np.ones(active.size)
+        accepted = np.zeros(active.size, dtype=bool)
+        trying = np.arange(active.size)
+        for _ in range(40):
+            if trying.size == 0:
+                break
+            y_try, retracted = _retract_to_level(
+                func, ya[trying] - step[trying, None] * gt[trying], u, tol_f
+            )
+            decrease = _sq_norms(y_try - xa[trying]) <= (
+                dist2[trying] - 1e-4 * step[trying] * gt_norm2[trying]
+            )
+            good = retracted & decrease
+            y[active[trying[good]]] = y_try[good]
+            accepted[trying[good]] = True
+            trying = trying[retracted & ~decrease]
+            step[trying] *= 0.5
+        active = active[accepted]
+    return out
 
 
 def distances(oracle: DistanceOracle, x: np.ndarray) -> tuple[np.ndarray, int]:
@@ -178,18 +202,23 @@ def distances(oracle: DistanceOracle, x: np.ndarray) -> tuple[np.ndarray, int]:
     x = np.asarray(x, dtype=float)
     if oracle.method == "closed-form":
         return np.asarray(oracle.formula(x), dtype=float), 0
-    func = oracle.region.functional
-    fv = func.values(x)
-    inside = oracle.region.contains_values(fv)
+    region = oracle.region
     out = np.zeros(x.shape[0])
-    failures = 0
-    for i in np.nonzero(~inside)[0]:
-        try:
-            out[i] = _project_distance(oracle, x[i])
-        except ProjectionError:
-            out[i] = np.nan
-            failures += 1
-    return out, failures
+    exterior = np.nonzero(~region.contains_values(region.functional.values(x)))[0]
+    out[exterior] = _project_exterior(oracle, x[exterior])
+    return out, int(np.count_nonzero(np.isnan(out[exterior])))
+
+
+def dist_to_region(oracle: DistanceOracle, x: np.ndarray) -> float:
+    """Euclidean distance from a single point: :func:`distances` on one row."""
+    d, failures = distances(oracle, np.asarray(x, dtype=float)[None, :])
+    if failures:
+        raise ProjectionError(
+            f"projection failed to reach KKT residual {oracle.tol:.1e} "
+            f"within {oracle.maxiter} iterations",
+            math.nan,
+        )
+    return float(d[0])
 
 
 def tube_volume_mc(

@@ -5,6 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from gausstube.errors import ProjectionError
 from gausstube.malliavin import DEFAULT_GRAD_FLOOR, SmoothFunctional, VectorField, unit_normal
 from gausstube.series import hermite
 
@@ -93,3 +94,77 @@ class HermiteEval:
     @classmethod
     def at(cls, degree: int, argument: float) -> "HermiteEval":
         return cls(degree, float(argument), hermite(degree, argument))
+
+
+def retract_to_level(func, y, u, tol_f, maxiter=60):
+    """Damped Newton steps along ∇F back to the level set {F = u} (one point)."""
+    for _ in range(maxiter):
+        f = func.value(y)
+        if abs(f - u) <= tol_f:
+            return y
+        g = np.asarray(func.grad(y), dtype=float)
+        gn2 = float(np.dot(g, g))
+        if gn2 == 0.0:
+            break
+        y = y - (f - u) * g / gn2
+    raise ProjectionError("level-set retraction failed to converge", abs(func.value(y) - u))
+
+
+def project_distance(oracle, x):
+    """Distance from one exterior point to the boundary via projected gradient.
+
+    The per-point reference for ``gausstube.tube.distances``: the same
+    retraction, KKT test, Armijo backtracking and iteration caps, one point
+    at a time with the scalar oracles.
+    """
+    region = oracle.region
+    func = region.functional
+    u = region.level
+    tol = oracle.tol
+    tol_f = tol * (1.0 + abs(u))
+
+    y = retract_to_level(func, x.copy(), u, tol_f)
+    res = math.inf
+    for _ in range(oracle.maxiter):
+        g = np.asarray(func.grad(y), dtype=float)
+        n = g / np.linalg.norm(g)
+        d = y - x
+        dist2 = float(np.dot(d, d))
+        if dist2 == 0.0:
+            return 0.0
+        gt = d - np.dot(d, n) * n
+        gt_norm2 = float(np.dot(gt, gt))
+        res = math.sqrt(gt_norm2) / max(1.0, math.sqrt(dist2))
+        if res < tol:
+            return math.sqrt(dist2)
+        step = 1.0
+        accepted = False
+        for _ in range(40):
+            y_try = retract_to_level(func, y - step * gt, u, tol_f)
+            if float(np.dot(y_try - x, y_try - x)) <= dist2 - 1e-4 * step * gt_norm2:
+                accepted = True
+                break
+            step *= 0.5
+        if not accepted:
+            break
+        y = y_try
+    raise ProjectionError(
+        f"projection did not reach KKT residual {tol:.1e} in {oracle.maxiter} iterations",
+        res,
+    )
+
+
+def reference_distances(oracle, x):
+    """(distances, failure mask) of a (B, k) stack, one ``project_distance`` per exterior point."""
+    region = oracle.region
+    out = np.zeros(x.shape[0])
+    failed = np.zeros(x.shape[0], dtype=bool)
+    for i, row in enumerate(x):
+        if region.contains(row):
+            continue
+        try:
+            out[i] = project_distance(oracle, row)
+        except ProjectionError:
+            out[i] = np.nan
+            failed[i] = True
+    return out, failed

@@ -68,6 +68,18 @@ class TestCli:
         for index in (3, -1, 1.5):
             cfg = write_config(tmp_path, {**CROFTON, "index": index}, name=f"crofton_{index}.json")
             assert main(["crofton", "--config", cfg, "--out", str(tmp_path)]) == 2
+        gkf = {key: value for key, value in CROFTON.items() if key != "index"}
+        faults = {
+            # a 1-D covariance on a 2-D torus
+            "cov_dim": {"space": {"kind": "torus", "lengths": [6.0, 6.0], "grid": 40}, "J": 2},
+            # 4 * spacing * sqrt(lambda2) = 4 * (10/9) * 1 >= 1
+            "coarse": {"space": {"kind": "interval", "length": 10.0, "grid": 10}},
+        }
+        for name, fault in faults.items():
+            cfg = write_config(
+                tmp_path, {**gkf, **fault, "experiment": "gkf"}, name=f"gkf_{name}.json"
+            )
+            assert main(["gkf", "--config", cfg, "--out", str(tmp_path)]) == 2
 
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["gmf", "--config", str(tmp_path / "nope.json")]) == 2

@@ -95,19 +95,30 @@ class TestRunTube:
         assert "max_abs_residual" in result.counters
 
     def test_projection_method(self):
-        cfg = ExperimentConfig.from_dict(
-            {
-                "experiment": "tube",
-                "seed": 7,
-                "region": {"kind": "ball", "radius": 1.0, "dim": 2},
-                "J": 6,
-                "N": 10_000,
-                "rho_grid": [0.3],
-                "method": "projection",
-            }
-        )
-        result = run(cfg)
-        assert abs(result.rows[0]["residual"]) <= 5 * result.rows[0]["stderr"]
+        data = {
+            "experiment": "tube",
+            "seed": 7,
+            "region": {"kind": "ball", "radius": 1.0, "dim": 2},
+            "J": 6,
+            "N": 10_000,
+            "rho_grid": [0.3],
+        }
+        # the configuration of the benchmark's tube-projection workload
+        workload = {
+            **data,
+            "seed": 20_240_603,
+            "region": {"kind": "ball", "radius": 2.0, "dim": 3},
+            "N": 65_536,
+            "rho_grid": [0.05, 0.1, 0.2, 0.3, 0.4],
+        }
+        for cfg in (data, workload):
+            solved = run(ExperimentConfig.from_dict({**cfg, "method": "projection"}))
+            closed = run(ExperimentConfig.from_dict({**cfg, "method": "closed-form"}))
+            for row in solved.rows:
+                assert abs(row["residual"]) <= 5 * row["stderr"]
+            # the solver puts every sample on the same side of every radius
+            # as the closed-form distance does
+            assert [r["tube_mc"] for r in solved.rows] == [r["tube_mc"] for r in closed.rows]
 
 
 class TestRunConverge:
@@ -201,7 +212,7 @@ class TestRunGkf:
         }
         if experiment == "crofton":
             data["index"] = 1  # the top index: a volume Monte Carlo over fields
-        with pytest.raises(ValueError, match="too coarse"):
+        with pytest.raises(ConfigError, match="too coarse"):
             run(ExperimentConfig.from_dict(data))
 
     @pytest.mark.parametrize("index", [3, -1, 1.5])

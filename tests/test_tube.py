@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from _oracles import reference_distances
 from gausstube.errors import ProjectionError
-from gausstube.functionals import half_norm_squared, quadratic
+from gausstube.functionals import half_norm_squared, norm, quadratic
 from gausstube.gmf import RegionSpec, gmf_halfspace, gmf_two_sided
 from gausstube.series import gaussian_tail
 from gausstube.tube import (
@@ -108,6 +109,46 @@ class TestProjectionSolver:
         with pytest.raises(ValueError, match="convexity"):
             projection_oracle(region)
 
+    @pytest.mark.parametrize(
+        "region, maxiter",
+        [
+            (RegionSpec(quadratic(np.zeros((3, 3)), np.array([1.0, 0, 0])), 0.5, "sub-level"), 500),
+            (RegionSpec(half_norm_squared(3), 2.0, "sub-level"), 500),
+            (RegionSpec(half_norm_squared(3), 2.0, "excursion"), 500),
+            (RegionSpec(norm(3), 2.0, "sub-level"), 500),
+            (RegionSpec(quadratic(np.diag([4.0, 1.0])), 1.0, "excursion"), 500),
+            # rows accept after different numbers of halvings, and many
+            # reach the iteration cap
+            (RegionSpec(quadratic(np.diag([4.0, 1.0])), 1.0, "sub-level"), 20),
+        ],
+        ids=["halfspace", "ball", "ball-excursion", "norm-ball", "ellipse", "ellipse-capped"],
+    )
+    def test_batch_matches_reference(self, region, maxiter):
+        # the batch solver against the per-point reference, row by row; the
+        # origin is an exterior point with zero gradient for the excursions
+        oracle = projection_oracle(region, maxiter=maxiter)
+        x = 2.0 * np.random.default_rng(59).standard_normal((300, region.dim))
+        x[0] = 0.0
+        d, failures = distances(oracle, x)
+        ref, ref_failed = reference_distances(oracle, x)
+        assert np.array_equal(np.isnan(d), ref_failed)
+        assert failures == int(ref_failed.sum())
+        assert np.max(np.abs(d[~ref_failed] - ref[~ref_failed])) <= 1e-12
+
+    def test_mixed_batch_failures_stay_in_their_rows(self):
+        region = RegionSpec(quadratic(np.diag([400.0, 0.01])), 1.0, "sub-level")
+        oracle = projection_oracle(region, maxiter=2)
+        # on-axis exterior points converge at once; interior points are at 0
+        easy = np.array([[1.0, 0.0], [-2.0, 0.0], [0.0, 20.0], [0.0, -30.0], [0.0, 1.0]])
+        hard = np.array([[1.0, 9.0], [-1.0, 9.0], [0.5, -12.0], [2.0, 3.0]])
+        x = np.concatenate([hard[:2], easy[:3], hard[2:], easy[3:]])
+        is_hard = np.repeat([True, False, True, False], [2, 3, 2, 2])
+        d, failures = distances(oracle, x)
+        alone, alone_failures = distances(oracle, easy)
+        assert failures == 4 and alone_failures == 0
+        assert np.all(np.isnan(d[is_hard]))
+        assert np.array_equal(d[~is_hard], alone)
+
     def test_failure_counting(self):
         # An extremely anisotropic ellipse needs more projected-gradient
         # iterations than allowed, so the solve is reported as failed.
@@ -150,10 +191,11 @@ class TestTubeVolume:
             tube_volume_mc(oracle, 0.5, 12_000, rng=31)
 
     def test_worker_independence(self):
-        oracle = two_sided_oracle(1.0, 2)
-        a = tube_volume_mc(oracle, 0.2, 70_000, rng=37)
-        b = tube_volume_mc(oracle, 0.2, 70_000, rng=37, workers=4)
-        assert a == b
+        projection = projection_oracle(RegionSpec(norm(2), 1.0, "sub-level"))
+        for oracle in (two_sided_oracle(1.0, 2), projection):
+            a = tube_volume_mc(oracle, 0.2, 70_000, rng=37)
+            b = tube_volume_mc(oracle, 0.2, 70_000, rng=37, workers=4)
+            assert a == b
 
 
 class TestValidateSeries:
