@@ -60,7 +60,6 @@ from .malliavin import (
     divergence,
     jacobian_series,
     ramer_density,
-    unit_normal,
 )
 from .series import (
     DEFAULT_ORDER,
@@ -69,10 +68,7 @@ from .series import (
     gaussian_tail,
     hermite,
     hermite_all,
-    series_add,
     series_exp,
-    series_mul,
-    series_scale,
 )
 from .tube import (
     DistanceOracle,

@@ -215,25 +215,13 @@ class CylFunctional:
                 e[:, i] = 0.0
         return tau, mu
 
-    def value(self, y: np.ndarray) -> float:
-        return float(self.value_batch(np.asarray(y, dtype=float)[None, :])[0])
-
-    def grad(self, y: np.ndarray) -> np.ndarray:
-        return self.grad_batch(np.asarray(y, dtype=float)[None, :])[0]
-
-    def hess(self, y: np.ndarray) -> np.ndarray:
-        return self.hess_batch(np.asarray(y, dtype=float)[None, :])[0]
-
     def functional(self) -> SmoothFunctional:
         """SmoothFunctional facade of dimension n."""
         return SmoothFunctional(
             dim=self.n,
-            value=self.value,
-            grad=self.grad,
-            hess=self.hess,
-            value_batch=self.value_batch,
-            grad_batch=self.grad_batch,
-            hess_batch=self.hess_batch,
+            values=self.value_batch,
+            grads=self.grad_batch,
+            hessians=self.hess_batch,
             moments_batch=self.moments_batch,
         )
 

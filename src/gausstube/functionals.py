@@ -21,58 +21,38 @@ def coordinate(dim: int, index: int = 0) -> SmoothFunctional:
 
     return SmoothFunctional(
         dim=dim,
-        value=lambda x: float(x[index]),
-        grad=lambda x: e.copy(),
-        hess=lambda x: np.zeros((dim, dim)),
-        value_batch=lambda x: x[:, index],
-        grad_batch=lambda x: np.broadcast_to(e, x.shape).copy(),
-        hess_batch=lambda x: np.zeros((x.shape[0], dim, dim)),
+        values=lambda x: x[:, index],
+        grads=lambda x: np.broadcast_to(e, x.shape).copy(),
+        hessians=lambda x: np.zeros((x.shape[0], dim, dim)),
     )
 
 
 def norm(dim: int) -> SmoothFunctional:
     """F(x) = ‖x‖; smooth away from the origin (balls and spheres)."""
 
-    def value(x):
-        return float(np.linalg.norm(x))
-
-    def grad(x):
-        return x / np.linalg.norm(x)
-
-    def hess(x):
-        r = np.linalg.norm(x)
-        eta = x / r
-        return (np.eye(dim) - np.outer(eta, eta)) / r
-
-    def value_batch(x):
+    def values(x):
         return np.linalg.norm(x, axis=1)
 
-    def grad_batch(x):
+    def grads(x):
         r = np.linalg.norm(x, axis=1)
         return x / r[:, None]
 
-    def hess_batch(x):
+    def hessians(x):
         r = np.linalg.norm(x, axis=1)
         eta = x / r[:, None]
         eye = np.broadcast_to(np.eye(dim), (x.shape[0], dim, dim))
         return (eye - eta[:, :, None] * eta[:, None, :]) / r[:, None, None]
 
-    return SmoothFunctional(
-        dim=dim, value=value, grad=grad, hess=hess,
-        value_batch=value_batch, grad_batch=grad_batch, hess_batch=hess_batch,
-    )
+    return SmoothFunctional(dim=dim, values=values, grads=grads, hessians=hessians)
 
 
 def half_norm_squared(dim: int) -> SmoothFunctional:
     """F(x) = ‖x‖²/2; convex with gradient x and Hessian I."""
     return SmoothFunctional(
         dim=dim,
-        value=lambda x: 0.5 * float(np.dot(x, x)),
-        grad=lambda x: x.copy(),
-        hess=lambda x: np.eye(dim),
-        value_batch=lambda x: 0.5 * np.einsum("bi,bi->b", x, x),
-        grad_batch=lambda x: x.copy(),
-        hess_batch=lambda x: np.broadcast_to(np.eye(dim), (x.shape[0], dim, dim)).copy(),
+        values=lambda x: 0.5 * np.einsum("bi,bi->b", x, x),
+        grads=lambda x: x.copy(),
+        hessians=lambda x: np.broadcast_to(np.eye(dim), (x.shape[0], dim, dim)).copy(),
     )
 
 
@@ -87,10 +67,7 @@ def quadratic(a: np.ndarray, b: np.ndarray | None = None, c: float = 0.0) -> Smo
 
     return SmoothFunctional(
         dim=dim,
-        value=lambda x: 0.5 * float(x @ a_sym @ x) + float(b @ x) + c,
-        grad=lambda x: a_sym @ x + b,
-        hess=lambda x: a_sym.copy(),
-        value_batch=lambda x: 0.5 * np.einsum("bi,ij,bj->b", x, a_sym, x) + x @ b + c,
-        grad_batch=lambda x: x @ a_sym.T + b,
-        hess_batch=lambda x: np.broadcast_to(a_sym, (x.shape[0], dim, dim)).copy(),
+        values=lambda x: 0.5 * np.einsum("bi,ij,bj->b", x, a_sym, x) + x @ b + c,
+        grads=lambda x: x @ a_sym.T + b,
+        hessians=lambda x: np.broadcast_to(a_sym, (x.shape[0], dim, dim)).copy(),
     )

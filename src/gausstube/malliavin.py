@@ -1,4 +1,4 @@
-"""Finite-dimensional Gaussian calculus: divergence, unit normals, det₂, Ramer densities.
+"""Finite-dimensional Gaussian calculus: divergence, det₂, Jacobian series, Ramer densities.
 
 Everything here lives on ℝᵏ with the canonical Gaussian measure.  The
 divergence is the Gaussian one,
@@ -29,7 +29,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DegeneratePointError, ValidityRadiusError
-from .series import DEFAULT_ORDER, TruncSeries, series_exp
+from .series import DEFAULT_ORDER, TruncSeries, exp_series
 
 #: Gradient norms below this are treated as numerically degenerate points.
 DEFAULT_GRAD_FLOOR = 1e-10
@@ -37,45 +37,33 @@ DEFAULT_GRAD_FLOOR = 1e-10
 
 @dataclass(frozen=True)
 class SmoothFunctional:
-    """A scalar functional on ℝᵏ with gradient and Hessian oracles.
+    """A scalar functional on ℝᵏ with value, gradient and Hessian oracles.
 
-    ``value``, ``grad`` and ``hess`` act on a single point (a (k,) array).
-    The optional ``*_batch`` oracles act on (B, k) stacks and exist purely
-    for speed; when absent the per-point oracle is applied row by row.
-    ``moments_batch(x, v, order)`` returns the curvature moments
-    (τ, μ) of :func:`hessian_moments` without a dense Hessian stack, for
-    functionals whose Hessian has structure; when absent they are taken
-    from the Hessian stack.
+    ``values``, ``grads`` and ``hessians`` act on (B, k) stacks and return
+    (B,), (B, k) and (B, k, k) arrays; ``value``, ``grad`` and ``hess`` are
+    the same oracles on one (k,) point.  The optional
+    ``moments_batch(x, v, order)`` returns the curvature moments (τ, μ) of
+    :func:`hessian_moments` without a dense Hessian stack, for functionals
+    whose Hessian has structure; when absent they are taken from the
+    Hessian stack.
     """
 
     dim: int
-    value: Callable[[np.ndarray], float]
-    grad: Callable[[np.ndarray], np.ndarray]
-    hess: Callable[[np.ndarray], np.ndarray]
-    value_batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    grad_batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    hess_batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    values: Callable[[np.ndarray], np.ndarray]
+    grads: Callable[[np.ndarray], np.ndarray]
+    hessians: Callable[[np.ndarray], np.ndarray]
     moments_batch: Optional[
         Callable[[np.ndarray, np.ndarray, int], tuple[np.ndarray, np.ndarray]]
     ] = None
 
-    def values(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if self.value_batch is not None:
-            return np.asarray(self.value_batch(x), dtype=float)
-        return np.array([self.value(row) for row in x], dtype=float)
+    def value(self, x: np.ndarray) -> float:
+        return float(self.values(np.asarray(x, dtype=float)[None, :])[0])
 
-    def grads(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if self.grad_batch is not None:
-            return np.asarray(self.grad_batch(x), dtype=float)
-        return np.stack([np.asarray(self.grad(row), dtype=float) for row in x])
+    def grad(self, x: np.ndarray) -> np.ndarray:
+        return self.grads(np.asarray(x, dtype=float)[None, :])[0]
 
-    def hessians(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if self.hess_batch is not None:
-            return np.asarray(self.hess_batch(x), dtype=float)
-        return np.stack([np.asarray(self.hess(row), dtype=float) for row in x])
+    def hess(self, x: np.ndarray) -> np.ndarray:
+        return self.hessians(np.asarray(x, dtype=float)[None, :])[0]
 
     def moments(
         self, x: np.ndarray, v: np.ndarray, order: int
@@ -119,66 +107,23 @@ def divergence(v: VectorField, x: np.ndarray) -> float:
     return float(np.dot(v.value(x), x) - np.trace(v.jacobian(x)))
 
 
-def unit_normal(
-    func: SmoothFunctional,
-    orientation: int,
-    x: np.ndarray,
-    grad_floor: float = DEFAULT_GRAD_FLOOR,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Outward unit normal η = s·∇F/‖∇F‖ and its Jacobian ∇η at x.
-
-    ``orientation`` is +1 for sub-level regions {F ≤ u} and −1 for excursion
-    regions {F ≥ u}, so η always points out of the region.  The Jacobian is
-    the exact derivative of the normalized gradient,
-
-        ∇η = s·(∇²F/‖∇F‖ − ∇F (∇F)ᵀ ∇²F / ‖∇F‖³).
-
-    Raises :class:`DegeneratePointError` when ‖∇F(x)‖ falls below
-    ``grad_floor``: such points are excluded from surface integrals.
-    """
-    if orientation not in (+1, -1):
-        raise ValueError(f"orientation must be +1 or -1, got {orientation}")
-    x = np.asarray(x, dtype=float)
-    g = np.asarray(func.grad(x), dtype=float)
-    gn = float(np.linalg.norm(g))
-    if gn < grad_floor:
-        raise DegeneratePointError(
-            f"gradient norm {gn:.3e} below floor {grad_floor:.1e} at x={x!r}"
-        )
-    h = np.asarray(func.hess(x), dtype=float)
-    eta = orientation * g / gn
-    hg = h @ g
-    eta_jac = orientation * (h / gn - np.outer(g, hg) / gn**3)
-    return eta, eta_jac
-
-
-def _trace_powers(a: np.ndarray, max_power: int) -> np.ndarray:
-    """tr(A^m) for m = 1..max_power by repeated dense multiplication."""
-    traces = np.empty(max_power)
-    p = a
-    traces[0] = np.trace(p)
-    for m in range(2, max_power + 1):
-        p = p @ a
-        traces[m - 1] = np.trace(p)
-    return traces
-
-
 def det2_series(a: np.ndarray, order: int = DEFAULT_ORDER) -> TruncSeries:
     """Coefficients of ρ ↦ det₂(I + ρA) = Π(1+ρλᵢ)e^{−ρλᵢ}.
 
-    Uses log det₂(I+ρA) = Σ_{m≥2} (−1)^{m+1} tr(Aᵐ) ρᵐ/m, so no
-    eigendecomposition is needed; coefficient 0 is 1 and coefficient 1 is 0
-    for every A (the exponential factor cancels the trace).
+    Uses log det₂(I+ρA) = Σ_{m≥2} (−1)^{m+1} tr(Aᵐ) ρᵐ/m with the traces
+    of :func:`hessian_moments`, so no eigendecomposition is needed: the
+    τ-only part of :func:`jacobian_coeffs_from_moments`, without τ₁ and the
+    −ρ²/2 term.  Coefficient 0 is 1 and coefficient 1 is 0 for every A (the
+    exponential factor cancels the trace).
     """
     a = np.asarray(a, dtype=float)
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
-    expo = np.zeros(order + 1)
-    if order >= 2:
-        traces = _trace_powers(a, order)
-        for m in range(2, order + 1):
-            expo[m] = ((-1) ** (m + 1)) * traces[m - 1] / m
-    return series_exp(TruncSeries(order, expo))
+    tau, _ = hessian_moments(a[None], np.zeros((1, a.shape[0])), order)
+    m = np.arange(2, order + 1)
+    expo = np.zeros((1, order + 1))
+    expo[:, 2:] = (-1.0) ** (m + 1) * tau[:, 1:] / m
+    return TruncSeries(order, exp_series(expo)[0])
 
 
 def det2_exact(a: np.ndarray) -> float:
@@ -230,28 +175,27 @@ def jacobian_series(
 ) -> TruncSeries:
     """Taylor coefficients of ρ ↦ det₂(I+ρ∇η)·exp(−ρδ(η)−ρ²/2) at x.
 
-    η is the outward unit normal of the region cut out by ``func`` at the
-    given orientation; the whole integrand is assembled inside one
-    series_exp:
+    η is the outward unit normal s·∇F/‖∇F‖ of the region cut out by
+    ``func`` at the given orientation s (+1 for sub-level regions {F ≤ u},
+    −1 for excursion regions {F ≥ u}).  This is :func:`jacobian_coeffs` on
+    one row.  Coefficient 0 is always 1.  Integrating j!·coefficient_j
+    against the Gaussian surface measure of the region boundary gives the
+    (j+1)-th Gaussian Minkowski functional.
 
-        exp( −ρ·δ(η) − ρ²/2 + Σ_{m=2..J} (−1)^{m+1} tr((∇η)ᵐ) ρᵐ/m ).
-
-    Coefficient 0 is always 1.  Integrating j!·coefficient_j against the
-    Gaussian surface measure of the region boundary gives the (j+1)-th
-    Gaussian Minkowski functional.
+    Raises :class:`DegeneratePointError` when ‖∇F(x)‖ falls below
+    ``grad_floor``: such points are excluded from surface integrals.
     """
-    x = np.asarray(x, dtype=float)
-    eta, eta_jac = unit_normal(func, orientation, x, grad_floor)
-    delta = float(np.dot(eta, x) - np.trace(eta_jac))
-    expo = np.zeros(order + 1)
-    if order >= 1:
-        expo[1] = -delta
-    if order >= 2:
-        traces = _trace_powers(eta_jac, order)
-        expo[2] = -0.5 - 0.5 * traces[1]
-        for m in range(3, order + 1):
-            expo[m] = ((-1) ** (m + 1)) * traces[m - 1] / m
-    return series_exp(TruncSeries(order, expo))
+    x = np.asarray(x, dtype=float)[None, :]
+    grads = func.grads(x)
+    coeffs, degenerate = jacobian_coeffs(
+        x, grads, lambda v: func.moments(x, v, order), orientation, grad_floor
+    )
+    if degenerate[0]:
+        raise DegeneratePointError(
+            f"gradient norm {np.linalg.norm(grads[0]):.3e} below floor "
+            f"{grad_floor:.1e} at x={x[0]!r}"
+        )
+    return TruncSeries(order, coeffs[0])
 
 
 def hessian_moments(
@@ -319,15 +263,7 @@ def jacobian_coeffs_from_moments(
         expo[:, 1] -= eta_x
     if order >= 2:
         expo[:, 2] -= 0.5
-    # exp of the exponent series, e_n = (1/n) Σ_m m·a_m·e_{n−m}
-    coeffs = np.zeros((nb, order + 1))
-    coeffs[:, 0] = 1.0
-    for n in range(1, order + 1):
-        acc = np.zeros(nb)
-        for j in range(1, n + 1):
-            acc += j * expo[:, j] * coeffs[:, n - j]
-        coeffs[:, n] = acc / n
-    return coeffs
+    return exp_series(expo)
 
 
 def jacobian_coeffs(
@@ -344,6 +280,8 @@ def jacobian_coeffs(
     ``lambda v: func.moments(x, v, J)``.  Returns ``(coeffs, degenerate)``
     as :func:`jacobian_coeffs_batch` does.
     """
+    if orientation not in (+1, -1):
+        raise ValueError(f"orientation must be +1 or -1, got {orientation}")
     x = np.asarray(x, dtype=float)
     g = np.asarray(grads, dtype=float)
     gn = np.linalg.norm(g, axis=1)
@@ -379,44 +317,3 @@ def jacobian_coeffs_batch(
     return jacobian_coeffs(
         x, grads, lambda v: hessian_moments(h, v, order), orientation, grad_floor
     )
-
-
-def check_derivatives(
-    func: SmoothFunctional,
-    rng: np.random.Generator,
-    n_probes: int = 50,
-    rel_tol: float = 1e-5,
-) -> None:
-    """Verify grad/hess against central finite differences at Gaussian probes.
-
-    The step is 1e−4·(1+‖x‖); gradients of ``value`` and Hessians of
-    ``grad`` must match to relative error ``rel_tol``, and the Hessian must
-    be symmetric to 1e−10.  Raises AssertionError on failure.
-    """
-    k = func.dim
-    for _ in range(n_probes):
-        x = rng.standard_normal(k)
-        step = 1e-4 * (1.0 + np.linalg.norm(x))
-        g = np.asarray(func.grad(x), dtype=float)
-        g_fd = np.empty(k)
-        h_fd = np.empty((k, k))
-        for i in range(k):
-            e = np.zeros(k)
-            e[i] = step
-            g_fd[i] = (func.value(x + e) - func.value(x - e)) / (2 * step)
-            h_fd[:, i] = (np.asarray(func.grad(x + e)) - np.asarray(func.grad(x - e))) / (2 * step)
-        scale_g = max(1.0, float(np.linalg.norm(g)))
-        if np.linalg.norm(g_fd - g) > rel_tol * scale_g:
-            raise AssertionError(
-                f"gradient mismatch at x={x!r}: |fd-grad| = "
-                f"{np.linalg.norm(g_fd - g):.3e} (scale {scale_g:.3e})"
-            )
-        h = np.asarray(func.hess(x), dtype=float)
-        if np.max(np.abs(h - h.T)) > 1e-10:
-            raise AssertionError(f"Hessian not symmetric at x={x!r}")
-        scale_h = max(1.0, float(np.linalg.norm(h)))
-        if np.linalg.norm(h_fd - h) > rel_tol * scale_h:
-            raise AssertionError(
-                f"Hessian mismatch at x={x!r}: |fd-hess| = "
-                f"{np.linalg.norm(h_fd - h):.3e} (scale {scale_h:.3e})"
-            )

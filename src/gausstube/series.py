@@ -5,7 +5,9 @@ formal power series in the tube radius ρ, truncated at a fixed order J:
 terms of degree > J are discarded, never wrapped around.  The coefficient
 convention is plain Taylor coefficients, i.e. ``coeffs[j]`` multiplies ρʲ
 (factorials are applied by the callers that convert coefficients into
-Minkowski functionals).
+Minkowski functionals).  Series are built as exponents and exponentiated
+by :func:`exp_series`, one row per sample point; :class:`TruncSeries` is
+the one-row view returned by the scalar APIs.
 
 The Hermite polynomials here follow the probabilists' convention
 
@@ -59,88 +61,52 @@ class TruncSeries:
         c = np.atleast_1d(np.asarray(coeffs, dtype=float))
         return cls(order=c.shape[0] - 1, coeffs=c)
 
-    @classmethod
-    def zero(cls, order: int) -> "TruncSeries":
-        return cls(order=order, coeffs=np.zeros(order + 1))
-
     def __call__(self, rho: float) -> float:
         """Evaluate the truncated polynomial at ρ."""
         return float(np.polynomial.polynomial.polyval(rho, self.coeffs))
 
-    def __add__(self, other: "TruncSeries") -> "TruncSeries":
-        return series_add(self, other)
 
-    def __mul__(self, other) -> "TruncSeries":
-        if isinstance(other, TruncSeries):
-            return series_mul(self, other)
-        return series_scale(self, float(other))
+def exp_series(expo: np.ndarray) -> np.ndarray:
+    """Coefficients of exp(a(ρ)) for each row of a (B, J+1) exponent stack.
 
-    __rmul__ = __mul__
-
-
-def _check_same_order(a: TruncSeries, b: TruncSeries, op: str) -> None:
-    if a.order != b.order:
-        raise ValueError(
-            f"series_{op}: order mismatch ({a.order} vs {b.order}); "
-            "operands must be truncated at the same degree"
-        )
-
-
-def series_add(a: TruncSeries, b: TruncSeries) -> TruncSeries:
-    """Coefficient-wise sum at common truncation order."""
-    _check_same_order(a, b, "add")
-    return TruncSeries(a.order, a.coeffs + b.coeffs)
-
-
-def series_scale(a: TruncSeries, c: float) -> TruncSeries:
-    """Multiply every coefficient by the scalar c."""
-    return TruncSeries(a.order, a.coeffs * float(c))
-
-
-def series_mul(a: TruncSeries, b: TruncSeries) -> TruncSeries:
-    """Cauchy product truncated at the common order J."""
-    _check_same_order(a, b, "mul")
-    full = np.convolve(a.coeffs, b.coeffs)
-    return TruncSeries(a.order, full[: a.order + 1])
-
-
-def series_exp(a: TruncSeries) -> TruncSeries:
-    """Coefficients of exp(a(ρ)) truncated at order J.
-
-    Requires a(0) = 0; a nonzero constant term must be factored out by the
-    caller (exp(a₀) is then an exact scalar multiplier).  Uses the standard
+    Column 0 of ``expo`` is ignored, i.e. taken to be a₀ = 0.  Uses the
     recursion obtained from E' = a'·E for E = exp(a):
 
         e₀ = 1,   eₙ = (1/n) Σ_{m=1..n} m·a_m·e_{n−m},
 
     equivalent to assembling complete Bell polynomials.
     """
+    nb, width = expo.shape
+    order = width - 1
+    coeffs = np.zeros((nb, order + 1))
+    coeffs[:, 0] = 1.0
+    for n in range(1, order + 1):
+        acc = np.zeros(nb)
+        for j in range(1, n + 1):
+            acc += j * expo[:, j] * coeffs[:, n - j]
+        coeffs[:, n] = acc / n
+    return coeffs
+
+
+def series_exp(a: TruncSeries) -> TruncSeries:
+    """Coefficients of exp(a(ρ)) truncated at order J: :func:`exp_series` on one row.
+
+    Requires a(0) = 0; a nonzero constant term must be factored out by the
+    caller (exp(a₀) is then an exact scalar multiplier).
+    """
     if a.coeffs[0] != 0.0:
         raise ValueError(
             f"series_exp requires a zero constant term, got {a.coeffs[0]!r}; "
             "factor out exp(a0) first"
         )
-    J = a.order
-    e = np.zeros(J + 1)
-    e[0] = 1.0
-    m = np.arange(J + 1)
-    ma = m * a.coeffs
-    for n in range(1, J + 1):
-        # sum_{m=1..n} m*a_m*e_{n-m}
-        e[n] = np.dot(ma[1 : n + 1], e[n - 1 :: -1][:n]) / n
-    return TruncSeries(J, e)
+    return TruncSeries(a.order, exp_series(a.coeffs[None, :])[0])
 
 
 def hermite(n: int, y: float) -> float:
-    """Probabilists' Hermite polynomial H_n(y)."""
+    """Probabilists' Hermite polynomial H_n(y): :func:`hermite_all` at one degree."""
     if n < 0:
         raise ValueError(f"degree must be >= 0, got {n}")
-    if n == 0:
-        return 1.0
-    h_prev, h = 1.0, float(y)
-    for k in range(1, n):
-        h_prev, h = h, y * h - k * h_prev
-    return h
+    return float(hermite_all(n, y)[n])
 
 
 def hermite_all(n: int, y) -> np.ndarray:

@@ -5,9 +5,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gausstube.errors import ProjectionError
-from gausstube.malliavin import DEFAULT_GRAD_FLOOR, SmoothFunctional, VectorField, unit_normal
-from gausstube.series import hermite
+from gausstube.errors import DegeneratePointError, ProjectionError
+from gausstube.malliavin import DEFAULT_GRAD_FLOOR, SmoothFunctional, VectorField
+from gausstube.series import TruncSeries, hermite, series_exp
 
 
 def eigen_product_series(lams, order):
@@ -42,6 +42,69 @@ def lambda2_fd(cov, step=1e-4):
     return out
 
 
+def series_mul(a: TruncSeries, b: TruncSeries) -> TruncSeries:
+    """Cauchy product truncated at the common order J."""
+    if a.order != b.order:
+        raise ValueError(
+            f"series_mul: order mismatch ({a.order} vs {b.order}); "
+            "operands must be truncated at the same degree"
+        )
+    full = np.convolve(a.coeffs, b.coeffs)
+    return TruncSeries(a.order, full[: a.order + 1])
+
+
+def unit_normal(
+    func: SmoothFunctional,
+    orientation: int,
+    x: np.ndarray,
+    grad_floor: float = DEFAULT_GRAD_FLOOR,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Outward unit normal η = s·∇F/‖∇F‖ and its Jacobian ∇η at one point.
+
+    ``orientation`` s is +1 for sub-level regions {F ≤ u} and −1 for
+    excursion regions {F ≥ u}.  The Jacobian is the exact derivative of the
+    normalized gradient,
+
+        ∇η = s·(∇²F/‖∇F‖ − ∇F (∇F)ᵀ ∇²F / ‖∇F‖³).
+    """
+    if orientation not in (+1, -1):
+        raise ValueError(f"orientation must be +1 or -1, got {orientation}")
+    x = np.asarray(x, dtype=float)
+    g = np.asarray(func.grad(x), dtype=float)
+    gn = float(np.linalg.norm(g))
+    if gn < grad_floor:
+        raise DegeneratePointError(
+            f"gradient norm {gn:.3e} below floor {grad_floor:.1e} at x={x!r}"
+        )
+    h = np.asarray(func.hess(x), dtype=float)
+    eta = orientation * g / gn
+    hg = h @ g
+    eta_jac = orientation * (h / gn - np.outer(g, hg) / gn**3)
+    return eta, eta_jac
+
+
+def reference_jacobian_series(func, orientation, x, order, grad_floor=DEFAULT_GRAD_FLOOR):
+    """The Jacobian series at one point from the dense normal Jacobian ∇η.
+
+    Assembles exp(−ρ·δ(η) − ρ²/2 + Σ_{m≥2} (−1)^{m+1} tr((∇η)ᵐ) ρᵐ/m) from
+    trace powers of ∇η.  It shares only the functional's oracles and the
+    final exponentiation with the library's moment route (determinant lemma
+    on τ_m = tr(Hᵐ), μ_k = vᵀHᵏv).
+    """
+    x = np.asarray(x, dtype=float)
+    eta, eta_jac = unit_normal(func, orientation, x, grad_floor)
+    expo = np.zeros(order + 1)
+    if order >= 1:
+        expo[1] = -(float(np.dot(eta, x)) - np.trace(eta_jac))
+    p = eta_jac
+    for m in range(2, order + 1):
+        p = p @ eta_jac
+        expo[m] = (-1) ** (m + 1) * np.trace(p) / m
+    if order >= 2:
+        expo[2] -= 0.5
+    return series_exp(TruncSeries(order, expo))
+
+
 def normal_field(
     func: SmoothFunctional,
     orientation: int,
@@ -56,6 +119,49 @@ def normal_field(
         return unit_normal(func, orientation, x, grad_floor)[1]
 
     return VectorField(dim=func.dim, value=value, jacobian=jacobian)
+
+
+def check_derivatives(
+    func: SmoothFunctional,
+    rng: np.random.Generator,
+    n_probes: int = 50,
+    rel_tol: float = 1e-5,
+) -> None:
+    """Verify grad/hess against central finite differences at Gaussian probes.
+
+    The step is 1e−4·(1+‖x‖); gradients of ``value`` and Hessians of
+    ``grad`` must match to relative error ``rel_tol``, and the Hessian must
+    be symmetric to 1e−10.  The one-point oracles are the batch oracles on
+    one row, so this checks what the Monte Carlo kernels evaluate.  Raises
+    AssertionError on failure.
+    """
+    k = func.dim
+    for _ in range(n_probes):
+        x = rng.standard_normal(k)
+        step = 1e-4 * (1.0 + np.linalg.norm(x))
+        g = np.asarray(func.grad(x), dtype=float)
+        g_fd = np.empty(k)
+        h_fd = np.empty((k, k))
+        for i in range(k):
+            e = np.zeros(k)
+            e[i] = step
+            g_fd[i] = (func.value(x + e) - func.value(x - e)) / (2 * step)
+            h_fd[:, i] = (np.asarray(func.grad(x + e)) - np.asarray(func.grad(x - e))) / (2 * step)
+        scale_g = max(1.0, float(np.linalg.norm(g)))
+        if np.linalg.norm(g_fd - g) > rel_tol * scale_g:
+            raise AssertionError(
+                f"gradient mismatch at x={x!r}: |fd-grad| = "
+                f"{np.linalg.norm(g_fd - g):.3e} (scale {scale_g:.3e})"
+            )
+        h = np.asarray(func.hess(x), dtype=float)
+        if np.max(np.abs(h - h.T)) > 1e-10:
+            raise AssertionError(f"Hessian not symmetric at x={x!r}")
+        scale_h = max(1.0, float(np.linalg.norm(h)))
+        if np.linalg.norm(h_fd - h) > rel_tol * scale_h:
+            raise AssertionError(
+                f"Hessian mismatch at x={x!r}: |fd-hess| = "
+                f"{np.linalg.norm(h_fd - h):.3e} (scale {scale_h:.3e})"
+            )
 
 
 def check_jacobian(

@@ -13,7 +13,8 @@ import pytest
 
 import gausstube as gt
 from gausstube.functionals import coordinate, norm
-from gausstube.malliavin import check_derivatives
+
+from _oracles import check_derivatives
 
 pytestmark = pytest.mark.acceptance
 

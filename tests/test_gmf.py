@@ -225,12 +225,9 @@ class TestSurfaceMonteCarlo:
     def test_degenerate_surface_raises(self):
         flat = SmoothFunctional(
             dim=2,
-            value=lambda x: 0.0,
-            grad=lambda x: np.zeros(2),
-            hess=lambda x: np.zeros((2, 2)),
-            value_batch=lambda x: np.zeros(x.shape[0]),
-            grad_batch=lambda x: np.zeros_like(x),
-            hess_batch=lambda x: np.zeros((x.shape[0], 2, 2)),
+            values=lambda x: np.zeros(x.shape[0]),
+            grads=lambda x: np.zeros_like(x),
+            hessians=lambda x: np.zeros((x.shape[0], 2, 2)),
         )
         region = RegionSpec(flat, 0.0, "excursion")
         with pytest.raises(SurfaceDegeneracyError):

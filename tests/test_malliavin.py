@@ -3,24 +3,31 @@ import math
 import numpy as np
 import pytest
 
+from gausstube.cylinder import CylFunctional, PotentialV
 from gausstube.errors import DegeneratePointError, ValidityRadiusError
 from gausstube.functionals import coordinate, half_norm_squared, norm, quadratic
 from gausstube.malliavin import (
     SmoothFunctional,
     VectorField,
-    check_derivatives,
     det2_exact,
     det2_series,
     divergence,
+    jacobian_coeffs,
     jacobian_coeffs_batch,
     jacobian_series,
     ramer_density,
-    unit_normal,
 )
 from gausstube.series import TruncSeries, hermite, series_exp
 
 
-from _oracles import check_jacobian, eigen_product_series, normal_field
+from _oracles import (
+    check_derivatives,
+    check_jacobian,
+    eigen_product_series,
+    normal_field,
+    reference_jacobian_series,
+    unit_normal,
+)
 
 
 class TestDivergence:
@@ -72,10 +79,14 @@ class TestUnitNormal:
         f = half_norm_squared(3)
         with pytest.raises(DegeneratePointError):
             unit_normal(f, +1, np.zeros(3))
+        with pytest.raises(DegeneratePointError):
+            jacobian_series(f, +1, np.zeros(3))
 
     def test_bad_orientation(self):
         with pytest.raises(ValueError):
             unit_normal(coordinate(2), 0, np.ones(2))
+        with pytest.raises(ValueError):
+            jacobian_series(coordinate(2), 0, np.ones(2))
 
 
 class TestDet2Series:
@@ -199,9 +210,9 @@ class TestJacobianSeries:
         a = np.array([2.0, -1.0, 0.5])
         f = SmoothFunctional(
             dim=3,
-            value=lambda x: float(a @ x),
-            grad=lambda x: a.copy(),
-            hess=lambda x: np.zeros((3, 3)),
+            values=lambda x: x @ a,
+            grads=lambda x: np.broadcast_to(a, x.shape).copy(),
+            hessians=lambda x: np.zeros((x.shape[0], 3, 3)),
         )
         x = np.array([0.4, 1.0, -0.2])
         eta = -a / np.linalg.norm(a)
@@ -214,6 +225,7 @@ class TestJacobianSeries:
         assert np.max(np.abs(s.coeffs - expected.coeffs)) < 1e-14
 
     def test_batch_matches_pointwise(self):
+        # the dense and the structured moment routes against trace powers of grad eta
         rng = np.random.default_rng(37)
         a = rng.standard_normal((5, 5))
         f = quadratic(a + a.T, rng.standard_normal(5), 0.3)
@@ -223,8 +235,22 @@ class TestJacobianSeries:
         )
         assert not degenerate.any()
         for i in range(x.shape[0]):
-            s = jacobian_series(f, -1, x[i], 5)
+            s = reference_jacobian_series(f, -1, x[i], 5)
             assert np.max(np.abs(coeffs[i] - s.coeffs)) < 1e-11
+        for name in ("sin", "cubic", "identity"):
+            f = CylFunctional(8, PotentialV.preset(name)).functional()
+            y = rng.standard_normal((160, 8))
+            y = y[np.linalg.norm(f.grads(y), axis=1) >= 0.3][:40]
+            assert y.shape[0] == 40
+            for orientation in (+1, -1):
+                coeffs, degenerate = jacobian_coeffs(
+                    y, f.grads(y), lambda v: f.moments(y, v, 5), orientation
+                )
+                assert not degenerate.any()
+                for i in range(y.shape[0]):
+                    ref = reference_jacobian_series(f, orientation, y[i], 5).coeffs
+                    rel = np.max(np.abs(coeffs[i] - ref)) / np.max(np.abs(ref))
+                    assert rel <= 1e-11, (name, orientation, i, rel)
 
     def test_batch_flags_degenerate_rows(self):
         f = half_norm_squared(3)
@@ -248,9 +274,9 @@ class TestOracleChecks:
     def test_corrupted_gradient_fails(self):
         f = SmoothFunctional(
             dim=2,
-            value=lambda x: float(x @ x) / 2,
-            grad=lambda x: 1.1 * x,  # wrong scale
-            hess=lambda x: np.eye(2),
+            values=lambda x: np.einsum("bi,bi->b", x, x) / 2,
+            grads=lambda x: 1.1 * x,  # wrong scale
+            hessians=lambda x: np.broadcast_to(np.eye(2), (x.shape[0], 2, 2)).copy(),
         )
         with pytest.raises(AssertionError, match="gradient mismatch"):
             check_derivatives(f, np.random.default_rng(47), n_probes=5)
