@@ -49,6 +49,7 @@ from .gmf import (
     gmf_ball,
     gmf_halfspace,
     gmf_surface_mc,
+    gmf_surface_mc_levels,
     gmf_two_sided,
 )
 from .harness import ExperimentConfig, RunResult, report, run
@@ -78,6 +79,7 @@ from .tube import (
     halfspace_oracle,
     projection_oracle,
     tube_volume_mc,
+    tube_volumes_mc,
     two_sided_oracle,
     validate_tube_series,
 )

@@ -25,7 +25,6 @@ Monte Carlo average over canonical Gaussian samples.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -214,7 +213,30 @@ def gmf_surface_mc(
 ) -> GmfVector:
     """Kernel-smoothed co-area Monte Carlo estimate of M₀..M_J.
 
-    Draws N canonical Gaussian samples Xᵢ and returns
+    :func:`gmf_surface_mc_levels` at the region's one level.
+    """
+    return gmf_surface_mc_levels(
+        region.functional, region.kind, [region.level], order, n_samples, eps=eps,
+        rng=rng, workers=workers, grad_floor=grad_floor, kernel_cut=kernel_cut,
+    )[0]
+
+
+def gmf_surface_mc_levels(
+    func: SmoothFunctional,
+    kind: str,
+    levels,
+    order: int,
+    n_samples: int,
+    eps: Optional[float] = None,
+    rng=0,
+    workers: int = 1,
+    grad_floor: float = DEFAULT_GRAD_FLOOR,
+    kernel_cut: float = 8.0,
+) -> list[GmfVector]:
+    """Kernel-smoothed co-area Monte Carlo estimates of M₀..M_J, one per level.
+
+    Draws N canonical Gaussian samples Xᵢ and returns, for each level u of
+    the regions {F ≤ u} or {F ≥ u} (``kind``),
 
         M̂₀ = (1/N) Σ 1{Xᵢ ∈ region},
         M̂_j = (1/N) Σ (j−1)!·c_{j−1}(Xᵢ)·‖∇F(Xᵢ)‖·κ_ε(F(Xᵢ)−u),  j ≥ 1,
@@ -222,17 +244,24 @@ def gmf_surface_mc(
     with κ_ε(t) = φ(t/ε)/ε.  When ``eps`` is None a Silverman-style
     bandwidth 1.06·σ̂_F·N^{−1/5} is fitted on a pilot block.  Points whose
     gradient norm falls below ``grad_floor`` inside the kernel window are
-    skipped and counted; a skip fraction above 1% warns and above 10%
-    raises :class:`SurfaceDegeneracyError`.
+    skipped and counted in ``meta["skip_fraction"]``; a skip fraction above
+    10% raises :class:`SurfaceDegeneracyError`.
+
+    Every level shares one sample set: a block draws its samples and
+    evaluates F once, and the co-area weights ‖∇F‖·c_j, which do not depend
+    on u, once on the union of the levels' kernel windows.  Entry i is
+    bit-identical to a one-level call at ``levels[i]`` with the same ``rng``.
 
     The sample stream is split into fixed-size blocks with independent
     substreams of ``rng``, so results are bit-identical for any ``workers``.
     """
+    regions = [RegionSpec(func, float(u), kind) for u in levels]
+    if not regions:
+        raise ValueError("levels must hold at least one level")
     if n_samples < 10_000:
         raise ValueError(f"n_samples must be >= 10^4, got {n_samples}")
     if eps is not None and eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    func = region.functional
     k = func.dim
     root = as_seed_sequence(rng)
     sizes = block_sizes(n_samples)
@@ -244,8 +273,7 @@ def gmf_surface_mc(
         eps = silverman_bandwidth(func.values(pilot), n_samples)
     eps = float(eps)
 
-    u = region.level
-    orientation = region.orientation
+    orientation = regions[0].orientation
     factorials = special.factorial(np.arange(max(order, 1)))
     kappa_norm = 1.0 / (eps * math.sqrt(2.0 * math.pi))
 
@@ -254,66 +282,79 @@ def gmf_surface_mc(
     # route holds O(chunk·k) and is no slower in chunks of this size.
     chunk = max(256, min(32768, (1 << 22) // max(k * k, 1)))
 
+    def surface_weights(x: np.ndarray, idx: np.ndarray):
+        """‖∇F‖, the degenerate mask and the Jacobian coefficients c_0..c_{J−1}
+        at the rows ``idx`` of x."""
+        m = idx.shape[0]
+        gn = np.empty(m)
+        degenerate = np.empty(m, dtype=bool)
+        coeffs = np.empty((m, order))
+        for start in range(0, m, chunk):
+            rows = slice(start, start + chunk)
+            xw = x[idx[rows]]
+            grads = func.grads(xw)
+            gn[rows] = np.linalg.norm(grads, axis=1)
+            if order >= 2:
+                coeffs[rows], degenerate[rows] = jacobian_coeffs(
+                    xw, grads, lambda v: func.moments(xw, v, order - 1),
+                    orientation, grad_floor,
+                )
+            else:
+                degenerate[rows] = gn[rows] < grad_floor
+                coeffs[rows] = np.where(degenerate[rows], 0.0, 1.0)[:, None]
+        return gn, degenerate, coeffs
+
     def one_block(b: int):
         gen = np.random.default_rng(children[b + 1])
         x = gen.standard_normal((sizes[b], k))
         fv = func.values(x)
-        w = np.zeros((sizes[b], order + 1))
-        w[:, 0] = region.contains_values(fv)
-        t = (fv - u) / eps
-        window_idx = np.nonzero(np.abs(t) <= kernel_cut)[0]
-        n_window = window_idx.shape[0]
-        n_degenerate = 0
-        if order >= 1 and n_window:
-            for start in range(0, n_window, chunk):
-                idx = window_idx[start : start + chunk]
-                xw = x[idx]
-                grads = func.grads(xw)
-                gn = np.linalg.norm(grads, axis=1)
-                degenerate = gn < grad_floor
-                kappa = kappa_norm * np.exp(-0.5 * t[idx] ** 2)
-                if order >= 2:
-                    coeffs, degenerate = jacobian_coeffs(
-                        xw, grads, lambda v: func.moments(xw, v, order - 1),
-                        orientation, grad_floor,
-                    )
-                else:
-                    coeffs = np.ones((idx.shape[0], 1))
-                    coeffs[degenerate] = 0.0
-                n_degenerate += int(degenerate.sum())
-                base = gn * kappa
-                base[degenerate] = 0.0
-                w[idx, 1:] = coeffs * base[:, None] * factorials[None, :order]
-        return w.sum(axis=0), w.T @ w, n_window, n_degenerate
+        t = [(fv - region.level) / eps for region in regions]
+        in_window = [np.abs(ti) <= kernel_cut for ti in t]
+        union = np.nonzero(np.logical_or.reduce(in_window))[0]
+        if order >= 1 and union.size:
+            gn, degenerate, coeffs = surface_weights(x, union)
+        out = []
+        for region, ti, window in zip(regions, t, in_window):
+            w = np.zeros((sizes[b], order + 1))
+            w[:, 0] = region.contains_values(fv)
+            sel = window[union]  # this level's window rows among the union
+            idx = union[sel]
+            n_degenerate = 0
+            if order >= 1 and idx.size:
+                kappa = kappa_norm * np.exp(-0.5 * ti[idx] ** 2)
+                base = gn[sel] * kappa
+                base[degenerate[sel]] = 0.0
+                n_degenerate = int(degenerate[sel].sum())
+                w[idx, 1:] = coeffs[sel] * base[:, None] * factorials[None, :order]
+            out.append((w.sum(axis=0), w.T @ w, idx.shape[0], n_degenerate))
+        return out
 
     results = run_blocks(one_block, len(sizes), workers)
-    s1 = fsum_arrays([r[0] for r in results])
-    s2 = fsum_arrays([r[1] for r in results])
-    n_window = sum(r[2] for r in results)
-    n_degenerate = sum(r[3] for r in results)
-
-    skip_fraction = n_degenerate / max(n_window, 1)
-    if skip_fraction > 0.10:
-        raise SurfaceDegeneracyError(
-            f"{skip_fraction:.1%} of surface-window samples were degenerate; "
-            "the boundary is too irregular for the co-area estimator"
-        )
-    if skip_fraction > 0.01:
-        warnings.warn(
-            f"skipping {skip_fraction:.2%} degenerate surface samples",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-
     n = float(n_samples)
-    mean = s1 / n
-    cov = (s2 - n * np.outer(mean, mean)) / (n - 1.0) / n
-    stderr = np.sqrt(np.clip(np.diag(cov), 0.0, None))
-    meta = {
-        "eps": eps,
-        "n_samples": n_samples,
-        "n_window": n_window,
-        "n_degenerate": n_degenerate,
-        "skip_fraction": skip_fraction,
-    }
-    return GmfVector(order, mean, stderr, cov=cov, meta=meta)
+    estimates = []
+    for i, region in enumerate(regions):
+        parts = [r[i] for r in results]
+        s1 = fsum_arrays([p[0] for p in parts])
+        s2 = fsum_arrays([p[1] for p in parts])
+        n_window = sum(p[2] for p in parts)
+        n_degenerate = sum(p[3] for p in parts)
+
+        skip_fraction = n_degenerate / max(n_window, 1)
+        if skip_fraction > 0.10:
+            raise SurfaceDegeneracyError(
+                f"{skip_fraction:.1%} of surface-window samples at level {region.level} "
+                "were degenerate; the boundary is too irregular for the co-area estimator"
+            )
+
+        mean = s1 / n
+        cov = (s2 - n * np.outer(mean, mean)) / (n - 1.0) / n
+        stderr = np.sqrt(np.clip(np.diag(cov), 0.0, None))
+        meta = {
+            "eps": eps,
+            "n_samples": n_samples,
+            "n_window": n_window,
+            "n_degenerate": n_degenerate,
+            "skip_fraction": skip_fraction,
+        }
+        estimates.append(GmfVector(order, mean, stderr, cov=cov, meta=meta))
+    return estimates

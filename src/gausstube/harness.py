@@ -34,7 +34,14 @@ from .fields import (
     validate_assumptions,
 )
 from .functionals import coordinate, norm
-from .gmf import RegionSpec, gmf_ball, gmf_halfspace, gmf_surface_mc, gmf_two_sided
+from .gmf import (
+    RegionSpec,
+    gmf_ball,
+    gmf_halfspace,
+    gmf_surface_mc,
+    gmf_surface_mc_levels,
+    gmf_two_sided,
+)
 from .tube import (
     ball_oracle,
     halfspace_oracle,
@@ -300,6 +307,9 @@ def run(config: ExperimentConfig) -> RunResult:
             workers=config.workers,
         )
         rows.extend(study.rows())
+        counters["gmf_meta"] = [
+            {"n": n, **g.meta} for n, g in zip(study.n_grid, study.estimates)
+        ]
 
     elif config.experiment in ("gkf", "crofton"):
         space = _build_space(config.space)
@@ -333,14 +343,14 @@ def run(config: ExperimentConfig) -> RunResult:
                 space, cov, potential, config.u_levels, config.n, config.reps,
                 rng=lhs_seed, workers=config.workers,
             )
-        rhs_children = rhs_seed.spawn(len(config.u_levels))
+        # one sample set for every level, drawn from rhs_seed's first child
+        gmf_levels = gmf_surface_mc_levels(
+            CylFunctional(config.n, potential).functional(), "excursion",
+            [float(u) for u in config.u_levels], config.J, config.N, eps=config.eps,
+            rng=rhs_seed.spawn(1)[0], workers=config.workers,
+        )
         gmf_meta = []
-        for i, u in enumerate(config.u_levels):
-            region = CylFunctional(config.n, potential).excursion(float(u))
-            gmfs = gmf_surface_mc(
-                region, config.J, config.N, eps=config.eps,
-                rng=rhs_children[i], workers=config.workers,
-            )
+        for i, (u, gmfs) in enumerate(zip(config.u_levels, gmf_levels)):
             gmf_meta.append({"u": float(u), **gmfs.meta})
             value, stderr = gmfs.dot(weights)
             row = {

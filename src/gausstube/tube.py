@@ -228,13 +228,31 @@ def tube_volume_mc(
     rng=0,
     workers: int = 1,
 ) -> tuple[float, float]:
-    """Estimate γ_k(Tube(A, ρ)) = P(d(X) ≤ ρ) with binomial standard error.
+    """Estimate γ_k(Tube(A, ρ)) = P(d(X) ≤ ρ): :func:`tube_volumes_mc` at one ρ."""
+    est, stderr = tube_volumes_mc(oracle, [rho], n_samples, rng=rng, workers=workers)
+    return float(est[0]), float(stderr[0])
 
-    Solver failures are dropped from the tally; more than 0.1% of them
-    aborts the run.
+
+def tube_volumes_mc(
+    oracle: DistanceOracle,
+    rho_grid,
+    n_samples: int,
+    rng=0,
+    workers: int = 1,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Estimate γ_k(Tube(A, ρ)) = P(d(X) ≤ ρ) with binomial standard errors.
+
+    The distances do not depend on ρ, so one sample set serves the whole
+    grid: each block solves its distances once and counts d ≤ ρ for every
+    ρ.  Entry i is bit-identical to :func:`tube_volume_mc` at
+    ``rho_grid[i]`` with the same ``rng``.  Solver failures are dropped from
+    the tally; more than 0.1% of them aborts the run.
     """
-    if rho < 0:
-        raise ValueError(f"rho must be >= 0, got {rho}")
+    rho_grid = np.asarray(rho_grid, dtype=float)
+    if rho_grid.ndim != 1 or rho_grid.size == 0:
+        raise ValueError("rho_grid must be a non-empty list of radii")
+    if np.any(rho_grid < 0):
+        raise ValueError(f"rho must be >= 0, got {rho_grid.min()}")
     k = oracle.region.dim
     root = as_seed_sequence(rng)
     sizes = block_sizes(n_samples)
@@ -244,21 +262,19 @@ def tube_volume_mc(
         gen = np.random.default_rng(children[b])
         x = gen.standard_normal((sizes[b], k))
         d, failures = distances(oracle, x)
-        ok = ~np.isnan(d)
-        hits = int(np.count_nonzero(d[ok] <= rho))
-        return hits, int(ok.sum()), failures
+        d = d[~np.isnan(d)]
+        hits = [int(np.count_nonzero(d <= rho)) for rho in rho_grid]
+        return hits, d.shape[0], failures
 
     results = run_blocks(one_block, len(sizes), workers)
-    hits = sum(r[0] for r in results)
     valid = sum(r[1] for r in results)
     failures = sum(r[2] for r in results)
     if failures > 1e-3 * n_samples:
         raise ProjectionError(
             f"{failures} of {n_samples} projection solves failed (> 0.1%)", math.nan
         )
-    p = hits / valid
-    stderr = math.sqrt(p * (1.0 - p) / valid)
-    return p, stderr
+    est = np.sum([r[0] for r in results], axis=0) / valid
+    return est, np.sqrt(est * (1.0 - est) / valid)
 
 
 @dataclass(frozen=True)
@@ -305,14 +321,10 @@ def validate_tube_series(
     remain, in which case the residuals sit at the Monte Carlo noise floor.
     """
     rho_grid = np.asarray(rho_grid, dtype=float)
-    root = as_seed_sequence(rng)
-    children = root.spawn(rho_grid.shape[0])
-    est = np.empty_like(rho_grid)
-    se = np.empty_like(rho_grid)
-    series = np.empty_like(rho_grid)
-    for i, rho in enumerate(rho_grid):
-        est[i], se[i] = tube_volume_mc(oracle, float(rho), n_samples, rng=children[i], workers=workers)
-        series[i] = assemble_tube_series(gmfs, float(rho))
+    est, se = tube_volumes_mc(
+        oracle, rho_grid, n_samples, rng=as_seed_sequence(rng).spawn(1)[0], workers=workers
+    )
+    series = np.array([assemble_tube_series(gmfs, float(rho)) for rho in rho_grid])
     residuals = est - series
 
     signal = np.abs(residuals) > 2.0 * se

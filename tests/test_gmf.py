@@ -5,7 +5,7 @@ import pytest
 
 from gausstube.cylinder import CylFunctional, PotentialV
 from gausstube.errors import SurfaceDegeneracyError
-from gausstube.functionals import coordinate, norm
+from gausstube.functionals import coordinate, norm, quadratic
 from gausstube.gmf import (
     GmfVector,
     RegionSpec,
@@ -13,6 +13,7 @@ from gausstube.gmf import (
     gmf_ball,
     gmf_halfspace,
     gmf_surface_mc,
+    gmf_surface_mc_levels,
     gmf_two_sided,
     silverman_bandwidth,
 )
@@ -255,3 +256,49 @@ class TestSurfaceMonteCarlo:
         coarse, fine = max_rel_err(10_000), max_rel_err(1_000_000)
         assert fine < coarse
         assert fine < 0.05
+
+
+class TestLevelsSampler:
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "func, kind, levels, order",
+        [
+            (CylFunctional(64, PotentialV.preset("identity")).functional(), "excursion",
+             [0.0, 0.5, 1.0], 1),
+            (CylFunctional(16, PotentialV.preset("one")).functional(), "excursion",
+             [-0.5, 0.3, 1.2], 2),
+            (CylFunctional(16, PotentialV.preset("sin")).functional(), "excursion",
+             [0.0, 0.3, 0.9], 3),
+            (norm(3), "sub-level", [1.5, 2.0, 2.6], 4),
+            # no moment oracle: the dense-Hessian route
+            (quadratic(np.diag([2.0, 1.0])), "sub-level", [0.5, 1.0, 1.5], 3),
+        ],
+        ids=["F64-identity-J1", "F16-one-J2", "F16-sin-J3", "ball-J4", "ellipse-J3"],
+    )
+    def test_entry_matches_one_level_call(self, func, kind, levels, order, workers):
+        # each level keeps the estimator, and the samples, of a call on it alone
+        many = gmf_surface_mc_levels(func, kind, levels, order, 40_000, rng=139, workers=workers)
+        assert len(many) == len(levels)
+        for u, got in zip(levels, many):
+            one = gmf_surface_mc(
+                RegionSpec(func, u, kind), order, 40_000, rng=139, workers=workers
+            )
+            assert np.array_equal(got.values, one.values), f"u={u}"
+            assert np.array_equal(got.stderr, one.stderr), f"u={u}"
+            assert np.array_equal(got.cov, one.cov), f"u={u}"
+            assert got.meta == one.meta, f"u={u}"
+
+    def test_empty_levels_rejected(self):
+        with pytest.raises(ValueError, match="level"):
+            gmf_surface_mc_levels(coordinate(2), "excursion", [], 1, 10_000, rng=1)
+
+    def test_degenerate_level_raises(self):
+        # a level on a flat stretch of F fails even when the other levels are fine
+        func = SmoothFunctional(
+            dim=1,
+            values=lambda x: np.maximum(x[:, 0], 0.0),
+            grads=lambda x: (x > 0.0).astype(float),
+            hessians=lambda x: np.zeros((x.shape[0], 1, 1)),
+        )
+        with pytest.raises(SurfaceDegeneracyError, match="level 0.0"):
+            gmf_surface_mc_levels(func, "excursion", [1.0, 0.0], 1, 10_000, eps=0.05, rng=1)

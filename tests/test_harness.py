@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import gausstube.harness
+from gausstube.cylinder import CylFunctional
 from gausstube.errors import ConfigError
 from gausstube.harness import ExperimentConfig, RunResult, report, run
 from gausstube.series import gaussian_pdf, gaussian_tail
@@ -137,6 +138,9 @@ class TestRunConverge:
         result = run(cfg)
         assert {(r["n"], r["j"]) for r in result.rows} == {(4, 0), (4, 1), (8, 0), (8, 1)}
         assert all("target" in r for r in result.rows)
+        metas = result.counters["gmf_meta"]
+        assert [m["n"] for m in metas] == [4, 8]
+        assert all(m["n_samples"] == 20_000 and "skip_fraction" in m for m in metas)
 
 
 class TestRunGkf:
@@ -167,6 +171,34 @@ class TestRunGkf:
             gaussian_tail(1.0) + (2 * np.pi) ** -0.5 * 10.0 * gaussian_pdf(1.0), rel=0.15
         )
 
+    def test_levels_share_one_sample_set(self, monkeypatch):
+        # F_n is evaluated on the pilot and on the N samples once, not once per level
+        rows = []
+        value_batch = CylFunctional.value_batch
+
+        def counting(self, y):
+            rows.append(y.shape[0])
+            return value_batch(self, y)
+
+        monkeypatch.setattr(CylFunctional, "value_batch", counting)
+        cfg = ExperimentConfig.from_dict(
+            {
+                "experiment": "gkf",
+                "seed": 13,
+                "space": {"kind": "interval", "length": 10.0, "grid": 200},
+                "cov": {"preset": "cosine", "frequency": 1.0},
+                "potential": "identity",
+                "u_levels": [0.0, 0.5, 1.0],
+                "n": 8,
+                "J": 1,
+                "N": 30_000,
+                "reps": 100,
+            }
+        )
+        result = run(cfg)
+        assert len(result.rows) == 3
+        assert sum(rows) == 30_000 + 4096
+
     def test_crofton_top_index_has_volume_check(self):
         cfg = ExperimentConfig.from_dict(
             {
@@ -196,7 +228,9 @@ class TestRunGkf:
         def not_reached(*args, **kwargs):
             raise AssertionError("ran before the resolution guard")
 
-        for name in ("validate_assumptions", "gmf_surface_mc", "ec_mc_levels"):
+        for name in (
+            "validate_assumptions", "gmf_surface_mc", "gmf_surface_mc_levels", "ec_mc_levels"
+        ):
             monkeypatch.setattr(gausstube.harness, name, not_reached)
         data = {
             "experiment": experiment,
@@ -220,7 +254,9 @@ class TestRunGkf:
         def not_reached(*args, **kwargs):
             raise AssertionError("ran before the index check")
 
-        for name in ("validate_assumptions", "gmf_surface_mc", "ec_mc_levels"):
+        for name in (
+            "validate_assumptions", "gmf_surface_mc", "gmf_surface_mc_levels", "ec_mc_levels"
+        ):
             monkeypatch.setattr(gausstube.harness, name, not_reached)
         cfg = ExperimentConfig.from_dict(
             {

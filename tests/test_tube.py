@@ -13,6 +13,7 @@ from gausstube.tube import (
     halfspace_oracle,
     projection_oracle,
     tube_volume_mc,
+    tube_volumes_mc,
     two_sided_oracle,
     validate_tube_series,
 )
@@ -196,6 +197,36 @@ class TestTubeVolume:
             a = tube_volume_mc(oracle, 0.2, 70_000, rng=37)
             b = tube_volume_mc(oracle, 0.2, 70_000, rng=37, workers=4)
             assert a == b
+
+
+class TestTubeGrid:
+    @pytest.mark.parametrize(
+        "oracle",
+        [ball_oracle(1.0, 3), projection_oracle(RegionSpec(norm(2), 1.0, "sub-level"))],
+        ids=["closed-form", "projection"],
+    )
+    def test_entry_matches_one_radius_call(self, oracle):
+        grid = [0.0, 0.1, 0.3, 0.6]
+        est, se = tube_volumes_mc(oracle, grid, 40_000, rng=61, workers=2)
+        for i, rho in enumerate(grid):
+            assert (est[i], se[i]) == tube_volume_mc(oracle, rho, 40_000, rng=61, workers=2)
+
+    def test_bad_grid_rejected(self):
+        oracle = ball_oracle(1.0, 2)
+        with pytest.raises(ValueError, match="non-empty"):
+            tube_volumes_mc(oracle, [], 10_000, rng=1)
+        with pytest.raises(ValueError, match="rho"):
+            tube_volumes_mc(oracle, [0.1, -0.2], 10_000, rng=1)
+
+    def test_abort_counts_each_failure_once(self):
+        # one solve per sample, however many radii share it
+        region = RegionSpec(quadratic(np.diag([400.0, 0.01])), 1.0, "sub-level")
+        oracle = projection_oracle(region, maxiter=2)
+        with pytest.raises(ProjectionError) as grid_error:
+            tube_volumes_mc(oracle, [0.1, 0.5, 1.0], 12_000, rng=31)
+        with pytest.raises(ProjectionError) as one_error:
+            tube_volume_mc(oracle, 0.5, 12_000, rng=31)
+        assert str(grid_error.value) == str(one_error.value)
 
 
 class TestValidateSeries:
