@@ -43,7 +43,9 @@ class PotentialV:
     """An integrand V: ℝ → ℝ with derivatives up to fourth order.
 
     All callables must accept numpy arrays elementwise.  ``growth_bound``
-    is the polynomial degree used by the moment diagnostics.
+    is the polynomial degree used by the moment diagnostics.  ``coeffs``,
+    when set, are V's polynomial coefficients, lowest degree first; field
+    simulation uses them to evaluate affine potentials in closed form.
     """
 
     value: Callable
@@ -53,6 +55,7 @@ class PotentialV:
     d4: Callable
     growth_bound: int
     name: Optional[str] = None
+    coeffs: Optional[tuple[float, ...]] = None
 
     @classmethod
     def preset(cls, name: str) -> "PotentialV":
@@ -72,10 +75,12 @@ def _const(c: float) -> Callable:
 
 
 _PRESETS = {
-    "one": PotentialV(_const(1.0), _const(0.0), _const(0.0), _const(0.0), _const(0.0), 0, "one"),
+    "one": PotentialV(
+        _const(1.0), _const(0.0), _const(0.0), _const(0.0), _const(0.0), 0, "one", (1.0,)
+    ),
     "identity": PotentialV(
         lambda b: np.asarray(b, dtype=float),
-        _const(1.0), _const(0.0), _const(0.0), _const(0.0), 1, "identity",
+        _const(1.0), _const(0.0), _const(0.0), _const(0.0), 1, "identity", (0.0, 1.0),
     ),
     "sin": PotentialV(
         np.sin,
@@ -94,8 +99,15 @@ _PRESETS = {
         _const(0.0),
         3,
         "cubic",
+        (0.0, 0.0, 0.0, 1.0),
     ),
 }
+
+
+def check_time_grid(n: int) -> None:
+    """Reject a time-grid size outside [2, MAX_TIME_GRID]."""
+    if not 2 <= n <= MAX_TIME_GRID:
+        raise ValueError(f"time-grid size must lie in [2, {MAX_TIME_GRID}], got {n}")
 
 
 @lru_cache(maxsize=8)
@@ -122,10 +134,7 @@ class CylFunctional:
     potential: PotentialV
 
     def __post_init__(self):
-        if not 2 <= self.n <= MAX_TIME_GRID:
-            raise ValueError(
-                f"time-grid size must lie in [2, {MAX_TIME_GRID}], got {self.n}"
-            )
+        check_time_grid(self.n)
 
     def _prefix_args(self, y: np.ndarray) -> np.ndarray:
         """S_{i−1}/√n for each summand, batched: (B, n)."""

@@ -338,6 +338,12 @@ def simulate_field(
     1/time_n, and the Itô sum uses the left endpoint — the same
     discretization as the cylindrical functional F_n.  A resolution guard
     rejects grids with 4·spacing·√λ₂ ≥ 1.
+
+    With e = e(x) the basis row, dᵢ the increments and cᵢ = Σ_{j<i} dⱼ, an
+    affine V = a₀ + a₁·b gives f = a₀·e·c_n + a₁·eᵀMe with M = Σᵢ cᵢdᵢᵀ:
+    one pass over the grid whatever ``time_n`` is.  That closed form runs
+    when its G·(2K)^(deg+1) flops are no more than the time loop's
+    G·time_n·2K; every other V, and a wide wave sum, take the loop.
     """
     if time_n < 2:
         raise ValueError(f"time_n must be >= 2, got {time_n}")
@@ -345,16 +351,23 @@ def simulate_field(
     root = as_seed_sequence(rng)
     gen = np.random.default_rng(root)
     basis = cov.wave_basis(space)  # (G, 2K)
-    increments = gen.standard_normal((time_n, basis.shape[1])) / np.sqrt(time_n)
-    b = np.zeros(basis.shape[0])
-    f = np.zeros(basis.shape[0])
-    for i in range(time_n):
-        db = basis @ increments[i]
-        f += potential.value(b) * db
-        b += db
-    driving = None
-    if keep_driving:
-        driving = np.vstack([np.zeros((1, basis.shape[1])), np.cumsum(increments, axis=0)])
+    width = basis.shape[1]
+    increments = gen.standard_normal((time_n, width)) / np.sqrt(time_n)
+    paths = np.vstack([np.zeros((1, width)), np.cumsum(increments, axis=0)])
+    coeffs = potential.coeffs
+    if coeffs is not None and len(coeffs) <= 2 and width ** (len(coeffs) - 1) <= time_n:
+        f = basis @ (coeffs[0] * paths[-1])
+        if len(coeffs) == 2:
+            m = paths[:-1].T @ increments  # Σᵢ cᵢdᵢᵀ
+            f += coeffs[1] * np.einsum("gk,gk->g", basis @ m, basis)
+    else:
+        b = np.zeros(basis.shape[0])
+        f = np.zeros(basis.shape[0])
+        for i in range(time_n):
+            db = basis @ increments[i]
+            f += potential.value(b) * db
+            b += db
+    driving = paths if keep_driving else None
     seed = root.entropy if root.spawn_key == () else (root.entropy, root.spawn_key)
     return FieldSample(
         space=space,
@@ -411,6 +424,12 @@ def lkc(space: ParamSpace, cov: SpatialCov) -> np.ndarray:
     return np.array([0.0, 0.0, space.lengths[0] * space.lengths[1] * cov.lambda2])
 
 
+def check_reps(reps: int) -> None:
+    """Reject fewer than 100 field replications."""
+    if reps < 100:
+        raise ValueError(f"reps must be >= 100, got {reps}")
+
+
 def ec_mc_levels(
     space: ParamSpace,
     cov: SpatialCov,
@@ -426,8 +445,7 @@ def ec_mc_levels(
     All levels share the same field realizations; each replication runs on
     its own substream, so results are reproducible for any worker count.
     """
-    if reps < 100:
-        raise ValueError(f"reps must be >= 100, got {reps}")
+    check_reps(reps)
     u_levels = [float(u) for u in u_levels]
     cov.compatible_with(space)
     root = as_seed_sequence(rng)
@@ -458,6 +476,7 @@ def excursion_volume_mc(
     Estimates the supra-threshold volume fraction on the grid and scales by
     the top Lipschitz–Killing curvature.
     """
+    check_reps(reps)
     root = as_seed_sequence(rng)
     children = root.spawn(reps)
     top = lkc(space, cov)[-1]
@@ -504,8 +523,20 @@ def kinematic_weights(index: int, space: ParamSpace, cov: SpatialCov, order: int
 
 
 def check_potential_derivatives(potential: PotentialV, rel_tol: float = 1e-5) -> None:
-    """Finite-difference consistency of V', …, V'''' on [−6, 6] (C⁴ check)."""
+    """Finite-difference consistency of V', …, V'''' on [−6, 6] (C⁴ check).
+
+    Polynomial coefficients, when set, must reproduce V on the same grid.
+    """
     grid = np.linspace(-6.0, 6.0, 241)
+    if potential.coeffs is not None:
+        values = potential.value(grid)
+        poly = np.polynomial.polynomial.polyval(grid, potential.coeffs)
+        err = float(np.max(np.abs(poly - values)))
+        if err > rel_tol * max(1.0, float(np.max(np.abs(values)))):
+            raise AssertionError(
+                f"potential coefficients {potential.coeffs} do not reproduce its value: "
+                f"max error {err:.3e}"
+            )
     step = 1e-4 * (1.0 + np.abs(grid))
     for k in range(4):
         fk = potential.derivative(k)

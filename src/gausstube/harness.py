@@ -21,11 +21,12 @@ import numpy as np
 
 from . import __version__
 from ._mc import as_seed_sequence
-from .cylinder import CylFunctional, PotentialV, convergence_study
+from .cylinder import CylFunctional, PotentialV, check_time_grid, convergence_study
 from .errors import ConfigError
 from .fields import (
     ParamSpace,
     SpatialCov,
+    check_reps,
     check_resolution,
     ec_mc_levels,
     excursion_volume_mc,
@@ -296,6 +297,11 @@ def run(config: ExperimentConfig) -> RunResult:
         counters["noise_floor"] = report_obj.noise_floor
 
     elif config.experiment == "converge":
+        try:
+            for n in config.n_grid:
+                check_time_grid(n)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         study = convergence_study(
             _potential(config),
             config.u,
@@ -317,6 +323,8 @@ def run(config: ExperimentConfig) -> RunResult:
         potential = _potential(config)
         try:
             cov.compatible_with(space)
+            check_reps(config.reps)
+            check_time_grid(config.n)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         if config.J < space.dim:

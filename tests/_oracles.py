@@ -42,6 +42,24 @@ def lambda2_fd(cov, step=1e-4):
     return out
 
 
+def ito_loop_field(space, cov, potential, time_n, seed):
+    """Flat field values of ``simulate_field`` by the left-point time loop.
+
+    Draws the increments from ``seed`` exactly as ``simulate_field`` does and
+    sums V(b)·db one time step at a time, whatever V is.
+    """
+    basis = cov.wave_basis(space)
+    gen = np.random.default_rng(np.random.SeedSequence(seed))
+    increments = gen.standard_normal((time_n, basis.shape[1])) / np.sqrt(time_n)
+    b = np.zeros(basis.shape[0])
+    f = np.zeros(basis.shape[0])
+    for i in range(time_n):
+        db = basis @ increments[i]
+        f += potential.value(b) * db
+        b += db
+    return f
+
+
 def series_mul(a: TruncSeries, b: TruncSeries) -> TruncSeries:
     """Cauchy product truncated at the common order J."""
     if a.order != b.order:

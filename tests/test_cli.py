@@ -74,6 +74,8 @@ class TestCli:
             "cov_dim": {"space": {"kind": "torus", "lengths": [6.0, 6.0], "grid": 40}, "J": 2},
             # 4 * spacing * sqrt(lambda2) = 4 * (10/9) * 1 >= 1
             "coarse": {"space": {"kind": "interval", "length": 10.0, "grid": 10}},
+            "few_reps": {"reps": 50},
+            "long_time_grid": {"n": 1000},
         }
         for name, fault in faults.items():
             cfg = write_config(

@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -23,7 +24,7 @@ from gausstube.fields import (
 from gausstube.gmf import gmf_surface_mc
 from gausstube.series import gaussian_pdf, gaussian_tail
 
-from _oracles import lambda2_fd
+from _oracles import ito_loop_field, lambda2_fd
 
 ONE = PotentialV.preset("one")
 IDENTITY = PotentialV.preset("identity")
@@ -211,6 +212,71 @@ class TestSimulateField:
     def test_field_values_finite_invariant(self):
         s = simulate_field(ParamSpace.circle(2 * np.pi, 128), SpatialCov.cosine(2.0), IDENTITY, 8, rng=29)
         assert np.all(np.isfinite(s.f_values))
+
+
+def _no_value(potential):
+    """A copy of ``potential`` whose pointwise value must never be called."""
+
+    def value(b):
+        raise AssertionError(f"{potential.name} took the time loop")
+
+    return dataclasses.replace(potential, value=value)
+
+
+AFFINE_CASES = [
+    (ParamSpace.interval(10.0, 400), SpatialCov.cosine(1.0)),
+    (ParamSpace.circle(2 * np.pi, 128), SpatialCov.cosine(2.0)),
+    (ParamSpace.torus(2 * np.pi, 2 * np.pi, 64), SpatialCov.torus_pair(2.0)),
+]
+
+
+class TestAffineClosedForm:
+    @pytest.mark.parametrize("potential", [ONE, IDENTITY], ids=["one", "identity"])
+    @pytest.mark.parametrize("space,cov", AFFINE_CASES, ids=["interval", "circle", "torus"])
+    def test_matches_time_loop(self, space, cov, potential):
+        closed = simulate_field(space, cov, potential, 16, rng=101)
+        loop = simulate_field(space, cov, dataclasses.replace(potential, coeffs=None), 16, rng=101)
+        scale = np.max(np.abs(loop.f_values))
+        assert np.max(np.abs(closed.f_values - loop.f_values)) <= 1e-12 * scale
+        assert np.array_equal(closed.driving, loop.driving)
+
+    @pytest.mark.parametrize("potential", [ONE, IDENTITY], ids=["one", "identity"])
+    def test_torus_workload_never_evaluates_v(self, potential):
+        space = ParamSpace.torus(2 * np.pi, 2 * np.pi, 400)
+        cov = SpatialCov.torus_pair(2.0)
+        closed = simulate_field(space, cov, _no_value(potential), 16, rng=103, keep_driving=False)
+        assert closed.driving is None
+        loop = ito_loop_field(space, cov, potential, 16, 103)
+        scale = np.max(np.abs(loop))
+        assert np.max(np.abs(closed.f_values.ravel() - loop)) <= 1e-12 * scale
+
+    def test_wide_wave_sum_takes_loop(self):
+        # 2K = 128 waves: the closed form costs more than a time loop of 64 steps
+        space = ParamSpace.interval(10.0, 400)
+        cov = SpatialCov.squared_exponential(1.0, n_waves=64, rng=5)
+        loop_ref = dataclasses.replace(IDENTITY, coeffs=None)
+        a = simulate_field(space, cov, IDENTITY, 64, rng=107)
+        b = simulate_field(space, cov, loop_ref, 64, rng=107)
+        assert np.array_equal(a.f_values, b.f_values)
+        with pytest.raises(AssertionError, match="time loop"):
+            simulate_field(space, cov, _no_value(IDENTITY), 64, rng=107)
+        # at time_n = 2K the closed form is no dearer than the loop, so it runs
+        simulate_field(space, cov, _no_value(IDENTITY), 128, rng=107)
+
+    @pytest.mark.parametrize("name", ["sin", "cubic"])
+    @pytest.mark.parametrize("space,cov", AFFINE_CASES, ids=["interval", "circle", "torus"])
+    def test_non_affine_keeps_time_loop(self, space, cov, name):
+        potential = PotentialV.preset(name)
+        sample = simulate_field(space, cov, potential, 16, rng=109)
+        loop = ito_loop_field(space, cov, potential, 16, 109)
+        assert np.array_equal(sample.f_values.ravel(), loop)
+
+    def test_ec_worker_independence_on_torus(self):
+        space = ParamSpace.torus(2 * np.pi, 2 * np.pi, 64)
+        cov = SpatialCov.torus_pair(2.0)
+        a = ec_mc_levels(space, cov, ONE, [0.5, 1.0], 16, 100, rng=113)
+        b = ec_mc_levels(space, cov, ONE, [0.5, 1.0], 16, 100, rng=113, workers=2)
+        assert a == b
 
 
 class TestFieldExport:
@@ -416,6 +482,12 @@ class TestKinematicRhs:
         target = lkc(space, cov)[1] * gaussian_tail(1.0)
         assert abs(vol - target) <= 4 * se
 
+    def test_volume_mc_reps_floor(self):
+        with pytest.raises(ValueError, match="reps"):
+            excursion_volume_mc(
+                ParamSpace.interval(5.0, 64), SpatialCov.cosine(1.0), ONE, 1.0, 4, 1, rng=1
+            )
+
 
 class TestCroftonBoundaryLength:
     @pytest.mark.slow
@@ -460,4 +532,9 @@ class TestAssumptions:
             growth_bound=0,
         )
         with pytest.raises(AssertionError, match="finite differences"):
+            validate_assumptions(SpatialCov.cosine(1.0), bad, rng=97)
+
+    def test_lying_coefficients_caught(self):
+        bad = dataclasses.replace(IDENTITY, coeffs=(0.0, 2.0))
+        with pytest.raises(AssertionError, match="coefficients"):
             validate_assumptions(SpatialCov.cosine(1.0), bad, rng=97)

@@ -276,6 +276,45 @@ class TestRunGkf:
         with pytest.raises(ConfigError, match="index"):
             run(cfg)
 
+    @pytest.mark.parametrize(
+        "experiment,fault,match",
+        [
+            ("gkf", {"reps": 50}, "reps"),
+            ("crofton", {"reps": 99}, "reps"),
+            ("gkf", {"n": 1000}, "time-grid"),
+            ("crofton", {"n": 1}, "time-grid"),
+            ("converge", {"n_grid": [4, 1000]}, "time-grid"),
+        ],
+    )
+    def test_bad_reps_or_time_grid_fails_before_any_sampling(
+        self, experiment, fault, match, monkeypatch
+    ):
+        def not_reached(*args, **kwargs):
+            raise AssertionError("ran before the reps and time-grid checks")
+
+        for name in (
+            "validate_assumptions", "ec_mc_levels", "gmf_surface_mc_levels", "convergence_study"
+        ):
+            monkeypatch.setattr(gausstube.harness, name, not_reached)
+        if experiment == "converge":
+            data = {"potential": "identity", "u": 0.0, "J": 1, "N": 30_000}
+        else:
+            data = {
+                "space": {"kind": "interval", "length": 10.0, "grid": 200},
+                "cov": {"preset": "cosine", "frequency": 1.0},
+                "potential": "identity",
+                "u_levels": [0.5],
+                "n": 8,
+                "J": 1,
+                "N": 30_000,
+                "reps": 300,
+            }
+            if experiment == "crofton":
+                data["index"] = 0
+        cfg = ExperimentConfig.from_dict({"experiment": experiment, "seed": 17, **data, **fault})
+        with pytest.raises(ConfigError, match=match):
+            run(cfg)
+
     def test_low_order_fails_before_validation(self, monkeypatch):
         def not_reached(*args, **kwargs):
             raise AssertionError("ran before the series-order check")
