@@ -341,9 +341,8 @@ def simulate_field(
 
     With e = e(x) the basis row, dᵢ the increments and cᵢ = Σ_{j<i} dⱼ, an
     affine V = a₀ + a₁·b gives f = a₀·e·c_n + a₁·eᵀMe with M = Σᵢ cᵢdᵢᵀ:
-    one pass over the grid whatever ``time_n`` is.  That closed form runs
-    when its G·(2K)^(deg+1) flops are no more than the time loop's
-    G·time_n·2K; every other V, and a wide wave sum, take the loop.
+    one pass over the grid whatever ``time_n`` is.  Every other V takes the
+    left-point time loop.
     """
     if time_n < 2:
         raise ValueError(f"time_n must be >= 2, got {time_n}")
@@ -355,7 +354,7 @@ def simulate_field(
     increments = gen.standard_normal((time_n, width)) / np.sqrt(time_n)
     paths = np.vstack([np.zeros((1, width)), np.cumsum(increments, axis=0)])
     coeffs = potential.coeffs
-    if coeffs is not None and len(coeffs) <= 2 and width ** (len(coeffs) - 1) <= time_n:
+    if coeffs is not None and len(coeffs) <= 2:
         f = basis @ (coeffs[0] * paths[-1])
         if len(coeffs) == 2:
             m = paths[:-1].T @ increments  # Σᵢ cᵢdᵢᵀ

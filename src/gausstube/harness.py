@@ -323,7 +323,6 @@ def run(config: ExperimentConfig) -> RunResult:
         potential = _potential(config)
         try:
             cov.compatible_with(space)
-            check_reps(config.reps)
             check_time_grid(config.n)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
@@ -340,6 +339,9 @@ def run(config: ExperimentConfig) -> RunResult:
             # these indices simulate fields: reject a coarse grid before any sampling
             try:
                 check_resolution(space, cov)
+                if index == 0:
+                    # the EC side runs reps replications; index dim runs max(100, reps // 4)
+                    check_reps(config.reps)
             except ValueError as exc:
                 raise ConfigError(str(exc)) from None
         validate_assumptions(cov, potential, rng=root.spawn(1)[0])

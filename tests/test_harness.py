@@ -315,6 +315,31 @@ class TestRunGkf:
         with pytest.raises(ConfigError, match=match):
             run(cfg)
 
+    @pytest.mark.parametrize("index", [1, 2])
+    def test_crofton_reps_floor_only_at_index_zero(self, index, monkeypatch):
+        # index 1 draws no field and index dim draws max(100, reps // 4) of them
+        def reached(*args, **kwargs):
+            raise RuntimeError("reached sampling")
+
+        monkeypatch.setattr(gausstube.harness, "validate_assumptions", reached)
+        cfg = ExperimentConfig.from_dict(
+            {
+                "experiment": "crofton",
+                "seed": 17,
+                "space": {"kind": "torus", "lengths": [2 * np.pi, 2 * np.pi], "grid": 64},
+                "cov": {"preset": "torus-pair", "frequency": 2.0},
+                "potential": "one",
+                "u_levels": [0.5],
+                "n": 8,
+                "J": 2,
+                "N": 30_000,
+                "reps": 50,
+                "index": index,
+            }
+        )
+        with pytest.raises(RuntimeError, match="reached sampling"):
+            run(cfg)
+
     def test_low_order_fails_before_validation(self, monkeypatch):
         def not_reached(*args, **kwargs):
             raise AssertionError("ran before the series-order check")
