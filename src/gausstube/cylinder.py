@@ -18,6 +18,16 @@ product, tr H and ‖H‖_F² each cost O(n), and the Jacobian series of an F_n
 level set (``CylFunctional.moments_batch``) needs O(n) work and memory per
 sample for J ≤ 3; only ``hess_batch``, kept as the dense reference, builds
 the O(B·n²) stack.
+
+For an affine V = a₀ + a₁·b, F_n is a quadric.  With S = Σyᵢ, Q = Σyᵢ² and
+h = a₁/n,
+
+    F_n = a₀·S/√n + a₁·(S² − Q)/(2n),   ∇F_n = (a₀/√n + h·S)·1 − h·y,
+
+and H = h(11ᵀ − I) is constant, with eigenvalue h(n−1) along 1 and −h on
+its complement.  So the value, the gradient and every curvature moment
+cost two row sums, O(n) per sample at any order; the batch oracles take
+this route whenever ``PotentialV.affine`` is set.
 """
 
 from __future__ import annotations
@@ -33,8 +43,9 @@ from ._mc import as_seed_sequence
 from .malliavin import SmoothFunctional
 from .series import DEFAULT_ORDER
 
-#: Default cap on the time-grid size.  The moment kernel is O(n) per sample
-#: for J ≤ 3 and O(n²·J) above; a dense Hessian stack is O(n²) memory.
+#: Default cap on the time-grid size.  For a non-affine V the moment kernel
+#: is O(n) per sample for J ≤ 3 and O(n²·J) above (affine V: O(n) at any J);
+#: a dense Hessian stack is O(n²) memory.
 MAX_TIME_GRID = 256
 
 
@@ -45,7 +56,8 @@ class PotentialV:
     All callables must accept numpy arrays elementwise.  ``growth_bound``
     is the polynomial degree used by the moment diagnostics.  ``coeffs``,
     when set, are V's polynomial coefficients, lowest degree first; field
-    simulation uses them to evaluate affine potentials in closed form.
+    simulation and the F_n oracles use them to evaluate affine potentials
+    in closed form (see :attr:`affine`).
     """
 
     value: Callable
@@ -68,6 +80,18 @@ class PotentialV:
 
     def derivative(self, k: int) -> Callable:
         return (self.value, self.d1, self.d2, self.d3, self.d4)[k]
+
+    @property
+    def affine(self) -> Optional[tuple[float, float]]:
+        """``(a₀, a₁)`` when V = a₀ + a₁·b (degree ≤ 1 ``coeffs``), else None.
+
+        Field simulation and the F_n oracles take their closed forms exactly
+        when this is set.
+        """
+        if self.coeffs is None or len(self.coeffs) > 2:
+            return None
+        a0, a1 = (tuple(self.coeffs) + (0.0, 0.0))[:2]
+        return float(a0), float(a1)
 
 
 def _const(c: float) -> Callable:
@@ -146,12 +170,27 @@ class CylFunctional:
 
     def value_batch(self, y: np.ndarray) -> np.ndarray:
         y = np.asarray(y, dtype=float)
+        affine = self.potential.affine
+        if affine is not None:
+            a0, a1 = affine
+            s = y.sum(axis=1)
+            out = a0 * s / np.sqrt(self.n)
+            if a1:
+                out += a1 * (s * s - np.einsum("bi,bi->b", y, y)) / (2 * self.n)
+            return out
         vals = self.potential.value(self._prefix_args(y))
         return (vals * y).sum(axis=1) / np.sqrt(self.n)
 
     def grad_batch(self, y: np.ndarray) -> np.ndarray:
         y = np.asarray(y, dtype=float)
         n = self.n
+        affine = self.potential.affine
+        if affine is not None:
+            a0, a1 = affine
+            h = a1 / n
+            out = np.multiply(y, -h)
+            out += (a0 / np.sqrt(n) + h * y.sum(axis=1))[:, None]
+            return out
         args = self._prefix_args(y)
         vals = self.potential.value(args)
         tail = _suffix_excl(self.potential.d1(args) * y)
@@ -184,14 +223,29 @@ class CylFunctional:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Curvature moments τ_m = tr(Hᵐ), μ_k = vᵀHᵏv without forming H.
 
-        Hw = a∘cumsum(w) + suffix_excl(a∘w) − d1n∘w costs O(n) per row, as
-        do τ₁ = Σ tail2 and τ₂ = Σ_M 2M·a_M² + Σ tail2² (0-based M), so
-        orders ≤ 2 are O(n·order) per row.  τ_m for m ≥ 3 sums the diagonal
-        of Hᵐ column by column: O(n²·m) time per row but O(B·n) memory.
+        For affine V, with p = Σvᵢ, τ_m = hᵐ[(n−1)ᵐ + (n−1)(−1)ᵐ] and
+        μ_k = hᵏ[(p²/n)(n−1)ᵏ + (‖v‖² − p²/n)(−1)ᵏ]: O(n) per row at any order.
+
+        Otherwise Hw = a∘cumsum(w) + suffix_excl(a∘w) − d1n∘w costs O(n) per
+        row, as do τ₁ = Σ tail2 and τ₂ = Σ_M 2M·a_M² + Σ tail2² (0-based M),
+        so orders ≤ 2 are O(n·order) per row.  τ_m for m ≥ 3 sums the
+        diagonal of Hᵐ column by column: O(n²·m) time per row but O(B·n)
+        memory.
         """
         y = np.asarray(y, dtype=float)
         v = np.asarray(v, dtype=float)
         nb, n = y.shape
+        affine = self.potential.affine
+        if affine is not None:
+            h = affine[1] / n
+            k = np.arange(1, order + 1)
+            hk = h**k
+            along, across = float(n - 1) ** k, (-1.0) ** k
+            p2 = v.sum(axis=1) ** 2 / n
+            rest = np.einsum("bi,bi->b", v, v) - p2
+            tau = np.tile(hk * (along + (n - 1) * across), (nb, 1))
+            mu = hk * (p2[:, None] * along + rest[:, None] * across)
+            return tau, mu
         d1n, tail2 = self._hess_parts(y)
         a = d1n + tail2
 

@@ -25,8 +25,6 @@ time-one marginal of the driving field, which is λ₂ times the flat metric.
 
 from __future__ import annotations
 
-import json
-import struct
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -35,9 +33,6 @@ from scipy import special
 
 from ._mc import as_seed_sequence, run_blocks
 from .cylinder import PotentialV
-
-_EXPORT_MAGIC = b"GTFS"
-_EXPORT_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -256,52 +251,6 @@ class FieldSample:
         f.flags.writeable = False
         object.__setattr__(self, "f_values", f)
 
-    def save(self, path, u_levels=()) -> None:
-        """Write the sample as magic + version + JSON header + raw float64.
-
-        Layout (little endian): 4-byte magic ``GTFS``, uint32 version,
-        uint32 header length, UTF-8 JSON header, then the C-order float64
-        grid values.  The header records kind, lengths, grid, time_n, seed
-        and any threshold levels of interest.
-        """
-        header = {
-            "version": _EXPORT_VERSION,
-            "kind": self.space.kind,
-            "lengths": list(self.space.lengths),
-            "grid": self.space.grid,
-            "time_n": self.time_n,
-            "seed": repr(self.seed),
-            "u_levels": list(map(float, u_levels)),
-            "shape": list(self.f_values.shape),
-        }
-        blob = json.dumps(header, sort_keys=True).encode("utf-8")
-        with open(path, "wb") as fh:
-            fh.write(_EXPORT_MAGIC)
-            fh.write(struct.pack("<II", _EXPORT_VERSION, len(blob)))
-            fh.write(blob)
-            fh.write(np.ascontiguousarray(self.f_values, dtype="<f8").tobytes())
-
-    @classmethod
-    def load(cls, path) -> tuple["FieldSample", dict]:
-        """Read a sample written by :meth:`save`; returns (sample, header)."""
-        with open(path, "rb") as fh:
-            magic = fh.read(4)
-            if magic != _EXPORT_MAGIC:
-                raise ValueError(f"not a field export (magic {magic!r})")
-            version, hlen = struct.unpack("<II", fh.read(8))
-            if version != _EXPORT_VERSION:
-                raise ValueError(f"unsupported export version {version}")
-            header = json.loads(fh.read(hlen).decode("utf-8"))
-            data = np.frombuffer(fh.read(), dtype="<f8").reshape(header["shape"])
-        if header["kind"] == "torus":
-            space = ParamSpace.torus(*header["lengths"], grid=header["grid"])
-        elif header["kind"] == "circle":
-            space = ParamSpace.circle(header["lengths"][0], header["grid"])
-        else:
-            space = ParamSpace.interval(header["lengths"][0], header["grid"])
-        sample = cls(space=space, time_n=header["time_n"], f_values=data, seed=header["seed"])
-        return sample, header
-
 
 @dataclass(frozen=True)
 class EcEstimate:
@@ -353,12 +302,13 @@ def simulate_field(
     width = basis.shape[1]
     increments = gen.standard_normal((time_n, width)) / np.sqrt(time_n)
     paths = np.vstack([np.zeros((1, width)), np.cumsum(increments, axis=0)])
-    coeffs = potential.coeffs
-    if coeffs is not None and len(coeffs) <= 2:
-        f = basis @ (coeffs[0] * paths[-1])
-        if len(coeffs) == 2:
+    affine = potential.affine
+    if affine is not None:
+        a0, a1 = affine
+        f = basis @ (a0 * paths[-1])
+        if a1:
             m = paths[:-1].T @ increments  # Σᵢ cᵢdᵢᵀ
-            f += coeffs[1] * np.einsum("gk,gk->g", basis @ m, basis)
+            f += a1 * np.einsum("gk,gk->g", basis @ m, basis)
     else:
         b = np.zeros(basis.shape[0])
         f = np.zeros(basis.shape[0])

@@ -107,8 +107,11 @@ class ExperimentConfig:
         missing = (required | {"seed"}) - set(data)
         if missing:
             raise ConfigError(f"missing config keys for {experiment!r}: {sorted(missing)}")
-        if not isinstance(data["seed"], int):
-            raise ConfigError("seed must be an integer")
+        seed, workers = data["seed"], data.get("workers", 1)
+        if isinstance(seed, bool) or not isinstance(seed, int):
+            raise ConfigError(f"seed must be an integer, got {seed!r}")
+        if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
+            raise ConfigError(f"workers must be an integer >= 1, got {workers!r}")
         known_fields = {f.name for f in dataclasses.fields(cls)}
         return cls(**{k: v for k, v in data.items() if k in known_fields})
 

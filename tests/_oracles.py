@@ -1,11 +1,14 @@
 """Independent oracles and test-only helpers shared by the unit and acceptance suites."""
 
+import json
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from gausstube.errors import DegeneratePointError, ProjectionError
+from gausstube.fields import FieldSample, ParamSpace
 from gausstube.malliavin import DEFAULT_GRAD_FLOOR, SmoothFunctional, VectorField
 from gausstube.series import TruncSeries, hermite, series_exp
 
@@ -292,3 +295,54 @@ def reference_distances(oracle, x):
             out[i] = np.nan
             failed[i] = True
     return out, failed
+
+
+_EXPORT_MAGIC = b"GTFS"
+_EXPORT_VERSION = 1
+
+
+def save_field(sample: FieldSample, path, u_levels=()) -> None:
+    """Write a field sample as magic + version + JSON header + raw float64.
+
+    Layout (little endian): 4-byte magic ``GTFS``, uint32 version, uint32
+    header length, UTF-8 JSON header, then the C-order float64 grid values.
+    The header records kind, lengths, grid, time_n, seed and any threshold
+    levels of interest.
+    """
+    header = {
+        "version": _EXPORT_VERSION,
+        "kind": sample.space.kind,
+        "lengths": list(sample.space.lengths),
+        "grid": sample.space.grid,
+        "time_n": sample.time_n,
+        "seed": repr(sample.seed),
+        "u_levels": list(map(float, u_levels)),
+        "shape": list(sample.f_values.shape),
+    }
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(_EXPORT_MAGIC)
+        fh.write(struct.pack("<II", _EXPORT_VERSION, len(blob)))
+        fh.write(blob)
+        fh.write(np.ascontiguousarray(sample.f_values, dtype="<f8").tobytes())
+
+
+def load_field(path) -> tuple[FieldSample, dict]:
+    """Read a sample written by :func:`save_field`; returns (sample, header)."""
+    with open(path, "rb") as fh:
+        magic = fh.read(4)
+        if magic != _EXPORT_MAGIC:
+            raise ValueError(f"not a field export (magic {magic!r})")
+        version, hlen = struct.unpack("<II", fh.read(8))
+        if version != _EXPORT_VERSION:
+            raise ValueError(f"unsupported export version {version}")
+        header = json.loads(fh.read(hlen).decode("utf-8"))
+        data = np.frombuffer(fh.read(), dtype="<f8").reshape(header["shape"])
+    if header["kind"] == "torus":
+        space = ParamSpace.torus(*header["lengths"], grid=header["grid"])
+    elif header["kind"] == "circle":
+        space = ParamSpace.circle(header["lengths"][0], header["grid"])
+    else:
+        space = ParamSpace.interval(header["lengths"][0], header["grid"])
+    sample = FieldSample(space=space, time_n=header["time_n"], f_values=data, seed=header["seed"])
+    return sample, header

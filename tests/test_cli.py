@@ -65,6 +65,10 @@ class TestCli:
     def test_invalid_config_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, {**GMF, "bogus_key": 1})
         assert main(["gmf", "--config", cfg]) == 2
+        bad_settings = [{"workers": w} for w in ("2", 0, -3, True, 1.5)] + [{"seed": True}]
+        for i, bad in enumerate(bad_settings):
+            cfg = write_config(tmp_path, {**GMF, **bad}, name=f"gmf_bad_{i}.json")
+            assert main(["gmf", "--config", cfg, "--out", str(tmp_path)]) == 2, bad
         for index in (3, -1, 1.5):
             cfg = write_config(tmp_path, {**CROFTON, "index": index}, name=f"crofton_{index}.json")
             assert main(["crofton", "--config", cfg, "--out", str(tmp_path)]) == 2

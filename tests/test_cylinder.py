@@ -12,7 +12,13 @@ from gausstube.cylinder import (
     derivative_sup_moments,
     limit_gmf_chisq,
 )
-from gausstube.gmf import RegionSpec, gmf_halfspace, gmf_surface_mc, gmf_two_sided
+from gausstube.gmf import (
+    RegionSpec,
+    gmf_halfspace,
+    gmf_surface_mc,
+    gmf_surface_mc_levels,
+    gmf_two_sided,
+)
 from gausstube.malliavin import hessian_moments, jacobian_coeffs, jacobian_coeffs_batch
 from gausstube.series import gaussian_pdf
 
@@ -155,6 +161,66 @@ class TestMomentKernel:
         assert got.meta["n_window"] == ref.meta["n_window"]
         assert got.meta["n_degenerate"] == ref.meta["n_degenerate"]
         assert np.allclose(got.values, ref.values, rtol=1e-12, atol=0.0)
+
+
+def _raises(*args):
+    raise AssertionError("the affine route evaluated the potential")
+
+
+class TestAffineClosedForm:
+    """F_n for degree ≤ 1 potentials as a quadric, against the general kernels."""
+
+    LEVELS = {"one": [-0.5, 0.5, 1.5], "identity": [0.0, 0.5, 1.0]}
+
+    def _levels(self, potential, n, order):
+        func = CylFunctional(n, potential).functional()
+        levels = self.LEVELS[potential.name]
+        return gmf_surface_mc_levels(func, "excursion", levels, order, 10_000, rng=89)
+
+    @pytest.mark.parametrize("order", [1, 4])
+    @pytest.mark.parametrize("n", [8, 64])
+    @pytest.mark.parametrize("name", ["one", "identity"])
+    def test_matches_general_route(self, name, n, order):
+        preset = PotentialV.preset(name)
+        assert preset.affine is not None
+        general = dataclasses.replace(preset, coeffs=None)
+        assert general.affine is None
+        got = self._levels(preset, n, order)
+        ref = self._levels(general, n, order)
+        for g, r in zip(got, ref):
+            assert g.meta["n_window"] == r.meta["n_window"]
+            assert g.meta["n_degenerate"] == r.meta["n_degenerate"]
+            assert np.allclose(g.values, r.values, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("name", ["one", "identity"])
+    def test_never_evaluates_the_potential(self, name):
+        preset = PotentialV.preset(name)
+        blind = dataclasses.replace(preset, value=_raises, d1=_raises, d2=_raises)
+        got = self._levels(blind, 64, 4)
+        ref = self._levels(preset, 64, 4)
+        for g, r in zip(got, ref):
+            assert np.array_equal(g.values, r.values)
+            assert g.meta == r.meta
+
+    @pytest.mark.parametrize("name", ["one", "identity"])
+    def test_worker_count_is_bit_exact(self, name):
+        preset = PotentialV.preset(name)
+        func = CylFunctional(64, preset).functional()
+        levels = self.LEVELS[name]
+        one, two = (
+            gmf_surface_mc_levels(func, "excursion", levels, 4, 40_000, rng=97, workers=w)
+            for w in (1, 2)
+        )
+        for a, b in zip(one, two):
+            assert np.array_equal(a.values, b.values)
+            assert np.array_equal(a.stderr, b.stderr)
+            assert a.meta == b.meta
+
+    def test_affine_gate(self):
+        assert PotentialV.preset("one").affine == (1.0, 0.0)
+        assert PotentialV.preset("identity").affine == (0.0, 1.0)
+        assert PotentialV.preset("sin").affine is None
+        assert PotentialV.preset("cubic").affine is None
 
 
 class TestChisqLimit:

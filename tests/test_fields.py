@@ -24,7 +24,7 @@ from gausstube.fields import (
 from gausstube.gmf import gmf_surface_mc
 from gausstube.series import gaussian_pdf, gaussian_tail
 
-from _oracles import ito_loop_field, lambda2_fd
+from _oracles import ito_loop_field, lambda2_fd, load_field, save_field
 
 ONE = PotentialV.preset("one")
 IDENTITY = PotentialV.preset("identity")
@@ -277,13 +277,15 @@ class TestAffineClosedForm:
 
 
 class TestFieldExport:
+    """The test-only GTFS field export in ``_oracles``."""
+
     def test_round_trip(self, tmp_path):
         space = ParamSpace.torus(2 * np.pi, 2 * np.pi, 32)
         cov = SpatialCov.torus_pair(1.0)
         s = simulate_field(space, cov, IDENTITY, 8, rng=31)
         path = tmp_path / "sample.gtfs"
-        s.save(path, u_levels=[0.5, 1.0])
-        loaded, header = FieldSample.load(path)
+        save_field(s, path, u_levels=[0.5, 1.0])
+        loaded, header = load_field(path)
         assert np.array_equal(loaded.f_values, s.f_values)
         assert loaded.space == space
         assert header["u_levels"] == [0.5, 1.0]
@@ -293,7 +295,7 @@ class TestFieldExport:
         path = tmp_path / "junk.bin"
         path.write_bytes(b"nope" + bytes(32))
         with pytest.raises(ValueError, match="magic"):
-            FieldSample.load(path)
+            load_field(path)
 
 
 class TestEulerChar:
