@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from .errors import ConfigError, GausstubeError
-from .harness import _EXPERIMENTS, ExperimentConfig, RunResult, report, run
+from .harness import EXPERIMENTS, ExperimentConfig, RunResult, report, run
 
 #: Environment variable naming the default output directory.
 OUT_DIR_ENV = "GAUSSTUBE_OUT"
@@ -28,7 +28,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "excursion-set Euler characteristic experiments",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _EXPERIMENTS:
+    for name in EXPERIMENTS:
         p = sub.add_parser(name, help=f"run a '{name}' experiment from a config file")
         p.add_argument("--config", required=True, help="path to a JSON config")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")

@@ -162,25 +162,18 @@ class SpatialCov:
         return cls.wave_sum(np.array([[w, 0.0], [0.0, w]]))
 
     @classmethod
-    def squared_exponential(
-        cls, lambda2: float, n_waves: int = 64, dim: int = 1, rng=0
-    ) -> "SpatialCov":
-        """Spectral-sample approximation of C(h) = exp(−λ₂‖h‖²/2).
+    def squared_exponential(cls, lambda2: float, n_waves: int = 64, rng=0) -> "SpatialCov":
+        """Spectral-sample approximation of C(h) = exp(−λ₂h²/2) on a 1-D space.
 
-        Frequencies are drawn from the kernel's spectral density N(0, λ₂·I);
+        Frequencies are drawn from the kernel's spectral density N(0, λ₂);
         the realized covariance is the wave sum over the draw, which matches
         the squared-exponential kernel only up to O(n_waves^{−1/2})
         truncation error.  ``lambda2`` of the returned object is the realized
-        second moment of the draw (exact for the realized field).  In two
-        dimensions each frequency is paired with its 90° rotation so the
-        moment matrix is isotropic exactly.
+        second moment of the draw (exact for the realized field).
         """
         gen = np.random.default_rng(as_seed_sequence(rng))
-        freq = gen.standard_normal((n_waves, dim)) * np.sqrt(lambda2)
-        if dim == 2:
-            rot = np.column_stack([-freq[:, 1], freq[:, 0]])
-            freq = np.vstack([freq, rot])
-        return cls("squared-exponential", freq, np.full(freq.shape[0], freq.shape[0] ** -0.5))
+        freq = gen.standard_normal((n_waves, 1)) * np.sqrt(lambda2)
+        return cls("squared-exponential", freq, np.full(n_waves, n_waves**-0.5))
 
     @property
     def dim(self) -> int:

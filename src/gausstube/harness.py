@@ -11,11 +11,12 @@ from __future__ import annotations
 import csv
 import dataclasses
 import hashlib
+import inspect
 import json
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -34,9 +35,7 @@ from .fields import (
     lkc,
     validate_assumptions,
 )
-from .functionals import coordinate, norm
 from .gmf import (
-    RegionSpec,
     gmf_ball,
     gmf_halfspace,
     gmf_surface_mc,
@@ -51,20 +50,8 @@ from .tube import (
     validate_tube_series,
 )
 
-_EXPERIMENTS = ("gmf", "tube", "converge", "gkf", "crofton")
-
-# Keys every experiment accepts, and per-experiment required/optional keys.
-_COMMON_KEYS = {"experiment", "seed", "workers"}
-_SCHEMA = {
-    "gmf": ({"region", "J", "N"}, {"eps"}),
-    "tube": ({"region", "J", "N", "rho_grid"}, {"method"}),
-    "converge": ({"potential", "u", "J", "N", "n_grid"}, {"eps"}),
-    "gkf": ({"space", "cov", "potential", "u_levels", "n", "J", "N", "reps"}, {"eps"}),
-    "crofton": (
-        {"space", "cov", "potential", "u_levels", "n", "J", "N", "reps", "index"},
-        {"eps"},
-    ),
-}
+# Config keys that must be integers (booleans rejected) wherever they appear.
+_INT_KEYS = ("seed", "workers", "J", "N", "n", "reps")
 
 
 @dataclass(frozen=True)
@@ -95,25 +82,23 @@ class ExperimentConfig:
         if not isinstance(data, dict):
             raise ConfigError(f"config must be a JSON object, got {type(data).__name__}")
         experiment = data.get("experiment")
-        if experiment not in _EXPERIMENTS:
-            raise ConfigError(
-                f"experiment must be one of {_EXPERIMENTS}, got {experiment!r}"
-            )
-        required, optional = _SCHEMA[experiment]
-        allowed = _COMMON_KEYS | required | optional
-        unknown = set(data) - allowed
+        names = tuple(EXPERIMENTS)
+        if experiment not in names:
+            raise ConfigError(f"experiment must be one of {names}, got {experiment!r}")
+        entry = EXPERIMENTS[experiment]
+        unknown = set(data) - {"experiment", "seed", "workers"} - entry.required - entry.optional
         if unknown:
             raise ConfigError(f"unknown config keys for {experiment!r}: {sorted(unknown)}")
-        missing = (required | {"seed"}) - set(data)
+        missing = (entry.required | {"seed"}) - set(data)
         if missing:
             raise ConfigError(f"missing config keys for {experiment!r}: {sorted(missing)}")
-        seed, workers = data["seed"], data.get("workers", 1)
-        if isinstance(seed, bool) or not isinstance(seed, int):
-            raise ConfigError(f"seed must be an integer, got {seed!r}")
-        if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
-            raise ConfigError(f"workers must be an integer >= 1, got {workers!r}")
-        known_fields = {f.name for f in dataclasses.fields(cls)}
-        return cls(**{k: v for k, v in data.items() if k in known_fields})
+        for key in _INT_KEYS:
+            value = data.get(key, 1)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{key} must be an integer, got {value!r}")
+        if data.get("workers", 1) < 1:
+            raise ConfigError(f"workers must be an integer >= 1, got {data['workers']!r}")
+        return cls(**data)
 
     def to_dict(self) -> dict:
         return {
@@ -157,102 +142,68 @@ class RunResult:
     @classmethod
     def load(cls, path) -> "RunResult":
         data = json.loads(Path(path).read_text())
-        return cls(
-            config_hash=data["config_hash"],
-            experiment=data["experiment"],
-            rows=data["rows"],
-            counters=data["counters"],
-            wall_clock=data["wall_clock"],
-            version=data["version"],
-        )
+        return cls(**{f.name: data[f.name] for f in dataclasses.fields(cls)})
 
 
-def _build_region(spec: dict):
-    """RegionSpec plus closed-form Minkowski target from a config dict."""
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigError(f"region must be a dict with a 'kind', got {spec!r}")
-    kind = spec["kind"]
+def _from_spec(what: str, spec, table: dict, tag: str = "kind"):
+    """Build a nested config object with the builder ``table[spec[tag]]``.
+
+    A builder's parameters are the keys its spec may carry; those without a
+    default are required.  Anything else about the spec that is wrong (not a
+    dict, an unknown kind or key, a missing key, a value the builder rejects)
+    raises ConfigError before any sampling.
+    """
+    if not isinstance(spec, dict) or tag not in spec:
+        raise ConfigError(f"{what} must be a dict with a {tag!r}, got {spec!r}")
+    kind = spec[tag]
+    build = table.get(kind) if isinstance(kind, str) else None
+    if build is None:
+        raise ConfigError(f"unknown {what} {tag} {kind!r}")
+    args = {k: v for k, v in spec.items() if k != tag}
+    params = inspect.signature(build).parameters
+    unknown = set(args) - set(params)
+    if unknown:
+        raise ConfigError(f"unknown keys for {what} {kind!r}: {sorted(unknown)}")
+    missing = [k for k, p in params.items() if p.default is p.empty and k not in args]
+    if missing:
+        raise ConfigError(f"{what} {kind!r} is missing key {missing[0]!r}")
     try:
-        if kind == "halfspace":
-            dim = int(spec.get("dim", 1))
-            u = float(spec["u"])
-            return RegionSpec(coordinate(dim), u, "excursion"), lambda J: gmf_halfspace(u, J)
-        if kind == "ball":
-            dim = int(spec["dim"])
-            radius = float(spec["radius"])
-            return RegionSpec(norm(dim), radius, "sub-level"), lambda J: gmf_ball(radius, dim, J)
-        if kind == "two-sided":
-            dim = int(spec.get("dim", 1))
-            a = float(spec["a"])
-            oracle = two_sided_oracle(a, dim)
-            return oracle.region, lambda J: gmf_two_sided(a, J)
-    except KeyError as exc:
-        raise ConfigError(f"region {kind!r} is missing key {exc}") from None
-    raise ConfigError(f"unknown region kind {kind!r}")
-
-
-def _build_oracle(spec: dict, method: Optional[str]):
-    kind = spec.get("kind")
-    if method in (None, "closed-form"):
-        try:
-            if kind == "halfspace":
-                return halfspace_oracle(float(spec["u"]), int(spec.get("dim", 1)))
-            if kind == "ball":
-                return ball_oracle(float(spec["radius"]), int(spec["dim"]))
-            if kind == "two-sided":
-                return two_sided_oracle(float(spec["a"]), int(spec.get("dim", 1)))
-        except KeyError as exc:
-            raise ConfigError(f"region {kind!r} is missing key {exc}") from None
-        raise ConfigError(f"no closed-form distance for region kind {kind!r}")
-    if method == "projection":
-        region, _ = _build_region(spec)
-        return projection_oracle(region)
-    raise ConfigError(f"unknown distance method {method!r}")
-
-
-def _build_space(spec: dict) -> ParamSpace:
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigError(f"space must be a dict with a 'kind', got {spec!r}")
-    kind = spec["kind"]
-    try:
-        grid = int(spec["grid"])
-        if kind == "interval":
-            return ParamSpace.interval(float(spec["length"]), grid)
-        if kind == "circle":
-            return ParamSpace.circle(float(spec["length"]), grid)
-        if kind == "torus":
-            l1, l2 = spec["lengths"]
-            return ParamSpace.torus(float(l1), float(l2), grid)
-    except KeyError as exc:
-        raise ConfigError(f"space {kind!r} is missing key {exc}") from None
+        return build(**args)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad space spec {spec!r}: {exc}") from None
-    raise ConfigError(f"unknown space kind {kind!r}")
+        raise ConfigError(f"bad {what} spec {spec!r}: {exc}") from None
 
 
-def _build_cov(spec: dict) -> SpatialCov:
-    if not isinstance(spec, dict) or "preset" not in spec:
-        raise ConfigError(f"cov must be a dict with a 'preset', got {spec!r}")
-    preset = spec["preset"]
-    try:
-        if preset == "cosine":
-            return SpatialCov.cosine(float(spec["frequency"]))
-        if preset == "torus-pair":
-            return SpatialCov.torus_pair(float(spec["frequency"]))
-        if preset == "wave-sum":
-            return SpatialCov.wave_sum(spec["frequencies"], spec.get("weights"))
-        if preset == "squared-exponential":
-            return SpatialCov.squared_exponential(
-                float(spec["lambda2"]),
-                int(spec.get("n_waves", 64)),
-                int(spec.get("dim", 1)),
-                rng=int(spec.get("seed", 0)),
-            )
-    except KeyError as exc:
-        raise ConfigError(f"cov {preset!r} is missing key {exc}") from None
-    except ValueError as exc:
-        raise ConfigError(f"bad covariance spec: {exc}") from None
-    raise ConfigError(f"unknown covariance preset {preset!r}")
+# A region is its closed-form distance oracle, whose ``.region`` is the
+# RegionSpec the samplers use, plus its closed-form GMF vector per order J.
+def _halfspace(u, dim=1):
+    u = float(u)
+    return halfspace_oracle(u, int(dim)), lambda J: gmf_halfspace(u, J)
+
+
+def _ball(radius, dim):
+    radius, dim = float(radius), int(dim)
+    return ball_oracle(radius, dim), lambda J: gmf_ball(radius, dim, J)
+
+
+def _two_sided(a, dim=1):
+    a = float(a)
+    return two_sided_oracle(a, int(dim)), lambda J: gmf_two_sided(a, J)
+
+
+_REGIONS = {"halfspace": _halfspace, "ball": _ball, "two-sided": _two_sided}
+_SPACES = {
+    "interval": lambda length, grid: ParamSpace.interval(float(length), int(grid)),
+    "circle": lambda length, grid: ParamSpace.circle(float(length), int(grid)),
+    "torus": lambda lengths, grid: ParamSpace("torus", tuple(map(float, lengths)), int(grid)),
+}
+_COVS = {
+    "cosine": SpatialCov.cosine,
+    "torus-pair": SpatialCov.torus_pair,
+    "wave-sum": SpatialCov.wave_sum,
+    "squared-exponential": lambda lambda2, n_waves=64, seed=0: SpatialCov.squared_exponential(
+        float(lambda2), int(n_waves), rng=int(seed)
+    ),
+}
 
 
 def _potential(config: ExperimentConfig) -> PotentialV:
@@ -262,146 +213,175 @@ def _potential(config: ExperimentConfig) -> PotentialV:
         raise ConfigError(str(exc)) from None
 
 
-def run(config: ExperimentConfig) -> RunResult:
-    """Dispatch an experiment and collect plot-ready rows."""
-    t0 = time.perf_counter()
-    root = as_seed_sequence(config.seed)
-    rows: list = []
-    counters: dict = {}
+# Each runner maps (config, root SeedSequence) to (rows, counters).
 
-    if config.experiment == "gmf":
-        region, closed_factory = _build_region(config.region)
-        target = closed_factory(config.J)
-        est = gmf_surface_mc(
-            region, config.J, config.N, eps=config.eps, rng=root, workers=config.workers
-        )
-        for j in range(config.J + 1):
-            rows.append(
-                {
-                    "quantity": f"M_{j}",
-                    "j": j,
-                    "estimate": est.values[j],
-                    "stderr": est.stderr[j],
-                    "target": target.values[j],
-                }
-            )
-        counters.update(est.meta)
 
-    elif config.experiment == "tube":
-        oracle = _build_oracle(config.region, config.method)
-        _, closed_factory = _build_region(config.region)
-        gmfs = closed_factory(config.J)
-        report_obj = validate_tube_series(
-            oracle, gmfs, config.rho_grid, config.N, rng=root, workers=config.workers
-        )
-        rows.extend(report_obj.rows())
-        counters["max_abs_residual"] = report_obj.max_abs_residual
-        counters["slope"] = report_obj.slope
-        counters["noise_floor"] = report_obj.noise_floor
+def _run_gmf(config: ExperimentConfig, root):
+    oracle, closed_factory = _from_spec("region", config.region, _REGIONS)
+    target = closed_factory(config.J)
+    est = gmf_surface_mc(
+        oracle.region, config.J, config.N, eps=config.eps, rng=root, workers=config.workers
+    )
+    rows = [
+        {
+            "quantity": f"M_{j}",
+            "j": j,
+            "estimate": est.values[j],
+            "stderr": est.stderr[j],
+            "target": target.values[j],
+        }
+        for j in range(config.J + 1)
+    ]
+    return rows, dict(est.meta)
 
-    elif config.experiment == "converge":
-        try:
-            for n in config.n_grid:
-                check_time_grid(n)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-        study = convergence_study(
-            _potential(config),
-            config.u,
-            config.J,
-            config.n_grid,
-            config.N,
-            rng=root,
-            eps=config.eps,
-            workers=config.workers,
-        )
-        rows.extend(study.rows())
-        counters["gmf_meta"] = [
-            {"n": n, **g.meta} for n, g in zip(study.n_grid, study.estimates)
-        ]
 
-    elif config.experiment in ("gkf", "crofton"):
-        space = _build_space(config.space)
-        cov = _build_cov(config.cov)
-        potential = _potential(config)
-        try:
-            cov.compatible_with(space)
-            check_time_grid(config.n)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+def _run_tube(config: ExperimentConfig, root):
+    if config.method not in (None, "closed-form", "projection"):
+        raise ConfigError(f"unknown distance method {config.method!r}")
+    oracle, closed_factory = _from_spec("region", config.region, _REGIONS)
+    if config.method == "projection":
+        oracle = projection_oracle(oracle.region)
+    report_obj = validate_tube_series(
+        oracle, closed_factory(config.J), config.rho_grid, config.N, rng=root,
+        workers=config.workers,
+    )
+    counters = {
+        "max_abs_residual": report_obj.max_abs_residual,
+        "slope": report_obj.slope,
+        "noise_floor": report_obj.noise_floor,
+    }
+    return report_obj.rows(), counters
+
+
+def _run_converge(config: ExperimentConfig, root):
+    try:
+        for n in config.n_grid:
+            check_time_grid(n)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    study = convergence_study(
+        _potential(config),
+        config.u,
+        config.J,
+        config.n_grid,
+        config.N,
+        rng=root,
+        eps=config.eps,
+        workers=config.workers,
+    )
+    metas = [{"n": n, **g.meta} for n, g in zip(study.n_grid, study.estimates)]
+    return study.rows(), {"gmf_meta": metas}
+
+
+def _run_kinematic(config: ExperimentConfig, root):
+    """``gkf`` (index 0, against the EC Monte Carlo) and ``crofton`` at ``index``."""
+    space = _from_spec("space", config.space, _SPACES)
+    cov = _from_spec("cov", config.cov, _COVS, tag="preset")
+    potential = _potential(config)
+    index = 0 if config.experiment == "gkf" else config.index
+    try:
+        cov.compatible_with(space)
+        check_time_grid(config.n)
         if config.J < space.dim:
             raise ConfigError(f"J={config.J} must be >= space dimension {space.dim}")
-        index = 0 if config.experiment == "gkf" else config.index
         if isinstance(index, bool) or not isinstance(index, int):
             raise ConfigError(f"index must be an integer, got {index!r}")
-        try:
-            weights = kinematic_weights(index, space, cov, config.J)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        weights = kinematic_weights(index, space, cov, config.J)
         if index in (0, space.dim):
             # these indices simulate fields: reject a coarse grid before any sampling
-            try:
-                check_resolution(space, cov)
-                if index == 0:
-                    # the EC side runs reps replications; index dim runs max(100, reps // 4)
-                    check_reps(config.reps)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from None
-        validate_assumptions(cov, potential, rng=root.spawn(1)[0])
-        lhs_seed, rhs_seed, vol_seed = root.spawn(3)
-        ec = None
+            check_resolution(space, cov)
         if index == 0:
-            # only the Euler-characteristic index has an EC Monte Carlo side
-            ec = ec_mc_levels(
-                space, cov, potential, config.u_levels, config.n, config.reps,
-                rng=lhs_seed, workers=config.workers,
-            )
-        # one sample set for every level, drawn from rhs_seed's first child
-        gmf_levels = gmf_surface_mc_levels(
-            CylFunctional(config.n, potential).functional(), "excursion",
-            [float(u) for u in config.u_levels], config.J, config.N, eps=config.eps,
-            rng=rhs_seed.spawn(1)[0], workers=config.workers,
+            # the EC side runs reps replications; index dim runs max(100, reps // 4)
+            check_reps(config.reps)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    validate_assumptions(cov, potential, rng=root.spawn(1)[0])
+    lhs_seed, rhs_seed, vol_seed = root.spawn(3)
+    ec = None
+    if index == 0:
+        # only the Euler-characteristic index has an EC Monte Carlo side
+        ec = ec_mc_levels(
+            space, cov, potential, config.u_levels, config.n, config.reps,
+            rng=lhs_seed, workers=config.workers,
         )
-        gmf_meta = []
-        for i, (u, gmfs) in enumerate(zip(config.u_levels, gmf_levels)):
-            gmf_meta.append({"u": float(u), **gmfs.meta})
-            value, stderr = gmfs.dot(weights)
-            row = {
-                "u": float(u),
-                "index": index,
-                "rhs": value,
-                "rhs_stderr": stderr,
-            }
-            if ec is not None:
-                combined = float(np.hypot(ec[i].stderr, stderr))
-                row.update(
-                    {
-                        "ec_mean": ec[i].mean,
-                        "ec_stderr": ec[i].stderr,
-                        "z": (ec[i].mean - value) / combined if combined > 0 else 0.0,
-                    }
-                )
-            if config.experiment == "crofton" and index == space.dim:
-                vol, vol_se = excursion_volume_mc(
-                    space, cov, potential, float(u), config.n,
-                    max(100, config.reps // 4), rng=vol_seed.spawn(1)[0],
-                    workers=config.workers,
-                )
-                row.update({"volume_mc": vol, "volume_stderr": vol_se})
-            rows.append(row)
-        counters["lkc"] = [float(v) for v in lkc(space, cov)]
-        counters["gmf_meta"] = gmf_meta
+    # one sample set for every level, drawn from rhs_seed's first child
+    gmf_levels = gmf_surface_mc_levels(
+        CylFunctional(config.n, potential).functional(), "excursion",
+        [float(u) for u in config.u_levels], config.J, config.N, eps=config.eps,
+        rng=rhs_seed.spawn(1)[0], workers=config.workers,
+    )
+    rows, gmf_meta = [], []
+    for i, (u, gmfs) in enumerate(zip(config.u_levels, gmf_levels)):
+        gmf_meta.append({"u": float(u), **gmfs.meta})
+        value, stderr = gmfs.dot(weights)
+        row = {
+            "u": float(u),
+            "index": index,
+            "rhs": value,
+            "rhs_stderr": stderr,
+        }
+        if ec is not None:
+            combined = float(np.hypot(ec[i].stderr, stderr))
+            row.update(
+                {
+                    "ec_mean": ec[i].mean,
+                    "ec_stderr": ec[i].stderr,
+                    "z": (ec[i].mean - value) / combined if combined > 0 else 0.0,
+                }
+            )
+        if index == space.dim:
+            vol, vol_se = excursion_volume_mc(
+                space, cov, potential, float(u), config.n,
+                max(100, config.reps // 4), rng=vol_seed.spawn(1)[0],
+                workers=config.workers,
+            )
+            row.update({"volume_mc": vol, "volume_stderr": vol_se})
+        rows.append(row)
+    return rows, {"lkc": [float(v) for v in lkc(space, cov)], "gmf_meta": gmf_meta}
 
-    else:  # pragma: no cover - from_dict already validated
-        raise ConfigError(f"unknown experiment {config.experiment!r}")
 
-    rows = _plain(rows)
-    counters = _plain(counters)
+class Experiment(NamedTuple):
+    """One experiment kind: config keys beyond experiment/seed/workers, plot columns, runner."""
+
+    required: set
+    optional: set
+    plot_columns: tuple
+    run: Callable
+
+
+_FIELD_KEYS = {"space", "cov", "potential", "u_levels", "n", "J", "N", "reps"}
+
+#: The experiment registry; the CLI has one subcommand per entry.
+EXPERIMENTS = {
+    "gmf": Experiment(
+        {"region", "J", "N"}, {"eps"}, ("j", "estimate", "stderr", "target"), _run_gmf
+    ),
+    "tube": Experiment(
+        {"region", "J", "N", "rho_grid"}, {"method"}, ("rho", "residual", "stderr"), _run_tube
+    ),
+    "converge": Experiment(
+        {"potential", "u", "J", "N", "n_grid"}, {"eps"},
+        ("n", "j", "estimate", "stderr", "target"), _run_converge,
+    ),
+    "gkf": Experiment(
+        _FIELD_KEYS, {"eps"}, ("u", "ec_mean", "ec_stderr", "rhs", "rhs_stderr", "z"),
+        _run_kinematic,
+    ),
+    "crofton": Experiment(
+        _FIELD_KEYS | {"index"}, {"eps"}, ("u", "index", "rhs", "rhs_stderr"), _run_kinematic
+    ),
+}
+
+
+def run(config: ExperimentConfig) -> RunResult:
+    """Dispatch an experiment to its registered runner."""
+    t0 = time.perf_counter()
+    rows, counters = EXPERIMENTS[config.experiment].run(config, as_seed_sequence(config.seed))
     return RunResult(
         config_hash=config.hash(),
         experiment=config.experiment,
-        rows=rows,
-        counters=counters,
+        rows=_plain(rows),
+        counters=_plain(counters),
         wall_clock=time.perf_counter() - t0,
         version=__version__,
     )
@@ -424,15 +404,6 @@ def _plain(obj):
     return obj
 
 
-_PLOT_COLUMNS = {
-    "tube": ("rho", "residual", "stderr"),
-    "converge": ("n", "j", "estimate", "stderr", "target"),
-    "gkf": ("u", "ec_mean", "ec_stderr", "rhs", "rhs_stderr", "z"),
-    "crofton": ("u", "index", "rhs", "rhs_stderr"),
-    "gmf": ("j", "estimate", "stderr", "target"),
-}
-
-
 def report(results: list[RunResult], out_dir) -> list[Path]:
     """Write CSV tables, plot-data CSVs, and a summary; returns written paths.
 
@@ -449,9 +420,9 @@ def report(results: list[RunResult], out_dir) -> list[Path]:
         rows_path = out / f"{tag}_rows.csv"
         _write_csv(rows_path, res.rows)
         written.append(rows_path)
-        plot_cols = _PLOT_COLUMNS.get(res.experiment)
-        if plot_cols and res.rows:
-            present = [c for c in plot_cols if any(c in r for r in res.rows)]
+        entry = EXPERIMENTS.get(res.experiment)
+        if entry and res.rows:
+            present = [c for c in entry.plot_columns if any(c in r for r in res.rows)]
             plot_rows = [{c: row.get(c, "") for c in present} for row in res.rows]
             plot_path = out / f"{tag}_plot.csv"
             _write_csv(plot_path, plot_rows)

@@ -58,6 +58,8 @@ def ball_oracle(radius: float, dim: int) -> DistanceOracle:
     """Distance to the ball {‖x‖ ≤ R}: (‖x‖ − R)⁺."""
     if radius <= 0:
         raise ValueError(f"radius must be positive, got {radius}")
+    if dim < 1:
+        raise ValueError(f"dim must be >= 1, got {dim}")
     region = RegionSpec(norm(dim), radius, "sub-level")
     return DistanceOracle(
         region, "closed-form",
@@ -72,6 +74,8 @@ def two_sided_oracle(a: float, dim: int) -> DistanceOracle:
     """
     if a <= 0:
         raise ValueError(f"threshold must be positive, got {a}")
+    if dim < 1:
+        raise ValueError(f"dim must be >= 1, got {dim}")
     quad = np.zeros((dim, dim))
     quad[0, 0] = 2.0  # F(x) = x₁²
     region = RegionSpec(quadratic(quad), a * a, "excursion")

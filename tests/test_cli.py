@@ -1,6 +1,9 @@
+import argparse
 import json
+from pathlib import Path
 
-from gausstube.cli import main
+from gausstube.cli import _build_parser, main
+from gausstube.harness import EXPERIMENTS, ExperimentConfig
 
 
 def write_config(tmp_path, data, name="config.json"):
@@ -62,7 +65,7 @@ class TestCli:
         a.pop("wall_clock"), b.pop("wall_clock")
         assert a == b
 
-    def test_invalid_config_exits_2(self, tmp_path):
+    def test_invalid_config_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {**GMF, "bogus_key": 1})
         assert main(["gmf", "--config", cfg]) == 2
         bad_settings = [{"workers": w} for w in ("2", 0, -3, True, 1.5)] + [{"seed": True}]
@@ -86,6 +89,45 @@ class TestCli:
                 tmp_path, {**gkf, **fault, "experiment": "gkf"}, name=f"gkf_{name}.json"
             )
             assert main(["gkf", "--config", cfg, "--out", str(tmp_path)]) == 2
+        gkf["experiment"] = "gkf"
+        sq_exp = {"preset": "squared-exponential", "lambda2": 1.0}
+        cases = [
+            # integer keys given as floats, strings or booleans
+            ("gmf", {"N": 20_000.0}),
+            ("gmf", {"J": "2"}),
+            ("gmf", {"J": True}),
+            ("gkf", {"n": 8.0}),
+            ("gkf", {"reps": 100.0}),
+            # region values the closed forms reject
+            ("gmf", {"region": {"kind": "ball", "radius": -1, "dim": 2}}),
+            ("gmf", {"region": {"kind": "ball", "radius": 1.0, "dim": 0}}),
+            ("gmf", {"region": {"kind": "two-sided", "a": 0}}),
+            ("gmf", {"region": {"kind": "two-sided", "a": 1.0, "dim": 0}}),
+            ("gmf", {"region": {"kind": "ball", "radius": "x", "dim": 2}}),
+            # unknown keys in nested specs
+            ("gmf", {"region": {"kind": "ball", "radus": 1.0, "dim": 2}}),
+            ("gkf", {"cov": {**sq_exp, "n_wave": 256}}),
+            ("gkf", {"cov": {**sq_exp, "dim": 2}}),
+            ("gkf", {"space": {"kind": "interval", "length": 10.0, "grid": 200, "lengths": 1}}),
+        ]
+        capsys.readouterr()
+        for i, (command, fault) in enumerate(cases):
+            base = GMF if command == "gmf" else gkf
+            cfg = write_config(tmp_path, {**base, **fault}, name=f"bad_{i}.json")
+            assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2, fault
+            assert capsys.readouterr().err.startswith("config error:"), fault
+
+    def test_example_configs_match_the_registry(self):
+        examples = sorted(Path(__file__).parents[1].glob("examples_configs/*.json"))
+        assert examples
+        for path in examples:
+            config = ExperimentConfig.from_dict(json.loads(path.read_text()))
+            assert config.experiment in EXPERIMENTS, path.name
+        subparsers = next(
+            action for action in _build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        assert set(subparsers.choices) == set(EXPERIMENTS) | {"report"}
 
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["gmf", "--config", str(tmp_path / "nope.json")]) == 2

@@ -82,13 +82,8 @@ class TestSpatialCov:
         with pytest.raises(ValueError, match="isotropic"):
             SpatialCov.wave_sum(np.array([[1.0, 0.0]]))
 
-    def test_squared_exponential_isotropic_2d(self):
-        cov = SpatialCov.squared_exponential(1.0, n_waves=16, dim=2, rng=3)
-        mom = np.einsum("k,ki,kj->ij", cov.weights**2, cov.frequencies, cov.frequencies)
-        assert np.allclose(mom, cov.lambda2 * np.eye(2), atol=1e-12)
-
     def test_squared_exponential_approximates_kernel(self):
-        cov = SpatialCov.squared_exponential(1.0, n_waves=4096, dim=1, rng=5)
+        cov = SpatialCov.squared_exponential(1.0, n_waves=4096, rng=5)
         h = np.array([[0.7]])
         target = np.exp(-cov.lambda2 * 0.49 / 2)
         assert cov.C(h, np.array([[0.0]])) == pytest.approx(target, abs=0.05)

@@ -340,6 +340,55 @@ class TestRunGkf:
         with pytest.raises(RuntimeError, match="reached sampling"):
             run(cfg)
 
+    @pytest.mark.parametrize(
+        "fault,match",
+        [
+            ({"experiment": "gmf", "N": 20_000.0}, "N must be an integer"),
+            ({"experiment": "gmf", "J": "2"}, "J must be an integer"),
+            ({"n": 8.0}, "n must be an integer"),
+            ({"reps": True}, "reps must be an integer"),
+            ({"experiment": "gmf", "region": {"kind": "ball", "radius": -1, "dim": 2}}, "radius"),
+            ({"experiment": "gmf", "region": {"kind": "ball", "radius": 1, "dim": 0}}, "dim"),
+            ({"experiment": "tube", "region": {"kind": "two-sided", "a": 0}}, "threshold"),
+            ({"experiment": "gmf", "region": {"kind": "ball", "radius": "x", "dim": 2}}, "bad"),
+            ({"experiment": "gmf", "region": {"kind": "ball", "radus": 1, "dim": 2}}, "radus"),
+            ({"experiment": "gmf", "region": {"kind": "ball", "dim": 2}}, "missing key"),
+            ({"experiment": "gmf", "region": {"kind": "cube"}}, "unknown region kind"),
+            ({"experiment": "tube", "method": "bisection"}, "distance method"),
+            ({"cov": {"preset": "squared-exponential", "lambda2": 1, "n_wave": 256}}, "n_wave"),
+            ({"cov": {"preset": "squared-exponential", "lambda2": 1, "dim": 2}}, "dim"),
+            ({"space": {"kind": "torus", "lengths": [6.0], "grid": 40}}, "bad space"),
+            ({"space": ["interval", 10.0]}, "dict"),
+        ],
+    )
+    def test_bad_keys_and_specs_fail_before_any_sampling(self, fault, match, monkeypatch):
+        def not_reached(*args, **kwargs):
+            raise AssertionError("ran before the config checks")
+
+        for name in (
+            "validate_assumptions", "gmf_surface_mc", "gmf_surface_mc_levels", "ec_mc_levels",
+            "validate_tube_series",
+        ):
+            monkeypatch.setattr(gausstube.harness, name, not_reached)
+        data = {
+            "experiment": "gkf",
+            "seed": 17,
+            "space": {"kind": "interval", "length": 10.0, "grid": 200},
+            "cov": {"preset": "cosine", "frequency": 1.0},
+            "potential": "identity",
+            "u_levels": [0.5],
+            "n": 8,
+            "J": 1,
+            "N": 30_000,
+            "reps": 300,
+        }
+        if fault.get("experiment") in ("gmf", "tube"):
+            data = gmf_config(region={"kind": "ball", "radius": 1.0, "dim": 2})
+            if fault["experiment"] == "tube":
+                data.update(experiment="tube", rho_grid=[0.1])
+        with pytest.raises(ConfigError, match=match):
+            run(ExperimentConfig.from_dict({**data, **fault}))
+
     def test_low_order_fails_before_validation(self, monkeypatch):
         def not_reached(*args, **kwargs):
             raise AssertionError("ran before the series-order check")
