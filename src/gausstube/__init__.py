@@ -14,6 +14,9 @@ and counting excursion-set Euler characteristics.
 
 __version__ = "0.1.0"
 
+# Modules import scipy inside the functions that call it, so importing the
+# package (and validating a config) does not pay for loading it.
+
 from .cylinder import (
     ConvergenceReport,
     CylFunctional,

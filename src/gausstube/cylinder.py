@@ -28,6 +28,14 @@ and H = h(11ᵀ − I) is constant, with eigenvalue h(n−1) along 1 and −h on
 its complement.  So the value, the gradient and every curvature moment
 cost two row sums, O(n) per sample at any order; the batch oracles take
 this route whenever ``PotentialV.affine`` is set.
+
+Such an F_n is also invariant under the rotations fixing 1, so it is a
+function of z = S/√n and r = ‖y − ȳ·1‖ alone, and z ~ N(0, 1) and
+r ~ χ_{n−1} are independent.  ``CylFunctional.meridian`` is that 2-D
+functional of (z, r) with the ℝⁿ curvature moments; the co-area estimator
+samples it (``CylFunctional.sampled``), drawing two variates per sample at
+any n.  ``CylFunctional.functional`` stays the n-dimensional oracle set,
+the reference the meridian is tested against.
 """
 
 from __future__ import annotations
@@ -223,8 +231,9 @@ class CylFunctional:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Curvature moments τ_m = tr(Hᵐ), μ_k = vᵀHᵏv without forming H.
 
-        For affine V, with p = Σvᵢ, τ_m = hᵐ[(n−1)ᵐ + (n−1)(−1)ᵐ] and
-        μ_k = hᵏ[(p²/n)(n−1)ᵏ + (‖v‖² − p²/n)(−1)ᵏ]: O(n) per row at any order.
+        For affine V they are :func:`_quadric_moments` with v's squared
+        lengths p²/n along 1 and ‖v‖² − p²/n across it, p = Σvᵢ: O(n) per
+        row at any order.
 
         Otherwise Hw = a∘cumsum(w) + suffix_excl(a∘w) − d1n∘w costs O(n) per
         row, as do τ₁ = Σ tail2 and τ₂ = Σ_M 2M·a_M² + Σ tail2² (0-based M),
@@ -237,15 +246,10 @@ class CylFunctional:
         nb, n = y.shape
         affine = self.potential.affine
         if affine is not None:
-            h = affine[1] / n
-            k = np.arange(1, order + 1)
-            hk = h**k
-            along, across = float(n - 1) ** k, (-1.0) ** k
             p2 = v.sum(axis=1) ** 2 / n
-            rest = np.einsum("bi,bi->b", v, v) - p2
-            tau = np.tile(hk * (along + (n - 1) * across), (nb, 1))
-            mu = hk * (p2[:, None] * along + rest[:, None] * across)
-            return tau, mu
+            return _quadric_moments(
+                affine[1] / n, n, p2, np.einsum("bi,bi->b", v, v) - p2, order
+            )
         d1n, tail2 = self._hess_parts(y)
         a = d1n + tail2
 
@@ -288,8 +292,77 @@ class CylFunctional:
             moments_batch=self.moments_batch,
         )
 
+    def meridian(self) -> SmoothFunctional:
+        """F_n for affine V on its meridian plane: a functional of (z, r).
+
+        F_n is then invariant under the rotations of ℝⁿ that fix 1, so it
+        depends on y only through z = S/√n and r = ‖y − ȳ·1‖, which are
+        independent with z ~ N(0, 1) and r ~ χ_{n−1} (Cochran).  ``draw``
+        samples that law with two variates per point instead of n.  With
+        h = a₁/n,
+
+            F = a₀z + a₁((n−1)z² − r²)/(2n),   ∇F = (a₀ + h(n−1)z, −h·r),
+
+        which are the value, the gradient's components along 1/√n and
+        across it, and so the norm ‖∇F_n‖ and η·y of the point of ℝⁿ.
+        ``moments_batch`` returns the moments of the Hessian of F_n on ℝⁿ,
+        n−2 rotational directions included; ``hessians`` is the 2-D profile
+        Hessian diag(h(n−1), −h) and is not where the moments come from.
+        """
+        affine = self.potential.affine
+        if affine is None:
+            raise ValueError(
+                f"the meridian reduction needs an affine potential, got {self.potential.name!r}"
+            )
+        a0, a1 = affine
+        n = self.n
+        h = a1 / n
+        profile = np.diag([h * (n - 1), -h])
+
+        def draw(gen, size):
+            z = gen.standard_normal(size)
+            return np.column_stack((z, np.sqrt(gen.chisquare(n - 1, size))))
+
+        def values(x):
+            z, r = x[:, 0], x[:, 1]
+            return a0 * z + a1 * ((n - 1) * z * z - r * r) / (2 * n)
+
+        def grads(x):
+            return np.column_stack((a0 + h * (n - 1) * x[:, 0], -h * x[:, 1]))
+
+        def hessians(x):
+            return np.broadcast_to(profile, (x.shape[0], 2, 2)).copy()
+
+        def moments_batch(x, v, order):
+            return _quadric_moments(h, n, v[:, 0] ** 2, v[:, 1] ** 2, order)
+
+        return SmoothFunctional(2, values, grads, hessians, moments_batch, draw)
+
+    def sampled(self) -> SmoothFunctional:
+        """The functional the co-area estimators sample: :meth:`meridian` for
+        affine V, :meth:`functional` otherwise."""
+        return self.functional() if self.potential.affine is None else self.meridian()
+
     def excursion(self, u: float) -> RegionSpec:
-        return RegionSpec(self.functional(), u, "excursion")
+        return RegionSpec(self.sampled(), u, "excursion")
+
+
+def _quadric_moments(
+    h: float, n: int, along2: np.ndarray, across2: np.ndarray, order: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """τ_m = tr(Hᵐ) and μ_k = vᵀHᵏv for H = h(11ᵀ − I) on ℝⁿ.
+
+    H has eigenvalue h(n−1) along 1 and −h on the n−1 directions across
+    it, so τ_m = hᵐ[(n−1)ᵐ + (n−1)(−1)ᵐ] and
+    μ_k = hᵏ[v_∥²(n−1)ᵏ + v_⊥²(−1)ᵏ], where ``along2`` and ``across2`` (B,)
+    are v's squared lengths along 1 and across it.
+    """
+    k = np.arange(1, order + 1)
+    hk = h**k
+    along, across = float(n - 1) ** k, (-1.0) ** k
+    tau = np.tile(hk * (along + (n - 1) * across), (along2.shape[0], 1))
+    mu = hk * (along2[:, None] * along + across2[:, None] * across)
+    return tau, mu
 
 
 def limit_gmf_chisq(u: float, order: int = DEFAULT_ORDER) -> GmfVector:

@@ -25,11 +25,11 @@ time-one marginal of the driving field, which is λ₂ times the flat metric.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy import special
 
 from ._mc import as_seed_sequence, run_blocks
 from .cylinder import PotentialV
@@ -433,6 +433,8 @@ def excursion_volume_mc(
 
 def unit_ball_volume(dim: int) -> float:
     """Volume ω_dim of the unit ball in ℝ^dim (ω₀ = 1)."""
+    from scipy import special
+
     return float(np.pi ** (dim / 2.0) / special.gamma(dim / 2.0 + 1.0))
 
 
@@ -456,7 +458,7 @@ def kinematic_weights(index: int, space: ParamSpace, cov: SpatialCov, order: int
     weights = np.zeros(order + 1)
     for j in range(m - index + 1):
         flag = (
-            special.comb(index + j, j, exact=True)
+            math.comb(index + j, j)
             * unit_ball_volume(index + j)
             / (unit_ball_volume(index) * unit_ball_volume(j))
         )

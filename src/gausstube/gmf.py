@@ -29,12 +29,14 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import special
 
 from ._mc import as_seed_sequence, block_sizes, fsum_arrays, run_blocks
 from .errors import SurfaceDegeneracyError
 from .malliavin import DEFAULT_GRAD_FLOOR, SmoothFunctional, jacobian_coeffs
 from .series import DEFAULT_ORDER, gaussian_pdf, gaussian_tail, hermite_all
+
+#: Fewest samples :func:`gmf_surface_mc_levels` accepts (10^4).
+MIN_SURFACE_SAMPLES = 10_000
 
 _SUB_LEVEL = "sub-level"
 _EXCURSION = "excursion"
@@ -115,6 +117,8 @@ class GmfVector:
 
 def assemble_tube_series(gmfs: GmfVector, rho: float) -> float:
     """Evaluate M₀ + Σ_{j=1..J} ρʲ/j! · M_j."""
+    from scipy import special
+
     if rho < 0:
         raise ValueError(f"rho must be >= 0, got {rho}")
     j = np.arange(gmfs.order + 1)
@@ -179,6 +183,8 @@ def gmf_ball(radius: float, dim: int, order: int = DEFAULT_ORDER) -> GmfVector:
     functionals are derivatives of the chi density, computed symbolically
     from the recurrence for derivatives of r^{k−1}e^{−r²/2}.
     """
+    from scipy import special
+
     if radius <= 0:
         raise ValueError(f"radius must be positive, got {radius}")
     if dim < 1:
@@ -235,8 +241,9 @@ def gmf_surface_mc_levels(
 ) -> list[GmfVector]:
     """Kernel-smoothed co-area Monte Carlo estimates of M₀..M_J, one per level.
 
-    Draws N canonical Gaussian samples Xᵢ and returns, for each level u of
-    the regions {F ≤ u} or {F ≥ u} (``kind``),
+    Draws N samples Xᵢ with ``func.sample`` (canonical Gaussian unless the
+    functional has a ``draw``) and returns, for each level u of the regions
+    {F ≤ u} or {F ≥ u} (``kind``),
 
         M̂₀ = (1/N) Σ 1{Xᵢ ∈ region},
         M̂_j = (1/N) Σ (j−1)!·c_{j−1}(Xᵢ)·‖∇F(Xᵢ)‖·κ_ε(F(Xᵢ)−u),  j ≥ 1,
@@ -255,10 +262,12 @@ def gmf_surface_mc_levels(
     The sample stream is split into fixed-size blocks with independent
     substreams of ``rng``, so results are bit-identical for any ``workers``.
     """
+    from scipy import special
+
     regions = [RegionSpec(func, float(u), kind) for u in levels]
     if not regions:
         raise ValueError("levels must hold at least one level")
-    if n_samples < 10_000:
+    if n_samples < MIN_SURFACE_SAMPLES:
         raise ValueError(f"n_samples must be >= 10^4, got {n_samples}")
     if eps is not None and eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
@@ -269,7 +278,7 @@ def gmf_surface_mc_levels(
 
     if eps is None:
         pilot_rng = np.random.default_rng(children[0])
-        pilot = pilot_rng.standard_normal((4096, k))
+        pilot = func.sample(pilot_rng, 4096)
         eps = silverman_bandwidth(func.values(pilot), n_samples)
     eps = float(eps)
 
@@ -306,7 +315,7 @@ def gmf_surface_mc_levels(
 
     def one_block(b: int):
         gen = np.random.default_rng(children[b + 1])
-        x = gen.standard_normal((sizes[b], k))
+        x = func.sample(gen, sizes[b])
         fv = func.values(x)
         t = [(fv - region.level) / eps for region in regions]
         in_window = [np.abs(ti) <= kernel_cut for ti in t]

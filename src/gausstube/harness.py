@@ -13,6 +13,7 @@ import dataclasses
 import hashlib
 import inspect
 import json
+import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -36,6 +37,7 @@ from .fields import (
     validate_assumptions,
 )
 from .gmf import (
+    MIN_SURFACE_SAMPLES,
     gmf_ball,
     gmf_halfspace,
     gmf_surface_mc,
@@ -50,8 +52,29 @@ from .tube import (
     validate_tube_series,
 )
 
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _non_empty_list_of(test: Callable) -> Callable:
+    return lambda value: isinstance(value, (list, tuple)) and bool(value) and all(map(test, value))
+
+
 # Config keys that must be integers (booleans rejected) wherever they appear.
 _INT_KEYS = ("seed", "workers", "J", "N", "n", "reps")
+# The other checked keys, each with its test and what the test asks for.
+_VALUE_KEYS = {
+    "eps": (lambda v: v is None or (_is_number(v) and v > 0), "a positive number"),
+    "u": (_is_number, "a number"),
+    "u_levels": (_non_empty_list_of(_is_number), "a non-empty list of numbers"),
+    "rho_grid": (_non_empty_list_of(_is_number), "a non-empty list of numbers"),
+    "n_grid": (_non_empty_list_of(_is_int), "a non-empty list of integers"),
+}
 
 
 @dataclass(frozen=True)
@@ -94,10 +117,15 @@ class ExperimentConfig:
             raise ConfigError(f"missing config keys for {experiment!r}: {sorted(missing)}")
         for key in _INT_KEYS:
             value = data.get(key, 1)
-            if isinstance(value, bool) or not isinstance(value, int):
+            if not _is_int(value):
                 raise ConfigError(f"{key} must be an integer, got {value!r}")
         if data.get("workers", 1) < 1:
             raise ConfigError(f"workers must be an integer >= 1, got {data['workers']!r}")
+        if data.get("N", entry.min_N) < entry.min_N:
+            raise ConfigError(f"N must be >= {entry.min_N} for {experiment!r}, got {data['N']}")
+        for key, (test, wanted) in _VALUE_KEYS.items():
+            if key in data and not test(data[key]):
+                raise ConfigError(f"{key} must be {wanted}, got {data[key]!r}")
         return cls(**data)
 
     def to_dict(self) -> dict:
@@ -173,35 +201,44 @@ def _from_spec(what: str, spec, table: dict, tag: str = "kind"):
         raise ConfigError(f"bad {what} spec {spec!r}: {exc}") from None
 
 
+def _integer(name: str, value) -> int:
+    """A nested spec's integer value; anything else (a bool, 200.7, 8.0) is rejected."""
+    if not _is_int(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 # A region is its closed-form distance oracle, whose ``.region`` is the
 # RegionSpec the samplers use, plus its closed-form GMF vector per order J.
 def _halfspace(u, dim=1):
     u = float(u)
-    return halfspace_oracle(u, int(dim)), lambda J: gmf_halfspace(u, J)
+    return halfspace_oracle(u, _integer("dim", dim)), lambda J: gmf_halfspace(u, J)
 
 
 def _ball(radius, dim):
-    radius, dim = float(radius), int(dim)
+    radius, dim = float(radius), _integer("dim", dim)
     return ball_oracle(radius, dim), lambda J: gmf_ball(radius, dim, J)
 
 
 def _two_sided(a, dim=1):
     a = float(a)
-    return two_sided_oracle(a, int(dim)), lambda J: gmf_two_sided(a, J)
+    return two_sided_oracle(a, _integer("dim", dim)), lambda J: gmf_two_sided(a, J)
 
 
 _REGIONS = {"halfspace": _halfspace, "ball": _ball, "two-sided": _two_sided}
 _SPACES = {
-    "interval": lambda length, grid: ParamSpace.interval(float(length), int(grid)),
-    "circle": lambda length, grid: ParamSpace.circle(float(length), int(grid)),
-    "torus": lambda lengths, grid: ParamSpace("torus", tuple(map(float, lengths)), int(grid)),
+    "interval": lambda length, grid: ParamSpace.interval(float(length), _integer("grid", grid)),
+    "circle": lambda length, grid: ParamSpace.circle(float(length), _integer("grid", grid)),
+    "torus": lambda lengths, grid: ParamSpace(
+        "torus", tuple(map(float, lengths)), _integer("grid", grid)
+    ),
 }
 _COVS = {
     "cosine": SpatialCov.cosine,
     "torus-pair": SpatialCov.torus_pair,
     "wave-sum": SpatialCov.wave_sum,
     "squared-exponential": lambda lambda2, n_waves=64, seed=0: SpatialCov.squared_exponential(
-        float(lambda2), int(n_waves), rng=int(seed)
+        float(lambda2), _integer("n_waves", n_waves), rng=_integer("seed", seed)
     ),
 }
 
@@ -306,7 +343,7 @@ def _run_kinematic(config: ExperimentConfig, root):
         )
     # one sample set for every level, drawn from rhs_seed's first child
     gmf_levels = gmf_surface_mc_levels(
-        CylFunctional(config.n, potential).functional(), "excursion",
+        CylFunctional(config.n, potential).sampled(), "excursion",
         [float(u) for u in config.u_levels], config.J, config.N, eps=config.eps,
         rng=rhs_seed.spawn(1)[0], workers=config.workers,
     )
@@ -341,12 +378,14 @@ def _run_kinematic(config: ExperimentConfig, root):
 
 
 class Experiment(NamedTuple):
-    """One experiment kind: config keys beyond experiment/seed/workers, plot columns, runner."""
+    """One experiment kind: config keys beyond experiment/seed/workers, plot columns,
+    runner, and the fewest samples ``N`` it accepts."""
 
     required: set
     optional: set
     plot_columns: tuple
     run: Callable
+    min_N: int = MIN_SURFACE_SAMPLES
 
 
 _FIELD_KEYS = {"space", "cov", "potential", "u_levels", "n", "J", "N", "reps"}
@@ -357,7 +396,8 @@ EXPERIMENTS = {
         {"region", "J", "N"}, {"eps"}, ("j", "estimate", "stderr", "target"), _run_gmf
     ),
     "tube": Experiment(
-        {"region", "J", "N", "rho_grid"}, {"method"}, ("rho", "residual", "stderr"), _run_tube
+        {"region", "J", "N", "rho_grid"}, {"method"}, ("rho", "residual", "stderr"), _run_tube,
+        min_N=1,
     ),
     "converge": Experiment(
         {"potential", "u", "J", "N", "n_grid"}, {"eps"},

@@ -46,6 +46,13 @@ class SmoothFunctional:
     :func:`hessian_moments` without a dense Hessian stack, for functionals
     whose Hessian has structure; when absent they are taken from the
     Hessian stack.
+
+    The Monte Carlo estimators average over canonical Gaussian points of
+    ℝᵏ, drawn by :meth:`sample`.  The optional ``draw(gen, size)`` replaces
+    that law with another (size, k) one: a functional reduced to fewer
+    coordinates, such as F_n on its meridian plane, draws the reduced
+    coordinates of a Gaussian point, and its ``moments_batch`` returns the
+    moments of the full Hessian.
     """
 
     dim: int
@@ -55,6 +62,13 @@ class SmoothFunctional:
     moments_batch: Optional[
         Callable[[np.ndarray, np.ndarray, int], tuple[np.ndarray, np.ndarray]]
     ] = None
+    draw: Optional[Callable[[np.random.Generator, int], np.ndarray]] = None
+
+    def sample(self, gen: np.random.Generator, size: int) -> np.ndarray:
+        """``size`` points, (size, k), of the law the estimators average over."""
+        if self.draw is not None:
+            return self.draw(gen, size)
+        return gen.standard_normal((size, self.dim))
 
     def value(self, x: np.ndarray) -> float:
         return float(self.values(np.asarray(x, dtype=float)[None, :])[0])

@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 #: Default truncation order for Minkowski-functional series work; the
 #: acceptance studies need j <= 4, this leaves headroom for convergence checks.
@@ -137,6 +136,8 @@ def gaussian_tail(u):
     Computed through the complementary error function, which keeps the
     relative error at erfc grade (≲ 1e−14) out to |u| = 8 and beyond.
     """
+    from scipy import special
+
     u = np.asarray(u, dtype=float)
     out = 0.5 * special.erfc(u / np.sqrt(2.0))
     return float(out) if out.ndim == 0 else out

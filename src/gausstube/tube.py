@@ -257,14 +257,13 @@ def tube_volumes_mc(
         raise ValueError("rho_grid must be a non-empty list of radii")
     if np.any(rho_grid < 0):
         raise ValueError(f"rho must be >= 0, got {rho_grid.min()}")
-    k = oracle.region.dim
     root = as_seed_sequence(rng)
     sizes = block_sizes(n_samples)
     children = root.spawn(len(sizes))
 
     def one_block(b: int):
         gen = np.random.default_rng(children[b])
-        x = gen.standard_normal((sizes[b], k))
+        x = oracle.region.functional.sample(gen, sizes[b])
         d, failures = distances(oracle, x)
         d = d[~np.isnan(d)]
         hits = [int(np.count_nonzero(d <= rho)) for rho in rho_grid]

@@ -1,7 +1,11 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import gausstube.harness
 from gausstube.cli import _build_parser, main
 from gausstube.harness import EXPERIMENTS, ExperimentConfig
 
@@ -32,6 +36,25 @@ CROFTON = {
     "N": 10_000,
     "reps": 100,
     "index": 1,
+}
+
+CONVERGE = {
+    "experiment": "converge",
+    "seed": 3,
+    "potential": "identity",
+    "u": 0.5,
+    "J": 1,
+    "N": 10_000,
+    "n_grid": [4, 8],
+}
+
+TUBE = {
+    "experiment": "tube",
+    "seed": 5,
+    "region": {"kind": "ball", "radius": 1.0, "dim": 2},
+    "J": 2,
+    "N": 10_000,
+    "rho_grid": [0.1, 0.2],
 }
 
 
@@ -65,7 +88,16 @@ class TestCli:
         a.pop("wall_clock"), b.pop("wall_clock")
         assert a == b
 
-    def test_invalid_config_exits_2(self, tmp_path, capsys):
+    def test_invalid_config_exits_2(self, tmp_path, capsys, monkeypatch):
+        def sampling(*args, **kwargs):
+            raise AssertionError("sampling started before the config was rejected")
+
+        # a bad config must exit 2 before any Monte Carlo runs
+        for name in (
+            "validate_assumptions", "ec_mc_levels", "gmf_surface_mc", "gmf_surface_mc_levels",
+            "convergence_study", "validate_tube_series",
+        ):
+            monkeypatch.setattr(gausstube.harness, name, sampling)
         cfg = write_config(tmp_path, {**GMF, "bogus_key": 1})
         assert main(["gmf", "--config", cfg]) == 2
         bad_settings = [{"workers": w} for w in ("2", 0, -3, True, 1.5)] + [{"seed": True}]
@@ -109,10 +141,36 @@ class TestCli:
             ("gkf", {"cov": {**sq_exp, "n_wave": 256}}),
             ("gkf", {"cov": {**sq_exp, "dim": 2}}),
             ("gkf", {"space": {"kind": "interval", "length": 10.0, "grid": 200, "lengths": 1}}),
+            # too few surface samples
+            ("gmf", {"N": 9_999}),
+            ("gkf", {"N": 5_000}),
+            ("crofton", {"N": 5_000}),
+            ("converge", {"N": 5_000}),
+            ("tube", {"N": 0}),
+            # non-positive or non-numeric bandwidths
+            ("gkf", {"eps": -1}),
+            ("gmf", {"eps": 0}),
+            ("converge", {"eps": "0.05"}),
+            # levels and grids that are empty or hold non-numbers
+            ("gkf", {"u_levels": []}),
+            ("gkf", {"u_levels": ["a"]}),
+            ("crofton", {"u_levels": [0.5, True]}),
+            ("gkf", {"u_levels": 0.5}),
+            ("converge", {"u": "0.5"}),
+            ("tube", {"rho_grid": [0.1, "x"]}),
+            ("tube", {"rho_grid": []}),
+            ("converge", {"n_grid": [8.0]}),
+            # nested integers given as floats or booleans
+            ("gkf", {"space": {"kind": "interval", "length": 10.0, "grid": 200.7}}),
+            ("gmf", {"region": {"kind": "ball", "radius": 1.0, "dim": 2.0}}),
+            ("tube", {"region": {"kind": "halfspace", "u": 0.5, "dim": True}}),
+            ("gkf", {"cov": {**sq_exp, "n_waves": 64.5}}),
+            ("gkf", {"cov": {**sq_exp, "seed": 1.0}}),
         ]
         capsys.readouterr()
+        bases = {"gmf": GMF, "gkf": gkf, "crofton": CROFTON, "converge": CONVERGE, "tube": TUBE}
         for i, (command, fault) in enumerate(cases):
-            base = GMF if command == "gmf" else gkf
+            base = bases[command]
             cfg = write_config(tmp_path, {**base, **fault}, name=f"bad_{i}.json")
             assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2, fault
             assert capsys.readouterr().err.startswith("config error:"), fault
@@ -128,6 +186,26 @@ class TestCli:
             if isinstance(action, argparse._SubParsersAction)
         )
         assert set(subparsers.choices) == set(EXPERIMENTS) | {"report"}
+
+    def test_config_validation_does_not_load_scipy(self):
+        # a fresh interpreter: importing the package and checking configs
+        # must leave scipy unloaded, which keeps start-up cheap
+        code = (
+            "import json, sys\n"
+            "import gausstube\n"
+            "from gausstube.harness import ExperimentConfig\n"
+            "for data in json.loads(sys.argv[1]):\n"
+            "    ExperimentConfig.from_dict(data)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        configs = json.dumps([GMF, CROFTON, CONVERGE, TUBE])
+        src = str(Path(gausstube.harness.__file__).parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", code, configs], env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["gmf", "--config", str(tmp_path / "nope.json")]) == 2

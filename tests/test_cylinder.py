@@ -223,6 +223,73 @@ class TestAffineClosedForm:
         assert PotentialV.preset("cubic").affine is None
 
 
+class TestMeridian:
+    """F_n for affine V on (z, r) = (S/√n, ‖y − ȳ·1‖), against the ℝⁿ oracles."""
+
+    @pytest.mark.parametrize("n", [2, 8, 64])
+    @pytest.mark.parametrize("name", ["one", "identity"])
+    def test_matches_the_rn_oracles(self, name, n):
+        cyl = CylFunctional(n, PotentialV.preset(name))
+        full, meridian = cyl.functional(), cyl.meridian()
+        y = np.random.default_rng(n).standard_normal((500, n))
+        z = y.sum(axis=1) / np.sqrt(n)
+        r = np.linalg.norm(y - y.mean(axis=1, keepdims=True), axis=1)
+        x = np.column_stack((z, r))
+        a0, a1 = cyl.potential.affine
+        h = abs(a1) / n
+
+        def close(got, ref, scale):
+            # relative to the size of the terms summed, so that a value
+            # near a cancellation is held to the same standard
+            assert np.all(np.abs(got - ref) <= 1e-12 * scale)
+
+        close(meridian.values(x), full.values(y), abs(a0 * z) + h * ((n - 1) * z * z + r * r) / 2)
+        g_full, g_mer = full.grads(y), meridian.grads(x)
+        gn_full, gn_mer = np.linalg.norm(g_full, axis=1), np.linalg.norm(g_mer, axis=1)
+        close(gn_mer, gn_full, gn_full)
+        v_full, v_mer = g_full / gn_full[:, None], g_mer / gn_mer[:, None]
+        close((v_mer * x).sum(axis=1), (v_full * y).sum(axis=1), np.linalg.norm(y, axis=1))
+        tau_full, mu_full = full.moments(y, v_full, 4)
+        tau_mer, mu_mer = meridian.moments(x, v_mer, 4)
+        k = np.arange(1, 5)
+        close(tau_mer, tau_full, h**k * ((n - 1.0) ** k + n - 1))
+        close(mu_mer, mu_full, h**k * (n - 1.0) ** k)
+
+    @pytest.mark.parametrize("name", ["one", "identity"])
+    def test_derivatives_and_law(self, name):
+        meridian = CylFunctional(16, PotentialV.preset(name)).meridian()
+        check_derivatives(meridian, np.random.default_rng(3), n_probes=5)
+        x = meridian.sample(np.random.default_rng(5), 50_000)
+        assert x.shape == (50_000, 2) and np.all(x[:, 1] >= 0)
+        assert stats.kstest(x[:, 0], "norm").pvalue > 1e-3
+        assert stats.kstest(x[:, 1] ** 2, "chi2", args=(15,)).pvalue > 1e-3
+
+    def test_needs_an_affine_potential(self):
+        with pytest.raises(ValueError, match="affine"):
+            CylFunctional(8, PotentialV.preset("sin")).meridian()
+        assert CylFunctional(8, PotentialV.preset("sin")).excursion(0.5).dim == 8
+        assert CylFunctional(8, PotentialV.preset("identity")).excursion(0.5).dim == 2
+
+    @pytest.mark.parametrize("n", [8, 64])
+    @pytest.mark.parametrize("name", ["one", "identity"])
+    def test_estimate_matches_the_rn_estimate(self, name, n):
+        cyl = CylFunctional(n, PotentialV.preset(name))
+        levels = [0.5, 1.0]
+        got, ref = (
+            gmf_surface_mc_levels(func, "excursion", levels, 3, 200_000, eps=0.05, rng=seed)
+            for func, seed in ((cyl.meridian(), 101), (cyl.functional(), 103))
+        )
+        for g, r in zip(got, ref):
+            combined = np.hypot(g.stderr, r.stderr)
+            assert np.all(np.abs(g.values - r.values) <= 4 * combined), (g.values, r.values)
+
+    def test_constant_potential_is_the_halfspace(self):
+        region = CylFunctional(32, PotentialV.preset("one")).excursion(0.8)
+        est = gmf_surface_mc(region, 3, 400_000, eps=0.02, rng=107)
+        target = gmf_halfspace(0.8, 3)
+        assert np.all(np.abs(est.values - target.values) <= 4 * est.stderr)
+
+
 class TestChisqLimit:
     def test_mass_at_zero_level(self):
         g = limit_gmf_chisq(0.0, 2)

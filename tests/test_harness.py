@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -172,15 +173,21 @@ class TestRunGkf:
         )
 
     def test_levels_share_one_sample_set(self, monkeypatch):
-        # F_n is evaluated on the pilot and on the N samples once, not once per level
+        # the sampled functional (F_n's meridian for this affine V) is evaluated
+        # on the pilot and on the N samples once, not once per level
         rows = []
-        value_batch = CylFunctional.value_batch
+        meridian = CylFunctional.meridian
 
-        def counting(self, y):
-            rows.append(y.shape[0])
-            return value_batch(self, y)
+        def counting_meridian(self):
+            func = meridian(self)
 
-        monkeypatch.setattr(CylFunctional, "value_batch", counting)
+            def values(x):
+                rows.append(x.shape[0])
+                return func.values(x)
+
+            return dataclasses.replace(func, values=values)
+
+        monkeypatch.setattr(CylFunctional, "meridian", counting_meridian)
         cfg = ExperimentConfig.from_dict(
             {
                 "experiment": "gkf",
@@ -198,6 +205,26 @@ class TestRunGkf:
         result = run(cfg)
         assert len(result.rows) == 3
         assert sum(rows) == 30_000 + 4096
+
+    def test_affine_worker_count_is_bit_exact(self):
+        # several blocks of the meridian's two-variate draws, on one and two threads
+        data = {
+            "experiment": "gkf",
+            "seed": 19,
+            "space": {"kind": "interval", "length": 10.0, "grid": 200},
+            "cov": {"preset": "cosine", "frequency": 1.0},
+            "potential": "identity",
+            "u_levels": [0.5, 1.0],
+            "n": 16,
+            "J": 2,
+            "N": 100_000,
+            "reps": 100,
+        }
+        one, two = (
+            run(ExperimentConfig.from_dict({**data, "workers": w})).payload() for w in (1, 2)
+        )
+        assert one["rows"] == two["rows"]
+        assert one["counters"] == two["counters"]
 
     def test_crofton_top_index_has_volume_check(self):
         cfg = ExperimentConfig.from_dict(
