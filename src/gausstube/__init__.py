@@ -30,7 +30,6 @@ from .errors import (
     GausstubeError,
     ProjectionError,
     SurfaceDegeneracyError,
-    ValidityRadiusError,
 )
 from .fields import (
     EcEstimate,
@@ -58,12 +57,8 @@ from .gmf import (
 from .harness import ExperimentConfig, RunResult, report, run
 from .malliavin import (
     SmoothFunctional,
-    VectorField,
-    det2_exact,
     det2_series,
-    divergence,
     jacobian_series,
-    ramer_density,
 )
 from .series import (
     DEFAULT_ORDER,
@@ -78,7 +73,6 @@ from .tube import (
     DistanceOracle,
     ValidationReport,
     ball_oracle,
-    dist_to_region,
     halfspace_oracle,
     projection_oracle,
     tube_volume_mc,

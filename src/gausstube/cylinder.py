@@ -19,23 +19,18 @@ level set (``CylFunctional.moments_batch``) needs O(n) work and memory per
 sample for J ≤ 3; only ``hess_batch``, kept as the dense reference, builds
 the O(B·n²) stack.
 
-For an affine V = a₀ + a₁·b, F_n is a quadric.  With S = Σyᵢ, Q = Σyᵢ² and
-h = a₁/n,
+For an affine V = a₀ + a₁·b, F_n is the quadric
 
-    F_n = a₀·S/√n + a₁·(S² − Q)/(2n),   ∇F_n = (a₀/√n + h·S)·1 − h·y,
+    F_n = a₀·S/√n + a₁·(S² − Q)/(2n),   S = Σyᵢ, Q = Σyᵢ²,
 
-and H = h(11ᵀ − I) is constant, with eigenvalue h(n−1) along 1 and −h on
-its complement.  So the value, the gradient and every curvature moment
-cost two row sums, O(n) per sample at any order; the batch oracles take
-this route whenever ``PotentialV.affine`` is set.
-
-Such an F_n is also invariant under the rotations fixing 1, so it is a
-function of z = S/√n and r = ‖y − ȳ·1‖ alone, and z ~ N(0, 1) and
-r ~ χ_{n−1} are independent.  ``CylFunctional.meridian`` is that 2-D
-functional of (z, r) with the ℝⁿ curvature moments; the co-area estimator
-samples it (``CylFunctional.sampled``), drawing two variates per sample at
-any n.  ``CylFunctional.functional`` stays the n-dimensional oracle set,
-the reference the meridian is tested against.
+which is invariant under the rotations fixing 1.  So it is a function of
+z = S/√n and r = ‖y − ȳ·1‖ alone, and z ~ N(0, 1) and r ~ χ_{n−1} are
+independent.  ``CylFunctional.meridian`` is that 2-D functional of (z, r),
+with the ℝⁿ curvature moments in closed form (``_quadric_moments``); the
+co-area estimators sample it (``CylFunctional.sampled``), drawing two
+variates per sample at any n.  ``CylFunctional.functional`` is the Itô-sum
+oracle set above for every V, the independent route the meridian is
+tested against.
 """
 
 from __future__ import annotations
@@ -51,8 +46,8 @@ from ._mc import as_seed_sequence
 from .malliavin import SmoothFunctional
 from .series import DEFAULT_ORDER
 
-#: Default cap on the time-grid size.  For a non-affine V the moment kernel
-#: is O(n) per sample for J ≤ 3 and O(n²·J) above (affine V: O(n) at any J);
+#: Default cap on the time-grid size.  The moment kernel on ℝⁿ is O(n) per
+#: sample for J ≤ 3 and O(n²·J) above (the affine meridian: O(1) at any J);
 #: a dense Hessian stack is O(n²) memory.
 MAX_TIME_GRID = 256
 
@@ -64,8 +59,8 @@ class PotentialV:
     All callables must accept numpy arrays elementwise.  ``growth_bound``
     is the polynomial degree used by the moment diagnostics.  ``coeffs``,
     when set, are V's polynomial coefficients, lowest degree first; field
-    simulation and the F_n oracles use them to evaluate affine potentials
-    in closed form (see :attr:`affine`).
+    simulation and :meth:`CylFunctional.meridian` use them to evaluate
+    affine potentials in closed form (see :attr:`affine`).
     """
 
     value: Callable
@@ -93,8 +88,8 @@ class PotentialV:
     def affine(self) -> Optional[tuple[float, float]]:
         """``(a₀, a₁)`` when V = a₀ + a₁·b (degree ≤ 1 ``coeffs``), else None.
 
-        Field simulation and the F_n oracles take their closed forms exactly
-        when this is set.
+        Field simulation takes its closed form, and the co-area estimators
+        sample :meth:`CylFunctional.meridian`, exactly when this is set.
         """
         if self.coeffs is None or len(self.coeffs) > 2:
             return None
@@ -178,27 +173,12 @@ class CylFunctional:
 
     def value_batch(self, y: np.ndarray) -> np.ndarray:
         y = np.asarray(y, dtype=float)
-        affine = self.potential.affine
-        if affine is not None:
-            a0, a1 = affine
-            s = y.sum(axis=1)
-            out = a0 * s / np.sqrt(self.n)
-            if a1:
-                out += a1 * (s * s - np.einsum("bi,bi->b", y, y)) / (2 * self.n)
-            return out
         vals = self.potential.value(self._prefix_args(y))
         return (vals * y).sum(axis=1) / np.sqrt(self.n)
 
     def grad_batch(self, y: np.ndarray) -> np.ndarray:
         y = np.asarray(y, dtype=float)
         n = self.n
-        affine = self.potential.affine
-        if affine is not None:
-            a0, a1 = affine
-            h = a1 / n
-            out = np.multiply(y, -h)
-            out += (a0 / np.sqrt(n) + h * y.sum(axis=1))[:, None]
-            return out
         args = self._prefix_args(y)
         vals = self.potential.value(args)
         tail = _suffix_excl(self.potential.d1(args) * y)
@@ -231,11 +211,7 @@ class CylFunctional:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Curvature moments τ_m = tr(Hᵐ), μ_k = vᵀHᵏv without forming H.
 
-        For affine V they are :func:`_quadric_moments` with v's squared
-        lengths p²/n along 1 and ‖v‖² − p²/n across it, p = Σvᵢ: O(n) per
-        row at any order.
-
-        Otherwise Hw = a∘cumsum(w) + suffix_excl(a∘w) − d1n∘w costs O(n) per
+        Hw = a∘cumsum(w) + suffix_excl(a∘w) − d1n∘w costs O(n) per
         row, as do τ₁ = Σ tail2 and τ₂ = Σ_M 2M·a_M² + Σ tail2² (0-based M),
         so orders ≤ 2 are O(n·order) per row.  τ_m for m ≥ 3 sums the
         diagonal of Hᵐ column by column: O(n²·m) time per row but O(B·n)
@@ -244,12 +220,6 @@ class CylFunctional:
         y = np.asarray(y, dtype=float)
         v = np.asarray(v, dtype=float)
         nb, n = y.shape
-        affine = self.potential.affine
-        if affine is not None:
-            p2 = v.sum(axis=1) ** 2 / n
-            return _quadric_moments(
-                affine[1] / n, n, p2, np.einsum("bi,bi->b", v, v) - p2, order
-            )
         d1n, tail2 = self._hess_parts(y)
         a = d1n + tail2
 
@@ -283,7 +253,7 @@ class CylFunctional:
         return tau, mu
 
     def functional(self) -> SmoothFunctional:
-        """SmoothFunctional facade of dimension n."""
+        """F_n on ℝⁿ by the Itô-sum oracles, for every V."""
         return SmoothFunctional(
             dim=self.n,
             values=self.value_batch,

@@ -13,10 +13,6 @@ class SurfaceDegeneracyError(GausstubeError, RuntimeError):
     """Too many degenerate points for a surface Monte Carlo run to be trusted."""
 
 
-class ValidityRadiusError(GausstubeError, ValueError):
-    """Tube radius left the region where the change-of-measure density is positive."""
-
-
 class ProjectionError(GausstubeError, RuntimeError):
     """Projection solver failed to reach the requested KKT residual."""
 

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -226,13 +225,12 @@ class SpatialCov:
 
 @dataclass(frozen=True)
 class FieldSample:
-    """One realization of the field on the grid plus its driving paths."""
+    """One realization of the field on the grid."""
 
     space: ParamSpace
     time_n: int
     f_values: np.ndarray  # grid-shaped
     seed: object
-    driving: Optional[np.ndarray] = None  # (time_n + 1, 2K) Brownian paths
 
     def __post_init__(self):
         f = np.asarray(self.f_values, dtype=float)
@@ -271,7 +269,6 @@ def simulate_field(
     potential: PotentialV,
     time_n: int,
     rng=0,
-    keep_driving: bool = True,
 ) -> FieldSample:
     """Draw one field realization f(x) = Σᵢ V(B^x(tᵢ))·(B^x(tᵢ₊₁) − B^x(tᵢ)).
 
@@ -294,10 +291,10 @@ def simulate_field(
     basis = cov.wave_basis(space)  # (G, 2K)
     width = basis.shape[1]
     increments = gen.standard_normal((time_n, width)) / np.sqrt(time_n)
-    paths = np.vstack([np.zeros((1, width)), np.cumsum(increments, axis=0)])
     affine = potential.affine
     if affine is not None:
         a0, a1 = affine
+        paths = np.vstack([np.zeros((1, width)), np.cumsum(increments, axis=0)])
         f = basis @ (a0 * paths[-1])
         if a1:
             m = paths[:-1].T @ increments  # Σᵢ cᵢdᵢᵀ
@@ -309,14 +306,12 @@ def simulate_field(
             db = basis @ increments[i]
             f += potential.value(b) * db
             b += db
-    driving = paths if keep_driving else None
     seed = root.entropy if root.spawn_key == () else (root.entropy, root.spawn_key)
     return FieldSample(
         space=space,
         time_n=time_n,
         f_values=f.reshape(space.grid_shape),
         seed=seed,
-        driving=driving,
     )
 
 
@@ -394,7 +389,7 @@ def ec_mc_levels(
     children = root.spawn(reps)
 
     def one_rep(i: int) -> np.ndarray:
-        sample = simulate_field(space, cov, potential, time_n, rng=children[i], keep_driving=False)
+        sample = simulate_field(space, cov, potential, time_n, rng=children[i])
         return np.array([euler_char(sample, u) for u in u_levels], dtype=float)
 
     chi = np.stack(run_blocks(one_rep, reps, workers))
@@ -424,7 +419,7 @@ def excursion_volume_mc(
     top = lkc(space, cov)[-1]
 
     def one_rep(i: int) -> float:
-        sample = simulate_field(space, cov, potential, time_n, rng=children[i], keep_driving=False)
+        sample = simulate_field(space, cov, potential, time_n, rng=children[i])
         return float(np.mean(sample.f_values >= u))
 
     fractions = np.array(run_blocks(one_rep, reps, workers))

@@ -46,16 +46,6 @@ def norm(dim: int) -> SmoothFunctional:
     return SmoothFunctional(dim=dim, values=values, grads=grads, hessians=hessians)
 
 
-def half_norm_squared(dim: int) -> SmoothFunctional:
-    """F(x) = ‖x‖²/2; convex with gradient x and Hessian I."""
-    return SmoothFunctional(
-        dim=dim,
-        values=lambda x: 0.5 * np.einsum("bi,bi->b", x, x),
-        grads=lambda x: x.copy(),
-        hessians=lambda x: np.broadcast_to(np.eye(dim), (x.shape[0], dim, dim)).copy(),
-    )
-
-
 def quadratic(a: np.ndarray, b: np.ndarray | None = None, c: float = 0.0) -> SmoothFunctional:
     """F(x) = ½ xᵀA x + bᵀx + c for symmetric A."""
     a = np.asarray(a, dtype=float)

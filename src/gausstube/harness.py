@@ -69,11 +69,18 @@ def _non_empty_list_of(test: Callable) -> Callable:
 _INT_KEYS = ("seed", "workers", "J", "N", "n", "reps")
 # The other checked keys, each with its test and what the test asks for.
 _VALUE_KEYS = {
+    "J": (lambda v: _is_int(v) and v >= 0, "a non-negative integer"),
     "eps": (lambda v: v is None or (_is_number(v) and v > 0), "a positive number"),
     "u": (_is_number, "a number"),
     "u_levels": (_non_empty_list_of(_is_number), "a non-empty list of numbers"),
-    "rho_grid": (_non_empty_list_of(_is_number), "a non-empty list of numbers"),
-    "n_grid": (_non_empty_list_of(_is_int), "a non-empty list of integers"),
+    "rho_grid": (
+        _non_empty_list_of(lambda v: _is_number(v) and v >= 0),
+        "a non-empty list of non-negative numbers",
+    ),
+    "n_grid": (
+        lambda v: _non_empty_list_of(_is_int)(v) and all(a < b for a, b in zip(v, v[1:])),
+        "a non-empty, strictly increasing list of integers",
+    ),
 }
 
 

@@ -1,24 +1,20 @@
-"""Finite-dimensional Gaussian calculus: divergence, det₂, Jacobian series, Ramer densities.
+"""Finite-dimensional Gaussian calculus: smooth functionals, det₂ and the Jacobian series.
 
-Everything here lives on ℝᵏ with the canonical Gaussian measure.  The
-divergence is the Gaussian one,
+Everything here lives on ℝᵏ with the canonical Gaussian measure.  A region's
+outward unit normal η shifts x ↦ x + ρη(x), and the change of variables of
+that shift has the density
 
-    δ(V)(x) = Σᵢ Vᵢ(x)·xᵢ − Σᵢ ∂Vᵢ/∂xᵢ(x),
+    Y_ρ^η(x) = det₂(I + ρ∇η(x)) · exp(−ρ·δ(η)(x) − ρ²‖η(x)‖²/2),
 
-i.e. minus the Riemannian divergence under the Gaussian weight, so that
-δ(eᵢ) has law N(0,1).  The Carleman–Fredholm determinant
-
-    det₂(I + ρA) = Π (1 + ρλᵢ) e^{−ρλᵢ}
-
-enters the change-of-variables density for the shift x ↦ x + ρη(x):
-
-    Y_ρ^η(x) = det₂(I + ρ∇η(x)) · exp(−ρ·δ(η)(x) − ρ²‖η(x)‖²/2).
-
-Two independent evaluation routes are kept: an exact one,
-det(I+ρA)·exp(−ρ·tr A), for point values, and an eigenvalue-free power
-series exp(Σ_{m≥2} (−1)^{m+1} tr(Aᵐ) ρᵐ/m) for coefficient extraction.
-All functions are pure; the supplied oracles must be stateless so Monte
-Carlo loops can evaluate them concurrently.
+with the Gaussian divergence δ(η)(x) = Σᵢ ηᵢ(x)·xᵢ − Σᵢ ∂ηᵢ/∂xᵢ(x) and the
+Carleman–Fredholm determinant det₂(I + ρA) = Π (1 + ρλᵢ) e^{−ρλᵢ}.  Its
+Taylor coefficients in ρ, integrated against the Gaussian surface measure
+of the region's boundary, give the Gaussian Minkowski functionals.  They
+are computed without eigenvalues, from the curvature moments
+τ_m = tr(Hᵐ) and μ_k = vᵀHᵏv of the Hessian H of the defining functional
+and its unit gradient v (``jacobian_coeffs``).  All functions are pure;
+the supplied oracles must be stateless so Monte Carlo loops can evaluate
+them concurrently.
 """
 
 from __future__ import annotations
@@ -28,7 +24,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DegeneratePointError, ValidityRadiusError
+from .errors import DegeneratePointError
 from .series import DEFAULT_ORDER, TruncSeries, exp_series
 
 #: Gradient norms below this are treated as numerically degenerate points.
@@ -91,36 +87,6 @@ class SmoothFunctional:
         return hessian_moments(self.hessians(x), v, order)
 
 
-@dataclass(frozen=True)
-class VectorField:
-    """A vector field on ℝᵏ with a Jacobian oracle.
-
-    ``jacobian(x)[i, j]`` is ∂Vᵢ/∂xⱼ(x).
-    """
-
-    dim: int
-    value: Callable[[np.ndarray], np.ndarray]
-    jacobian: Callable[[np.ndarray], np.ndarray]
-
-    @classmethod
-    def constant(cls, h: np.ndarray) -> "VectorField":
-        h = np.asarray(h, dtype=float)
-        k = h.shape[0]
-        return cls(dim=k, value=lambda x: h, jacobian=lambda x: np.zeros((k, k)))
-
-    @classmethod
-    def linear(cls, a: np.ndarray) -> "VectorField":
-        """x ↦ A x."""
-        a = np.asarray(a, dtype=float)
-        return cls(dim=a.shape[0], value=lambda x: a @ x, jacobian=lambda x: a)
-
-
-def divergence(v: VectorField, x: np.ndarray) -> float:
-    """Gaussian divergence δ(V)(x) = ⟨V(x), x⟩ − tr ∇V(x)."""
-    x = np.asarray(x, dtype=float)
-    return float(np.dot(v.value(x), x) - np.trace(v.jacobian(x)))
-
-
 def det2_series(a: np.ndarray, order: int = DEFAULT_ORDER) -> TruncSeries:
     """Coefficients of ρ ↦ det₂(I + ρA) = Π(1+ρλᵢ)e^{−ρλᵢ}.
 
@@ -138,46 +104,6 @@ def det2_series(a: np.ndarray, order: int = DEFAULT_ORDER) -> TruncSeries:
     expo = np.zeros((1, order + 1))
     expo[:, 2:] = (-1.0) ** (m + 1) * tau[:, 1:] / m
     return TruncSeries(order, exp_series(expo)[0])
-
-
-def det2_exact(a: np.ndarray) -> float:
-    """det₂(I + A) evaluated exactly as det(I + A)·exp(−tr A)."""
-    a = np.asarray(a, dtype=float)
-    k = a.shape[0]
-    return float(np.linalg.det(np.eye(k) + a) * np.exp(-np.trace(a)))
-
-
-def ramer_density(
-    eta: VectorField, rho: float, x: np.ndarray, check_positive: bool = True
-) -> float:
-    """Change-of-variables density Y_ρ^η(x) for the shift x ↦ x + ρη(x).
-
-    Evaluates det₂ by the exact determinant route.  For small ρ the det₂
-    factor is positive and no modulus is applied; a non-positive factor
-    means ρ left the validity radius of the expansion and raises
-    :class:`ValidityRadiusError` so the caller can discard the sample.
-
-    The ρ = 0 density is exactly 1.  For a constant field η ≡ h the density
-    reduces to the Cameron–Martin factor exp(−ρ⟨h,x⟩ − ρ²‖h‖²/2), and the
-    corresponding shift identity reads E[g(x − ρh)] = E[g(x)·Y_ρ^h(x)].
-    """
-    x = np.asarray(x, dtype=float)
-    e = np.asarray(eta.value(x), dtype=float)
-    jac = np.asarray(eta.jacobian(x), dtype=float)
-    k = e.shape[0]
-    det_factor = float(np.linalg.det(np.eye(k) + rho * jac))
-    if check_positive and det_factor <= 0.0:
-        raise ValidityRadiusError(
-            f"det(I + rho*grad eta) = {det_factor:.3e} <= 0 at rho={rho}; "
-            "sample lies outside the validity radius"
-        )
-    delta = float(np.dot(e, x) - np.trace(jac))
-    log_y = (
-        -rho * np.trace(jac)  # turns det into det2
-        - rho * delta
-        - 0.5 * rho**2 * float(np.dot(e, e))
-    )
-    return det_factor * float(np.exp(log_y))
 
 
 def jacobian_series(

@@ -213,18 +213,6 @@ def distances(oracle: DistanceOracle, x: np.ndarray) -> tuple[np.ndarray, int]:
     return out, int(np.count_nonzero(np.isnan(out[exterior])))
 
 
-def dist_to_region(oracle: DistanceOracle, x: np.ndarray) -> float:
-    """Euclidean distance from a single point: :func:`distances` on one row."""
-    d, failures = distances(oracle, np.asarray(x, dtype=float)[None, :])
-    if failures:
-        raise ProjectionError(
-            f"projection failed to reach KKT residual {oracle.tol:.1e} "
-            f"within {oracle.maxiter} iterations",
-            math.nan,
-        )
-    return float(d[0])
-
-
 def tube_volume_mc(
     oracle: DistanceOracle,
     rho: float,

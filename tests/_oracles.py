@@ -4,13 +4,16 @@ import json
 import math
 import struct
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from gausstube.errors import DegeneratePointError, ProjectionError
+from gausstube._mc import as_seed_sequence
+from gausstube.errors import DegeneratePointError, GausstubeError, ProjectionError
 from gausstube.fields import FieldSample, ParamSpace
-from gausstube.malliavin import DEFAULT_GRAD_FLOOR, SmoothFunctional, VectorField
+from gausstube.malliavin import DEFAULT_GRAD_FLOOR, SmoothFunctional
 from gausstube.series import TruncSeries, hermite, series_exp
+from gausstube.tube import distances
 
 
 def eigen_product_series(lams, order):
@@ -45,15 +48,20 @@ def lambda2_fd(cov, step=1e-4):
     return out
 
 
+def _wave_increments(space, cov, time_n, seed):
+    """The wave basis and the (time_n, 2K) increments ``simulate_field`` draws from ``seed``."""
+    basis = cov.wave_basis(space)
+    gen = np.random.default_rng(as_seed_sequence(seed))
+    return basis, gen.standard_normal((time_n, basis.shape[1])) / np.sqrt(time_n)
+
+
 def ito_loop_field(space, cov, potential, time_n, seed):
     """Flat field values of ``simulate_field`` by the left-point time loop.
 
     Draws the increments from ``seed`` exactly as ``simulate_field`` does and
     sums V(b)·db one time step at a time, whatever V is.
     """
-    basis = cov.wave_basis(space)
-    gen = np.random.default_rng(np.random.SeedSequence(seed))
-    increments = gen.standard_normal((time_n, basis.shape[1])) / np.sqrt(time_n)
+    basis, increments = _wave_increments(space, cov, time_n, seed)
     b = np.zeros(basis.shape[0])
     f = np.zeros(basis.shape[0])
     for i in range(time_n):
@@ -61,6 +69,15 @@ def ito_loop_field(space, cov, potential, time_n, seed):
         f += potential.value(b) * db
         b += db
     return f
+
+
+def driving_paths(space, cov, time_n, seed):
+    """The (time_n + 1, 2K) Brownian wave paths behind ``simulate_field(..., rng=seed)``.
+
+    B^x(i/time_n) is row i times the wave-basis row of x.
+    """
+    _, increments = _wave_increments(space, cov, time_n, seed)
+    return np.vstack([np.zeros((1, increments.shape[1])), np.cumsum(increments, axis=0)])
 
 
 def series_mul(a: TruncSeries, b: TruncSeries) -> TruncSeries:
@@ -72,6 +89,83 @@ def series_mul(a: TruncSeries, b: TruncSeries) -> TruncSeries:
         )
     full = np.convolve(a.coeffs, b.coeffs)
     return TruncSeries(a.order, full[: a.order + 1])
+
+
+def half_norm_squared(dim: int) -> SmoothFunctional:
+    """F(x) = ‖x‖²/2; convex with gradient x and Hessian I."""
+    return SmoothFunctional(
+        dim=dim,
+        values=lambda x: 0.5 * np.einsum("bi,bi->b", x, x),
+        grads=lambda x: x.copy(),
+        hessians=lambda x: np.broadcast_to(np.eye(dim), (x.shape[0], dim, dim)).copy(),
+    )
+
+
+@dataclass(frozen=True)
+class VectorField:
+    """A vector field on ℝᵏ with a Jacobian oracle.
+
+    ``jacobian(x)[i, j]`` is ∂Vᵢ/∂xⱼ(x).
+    """
+
+    dim: int
+    value: Callable[[np.ndarray], np.ndarray]
+    jacobian: Callable[[np.ndarray], np.ndarray]
+
+    @classmethod
+    def constant(cls, h: np.ndarray) -> "VectorField":
+        h = np.asarray(h, dtype=float)
+        k = h.shape[0]
+        return cls(dim=k, value=lambda x: h, jacobian=lambda x: np.zeros((k, k)))
+
+    @classmethod
+    def linear(cls, a: np.ndarray) -> "VectorField":
+        """x ↦ A x."""
+        a = np.asarray(a, dtype=float)
+        return cls(dim=a.shape[0], value=lambda x: a @ x, jacobian=lambda x: a)
+
+
+def divergence(v: VectorField, x: np.ndarray) -> float:
+    """Gaussian divergence δ(V)(x) = ⟨V(x), x⟩ − tr ∇V(x)."""
+    x = np.asarray(x, dtype=float)
+    return float(np.dot(v.value(x), x) - np.trace(v.jacobian(x)))
+
+
+class ValidityRadiusError(GausstubeError, ValueError):
+    """Tube radius left the region where the change-of-measure density is positive."""
+
+
+def ramer_density(
+    eta: VectorField, rho: float, x: np.ndarray, check_positive: bool = True
+) -> float:
+    """Change-of-variables density Y_ρ^η(x) for the shift x ↦ x + ρη(x).
+
+    Evaluates det₂ by the exact determinant route, independent of the
+    library's trace-power series.  For small ρ the det₂ factor is positive
+    and no modulus is applied; a non-positive factor means ρ left the
+    validity radius of the expansion and raises :class:`ValidityRadiusError`.
+
+    The ρ = 0 density is exactly 1.  For a constant field η ≡ h the density
+    reduces to the Cameron–Martin factor exp(−ρ⟨h,x⟩ − ρ²‖h‖²/2), and the
+    corresponding shift identity reads E[g(x − ρh)] = E[g(x)·Y_ρ^h(x)].
+    """
+    x = np.asarray(x, dtype=float)
+    e = np.asarray(eta.value(x), dtype=float)
+    jac = np.asarray(eta.jacobian(x), dtype=float)
+    k = e.shape[0]
+    det_factor = float(np.linalg.det(np.eye(k) + rho * jac))
+    if check_positive and det_factor <= 0.0:
+        raise ValidityRadiusError(
+            f"det(I + rho*grad eta) = {det_factor:.3e} <= 0 at rho={rho}; "
+            "sample lies outside the validity radius"
+        )
+    delta = float(np.dot(e, x) - np.trace(jac))
+    log_y = (
+        -rho * np.trace(jac)  # turns det into det2
+        - rho * delta
+        - 0.5 * rho**2 * float(np.dot(e, e))
+    )
+    return det_factor * float(np.exp(log_y))
 
 
 def unit_normal(
@@ -279,6 +373,18 @@ def project_distance(oracle, x):
         f"projection did not reach KKT residual {tol:.1e} in {oracle.maxiter} iterations",
         res,
     )
+
+
+def dist_to_region(oracle, x):
+    """Euclidean distance from a single point: ``gausstube.tube.distances`` on one row."""
+    d, failures = distances(oracle, np.asarray(x, dtype=float)[None, :])
+    if failures:
+        raise ProjectionError(
+            f"projection failed to reach KKT residual {oracle.tol:.1e} "
+            f"within {oracle.maxiter} iterations",
+            math.nan,
+        )
+    return float(d[0])
 
 
 def reference_distances(oracle, x):

@@ -160,6 +160,13 @@ class TestCli:
             ("tube", {"rho_grid": [0.1, "x"]}),
             ("tube", {"rho_grid": []}),
             ("converge", {"n_grid": [8.0]}),
+            # negative orders, grids out of order, negative radii
+            ("converge", {"J": -1}),
+            ("tube", {"J": -1}),
+            ("gmf", {"J": -2}),
+            ("converge", {"n_grid": [8, 4]}),
+            ("converge", {"n_grid": [8, 8]}),
+            ("tube", {"rho_grid": [0.1, -0.2]}),
             # nested integers given as floats or booleans
             ("gkf", {"space": {"kind": "interval", "length": 10.0, "grid": 200.7}}),
             ("gmf", {"region": {"kind": "ball", "radius": 1.0, "dim": 2.0}}),

@@ -24,7 +24,7 @@ from gausstube.fields import (
 from gausstube.gmf import gmf_surface_mc
 from gausstube.series import gaussian_pdf, gaussian_tail
 
-from _oracles import ito_loop_field, lambda2_fd, load_field, save_field
+from _oracles import driving_paths, ito_loop_field, lambda2_fd, load_field, save_field
 
 ONE = PotentialV.preset("one")
 IDENTITY = PotentialV.preset("identity")
@@ -102,14 +102,13 @@ class TestSimulateField:
         a = simulate_field(space, cov, IDENTITY, 16, rng=11)
         b = simulate_field(space, cov, IDENTITY, 16, rng=11)
         assert np.array_equal(a.f_values, b.f_values)
-        assert np.array_equal(a.driving, b.driving)
 
     def test_constant_potential_gives_time_one_marginal(self):
         # V = 1 telescopes: f(x) = B^x(1) = W(1)·e(x) exactly
         space = ParamSpace.interval(5.0, 32)
         cov = SpatialCov.cosine(1.0)
         s = simulate_field(space, cov, ONE, 8, rng=13)
-        w1 = s.driving[-1]
+        w1 = driving_paths(space, cov, 8, 13)[-1]
         basis = cov.basis(space.points())
         assert np.allclose(s.f_values, basis @ w1, atol=1e-12)
 
@@ -120,7 +119,7 @@ class TestSimulateField:
         reps = 10_000
         vals = np.empty((reps, 40))
         for i in range(reps):
-            vals[i] = simulate_field(space, cov, ONE, 4, rng=(17, i), keep_driving=False).f_values
+            vals[i] = simulate_field(space, cov, ONE, 4, rng=(17, i)).f_values
         rng = np.random.default_rng(19)
         pts = space.points()
         for _ in range(10):
@@ -131,16 +130,16 @@ class TestSimulateField:
             assert abs(products.mean() - target) <= 4 * se
 
     def test_time_consistency(self):
-        # Var(B^x(t)) = t at interior times, via the stored driving paths
+        # Var(B^x(t)) = t at interior times, via the paths simulate_field draws
         space = ParamSpace.interval(4.0, 64)
         cov = SpatialCov.cosine(1.0)
         reps = 4000
         x_basis = cov.basis(space.points()[3:4])[0]
         samples = {0.25: [], 0.5: [], 1.0: []}
         for i in range(reps):
-            s = simulate_field(space, cov, ONE, 8, rng=(23, i))
+            paths = driving_paths(space, cov, 8, (23, i))
             for t, idx in ((0.25, 2), (0.5, 4), (1.0, 8)):
-                samples[t].append(float(s.driving[idx] @ x_basis))
+                samples[t].append(float(paths[idx] @ x_basis))
         for t, draw in samples.items():
             var = np.var(draw)
             se = t * np.sqrt(2.0 / reps)
@@ -233,14 +232,12 @@ class TestAffineClosedForm:
         loop = simulate_field(space, cov, dataclasses.replace(potential, coeffs=None), 16, rng=101)
         scale = np.max(np.abs(loop.f_values))
         assert np.max(np.abs(closed.f_values - loop.f_values)) <= 1e-12 * scale
-        assert np.array_equal(closed.driving, loop.driving)
 
     @pytest.mark.parametrize("potential", [ONE, IDENTITY], ids=["one", "identity"])
     def test_torus_workload_never_evaluates_v(self, potential):
         space = ParamSpace.torus(2 * np.pi, 2 * np.pi, 400)
         cov = SpatialCov.torus_pair(2.0)
-        closed = simulate_field(space, cov, _no_value(potential), 16, rng=103, keep_driving=False)
-        assert closed.driving is None
+        closed = simulate_field(space, cov, _no_value(potential), 16, rng=103)
         loop = ito_loop_field(space, cov, potential, 16, 103)
         scale = np.max(np.abs(loop))
         assert np.max(np.abs(closed.f_values.ravel() - loop)) <= 1e-12 * scale
@@ -253,7 +250,6 @@ class TestAffineClosedForm:
         loop = simulate_field(space, cov, dataclasses.replace(IDENTITY, coeffs=None), 64, rng=107)
         scale = np.max(np.abs(loop.f_values))
         assert np.max(np.abs(closed.f_values - loop.f_values)) <= 1e-12 * scale
-        assert np.array_equal(closed.driving, loop.driving)
 
     @pytest.mark.parametrize("name", ["sin", "cubic"])
     @pytest.mark.parametrize("space,cov", AFFINE_CASES, ids=["interval", "circle", "torus"])
@@ -496,7 +492,7 @@ class TestCroftonBoundaryLength:
         root = np.random.SeedSequence(20_240_777)
         lengths = np.empty(reps)
         for i, child in enumerate(root.spawn(reps)):
-            sample = simulate_field(space, cov, ONE, 4, rng=child, keep_driving=False)
+            sample = simulate_field(space, cov, ONE, 4, rng=child)
             above = sample.f_values >= u
             crossings = int(np.count_nonzero(above != np.roll(above, -1, axis=0)))
             crossings += int(np.count_nonzero(above != np.roll(above, -1, axis=1)))

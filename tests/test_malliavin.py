@@ -4,27 +4,28 @@ import numpy as np
 import pytest
 
 from gausstube.cylinder import CylFunctional, PotentialV
-from gausstube.errors import DegeneratePointError, ValidityRadiusError
-from gausstube.functionals import coordinate, half_norm_squared, norm, quadratic
+from gausstube.errors import DegeneratePointError
+from gausstube.functionals import coordinate, norm, quadratic
 from gausstube.malliavin import (
     SmoothFunctional,
-    VectorField,
-    det2_exact,
     det2_series,
-    divergence,
     jacobian_coeffs,
     jacobian_coeffs_batch,
     jacobian_series,
-    ramer_density,
 )
 from gausstube.series import TruncSeries, hermite, series_exp
 
 
 from _oracles import (
+    ValidityRadiusError,
+    VectorField,
     check_derivatives,
     check_jacobian,
+    divergence,
     eigen_product_series,
+    half_norm_squared,
     normal_field,
+    ramer_density,
     reference_jacobian_series,
     unit_normal,
 )

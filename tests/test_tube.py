@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
-from _oracles import reference_distances
+from _oracles import dist_to_region, half_norm_squared, reference_distances
 from gausstube.errors import ProjectionError
-from gausstube.functionals import half_norm_squared, norm, quadratic
+from gausstube.functionals import norm, quadratic
 from gausstube.gmf import RegionSpec, gmf_halfspace, gmf_two_sided
 from gausstube.series import gaussian_tail
 from gausstube.tube import (
     ball_oracle,
-    dist_to_region,
     distances,
     halfspace_oracle,
     projection_oracle,
