@@ -33,11 +33,9 @@ def as_seed_sequence(seed) -> np.random.SeedSequence:
     raise TypeError(f"cannot interpret {type(seed).__name__} as a seed")
 
 
-def block_sizes(n_total: int, block: int = BLOCK_SIZE) -> list[int]:
-    sizes = [block] * (n_total // block)
-    if n_total % block:
-        sizes.append(n_total % block)
-    return sizes
+def block_sizes(n_total: int) -> list[int]:
+    full, rest = divmod(n_total, BLOCK_SIZE)
+    return [BLOCK_SIZE] * full + ([rest] if rest else [])
 
 
 def run_blocks(fn: Callable[[int], object], n_blocks: int, workers: int = 1) -> list:

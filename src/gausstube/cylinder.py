@@ -51,16 +51,20 @@ from .series import DEFAULT_ORDER
 #: a dense Hessian stack is O(n²) memory.
 MAX_TIME_GRID = 256
 
+#: Time-grid size and moment order of :func:`derivative_sup_moments`.
+SUP_MOMENT_TIME_N = 32
+SUP_MOMENT_P = 8
+
 
 @dataclass(frozen=True)
 class PotentialV:
     """An integrand V: ℝ → ℝ with derivatives up to fourth order.
 
-    All callables must accept numpy arrays elementwise.  ``growth_bound``
-    is the polynomial degree used by the moment diagnostics.  ``coeffs``,
-    when set, are V's polynomial coefficients, lowest degree first; field
+    All callables must accept numpy arrays elementwise.  ``coeffs``, when
+    set, are V's polynomial coefficients, lowest degree first; field
     simulation and :meth:`CylFunctional.meridian` use them to evaluate
-    affine potentials in closed form (see :attr:`affine`).
+    affine potentials in closed form (see :attr:`affine`), and
+    :func:`~gausstube.fields.validate_assumptions` checks them against V.
     """
 
     value: Callable
@@ -68,7 +72,6 @@ class PotentialV:
     d2: Callable
     d3: Callable
     d4: Callable
-    growth_bound: int
     name: Optional[str] = None
     coeffs: Optional[tuple[float, ...]] = None
 
@@ -103,11 +106,11 @@ def _const(c: float) -> Callable:
 
 _PRESETS = {
     "one": PotentialV(
-        _const(1.0), _const(0.0), _const(0.0), _const(0.0), _const(0.0), 0, "one", (1.0,)
+        _const(1.0), _const(0.0), _const(0.0), _const(0.0), _const(0.0), "one", (1.0,)
     ),
     "identity": PotentialV(
         lambda b: np.asarray(b, dtype=float),
-        _const(1.0), _const(0.0), _const(0.0), _const(0.0), 1, "identity", (0.0, 1.0),
+        _const(1.0), _const(0.0), _const(0.0), _const(0.0), "identity", (0.0, 1.0),
     ),
     "sin": PotentialV(
         np.sin,
@@ -115,7 +118,6 @@ _PRESETS = {
         lambda b: -np.sin(b),
         lambda b: -np.cos(b),
         np.sin,
-        0,
         "sin",
     ),
     "cubic": PotentialV(
@@ -124,7 +126,6 @@ _PRESETS = {
         lambda b: 6.0 * np.asarray(b, dtype=float),
         _const(6.0),
         _const(0.0),
-        3,
         "cubic",
         (0.0, 0.0, 0.0, 1.0),
     ),
@@ -276,8 +277,8 @@ class CylFunctional:
         which are the value, the gradient's components along 1/√n and
         across it, and so the norm ‖∇F_n‖ and η·y of the point of ℝⁿ.
         ``moments_batch`` returns the moments of the Hessian of F_n on ℝⁿ,
-        n−2 rotational directions included; ``hessians`` is the 2-D profile
-        Hessian diag(h(n−1), −h) and is not where the moments come from.
+        n−2 rotational directions included.  The functional has no
+        ``hessians``: no 2-D Hessian gives those moments.
         """
         affine = self.potential.affine
         if affine is None:
@@ -287,7 +288,6 @@ class CylFunctional:
         a0, a1 = affine
         n = self.n
         h = a1 / n
-        profile = np.diag([h * (n - 1), -h])
 
         def draw(gen, size):
             z = gen.standard_normal(size)
@@ -300,13 +300,10 @@ class CylFunctional:
         def grads(x):
             return np.column_stack((a0 + h * (n - 1) * x[:, 0], -h * x[:, 1]))
 
-        def hessians(x):
-            return np.broadcast_to(profile, (x.shape[0], 2, 2)).copy()
-
         def moments_batch(x, v, order):
             return _quadric_moments(h, n, v[:, 0] ** 2, v[:, 1] ** 2, order)
 
-        return SmoothFunctional(2, values, grads, hessians, moments_batch, draw)
+        return SmoothFunctional(2, values, grads, moments_batch=moments_batch, draw=draw)
 
     def sampled(self) -> SmoothFunctional:
         """The functional the co-area estimators sample: :meth:`meridian` for
@@ -415,24 +412,19 @@ def convergence_study(
     return ConvergenceReport(u=u, n_grid=n_grid, estimates=tuple(estimates), target=target)
 
 
-def derivative_sup_moments(
-    potential: PotentialV,
-    time_n: int,
-    n_paths: int,
-    p: int = 8,
-    rng=0,
-) -> np.ndarray:
-    """Empirical p-th moments of sup_t |V⁽ᵏ⁾(B_t)|, k = 0..4.
+def derivative_sup_moments(potential: PotentialV, n_paths: int, rng=0) -> np.ndarray:
+    """Empirical p-th moments of sup_t |V⁽ᵏ⁾(B_t)|, k = 0..4, p = ``SUP_MOMENT_P``.
 
     Smoke check that the potential's derivatives have finite moments along
-    Brownian paths (they do whenever V has polynomial growth); returns the
-    p-th root of the k-indexed moment estimates.
+    ``n_paths`` Brownian paths on a ``SUP_MOMENT_TIME_N``-point grid (they
+    do whenever V has polynomial growth); returns the p-th root of the
+    k-indexed moment estimates.
     """
     gen = np.random.default_rng(as_seed_sequence(rng))
-    increments = gen.standard_normal((n_paths, time_n)) / np.sqrt(time_n)
+    increments = gen.standard_normal((n_paths, SUP_MOMENT_TIME_N)) / np.sqrt(SUP_MOMENT_TIME_N)
     b = np.cumsum(increments, axis=1)
     out = np.empty(5)
     for k in range(5):
         sup = np.max(np.abs(potential.derivative(k)(b)), axis=1)
-        out[k] = float(np.mean(sup**p)) ** (1.0 / p)
+        out[k] = float(np.mean(sup**SUP_MOMENT_P)) ** (1.0 / SUP_MOMENT_P)
     return out

@@ -31,7 +31,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._mc import as_seed_sequence, run_blocks
-from .cylinder import PotentialV
+from .cylinder import PotentialV, derivative_sup_moments
+
+#: Relative error allowed between V's derivatives and their finite differences.
+DERIVATIVE_REL_TOL = 1e-5
+
+#: Random point pairs at which :func:`validate_assumptions` checks the Lipschitz bounds.
+LIPSCHITZ_PAIRS = 64
 
 
 @dataclass(frozen=True)
@@ -125,6 +131,8 @@ class SpatialCov:
         w = np.asarray(self.weights, dtype=float)
         if freq.shape[0] != w.shape[0]:
             raise ValueError("frequencies and weights must have matching length")
+        if not (np.all(np.isfinite(freq)) and np.all(np.isfinite(w))):
+            raise ValueError("frequencies and weights must be finite")
         if abs(float(np.sum(w**2)) - 1.0) > 1e-12:
             raise ValueError("weights must satisfy sum of squares = 1 (unit variance)")
         mom = np.einsum("k,ki,kj->ij", w**2, freq, freq)
@@ -170,6 +178,8 @@ class SpatialCov:
         truncation error.  ``lambda2`` of the returned object is the realized
         second moment of the draw (exact for the realized field).
         """
+        if lambda2 < 0:
+            raise ValueError(f"lambda2 must be >= 0, got {lambda2}")
         gen = np.random.default_rng(as_seed_sequence(rng))
         freq = gen.standard_normal((n_waves, 1)) * np.sqrt(lambda2)
         return cls("squared-exponential", freq, np.full(n_waves, n_waves**-0.5))
@@ -461,7 +471,7 @@ def kinematic_weights(index: int, space: ParamSpace, cov: SpatialCov, order: int
     return weights
 
 
-def check_potential_derivatives(potential: PotentialV, rel_tol: float = 1e-5) -> None:
+def check_potential_derivatives(potential: PotentialV) -> None:
     """Finite-difference consistency of V', …, V'''' on [−6, 6] (C⁴ check).
 
     Polynomial coefficients, when set, must reproduce V on the same grid.
@@ -471,7 +481,7 @@ def check_potential_derivatives(potential: PotentialV, rel_tol: float = 1e-5) ->
         values = potential.value(grid)
         poly = np.polynomial.polynomial.polyval(grid, potential.coeffs)
         err = float(np.max(np.abs(poly - values)))
-        if err > rel_tol * max(1.0, float(np.max(np.abs(values)))):
+        if err > DERIVATIVE_REL_TOL * max(1.0, float(np.max(np.abs(values)))):
             raise AssertionError(
                 f"potential coefficients {potential.coeffs} do not reproduce its value: "
                 f"max error {err:.3e}"
@@ -483,19 +493,14 @@ def check_potential_derivatives(potential: PotentialV, rel_tol: float = 1e-5) ->
         fd = (fk(grid + step) - fk(grid - step)) / (2.0 * step)
         scale = max(1.0, float(np.max(np.abs(fk1(grid)))))
         err = float(np.max(np.abs(fd - fk1(grid))))
-        if err > rel_tol * scale:
+        if err > DERIVATIVE_REL_TOL * scale:
             raise AssertionError(
                 f"derivative order {k + 1} of potential fails finite differences: "
                 f"max error {err:.3e} (scale {scale:.3e})"
             )
 
 
-def validate_assumptions(
-    cov: SpatialCov,
-    potential: PotentialV,
-    rng=0,
-    pairs: int = 64,
-) -> None:
+def validate_assumptions(cov: SpatialCov, potential: PotentialV, rng=0) -> None:
     """Runtime validation of the regularity assumptions behind the formula.
 
     Checks, raising AssertionError on failure:
@@ -506,17 +511,14 @@ def validate_assumptions(
         spectral moment (so the same holds for ∇B and ∇²B).
     """
     check_potential_derivatives(potential)
-
-    from .cylinder import derivative_sup_moments
-
-    moments = derivative_sup_moments(potential, time_n=32, n_paths=512, p=8, rng=rng)
+    moments = derivative_sup_moments(potential, n_paths=512, rng=rng)
     if not np.all(np.isfinite(moments)):
         raise AssertionError(f"potential sup-moments are not finite: {moments!r}")
 
     gen = np.random.default_rng(as_seed_sequence(rng))
     d = cov.dim
-    x = gen.uniform(-2.0, 2.0, size=(pairs, d))
-    y = gen.uniform(-2.0, 2.0, size=(pairs, d))
+    x = gen.uniform(-2.0, 2.0, size=(LIPSCHITZ_PAIRS, d))
+    y = gen.uniform(-2.0, 2.0, size=(LIPSCHITZ_PAIRS, d))
     gap2 = np.sum((x - y) ** 2, axis=1)
     incr = 2.0 * (1.0 - np.asarray(cov.C(x, y)))
     if np.any(incr > cov.lambda2 * gap2 * (1.0 + 1e-9) + 1e-12):

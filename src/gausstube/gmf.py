@@ -38,6 +38,9 @@ from .series import DEFAULT_ORDER, gaussian_pdf, gaussian_tail, hermite_all
 #: Fewest samples :func:`gmf_surface_mc_levels` accepts (10^4).
 MIN_SURFACE_SAMPLES = 10_000
 
+#: Half-width of the kernel window in bandwidths: κ_ε is 0 where |F − u| > 8ε.
+KERNEL_CUT = 8.0
+
 _SUB_LEVEL = "sub-level"
 _EXCURSION = "excursion"
 
@@ -214,16 +217,13 @@ def gmf_surface_mc(
     eps: Optional[float] = None,
     rng=0,
     workers: int = 1,
-    grad_floor: float = DEFAULT_GRAD_FLOOR,
-    kernel_cut: float = 8.0,
 ) -> GmfVector:
     """Kernel-smoothed co-area Monte Carlo estimate of M₀..M_J.
 
     :func:`gmf_surface_mc_levels` at the region's one level.
     """
     return gmf_surface_mc_levels(
-        region.functional, region.kind, [region.level], order, n_samples, eps=eps,
-        rng=rng, workers=workers, grad_floor=grad_floor, kernel_cut=kernel_cut,
+        region.functional, region.kind, [region.level], order, n_samples, eps, rng, workers
     )[0]
 
 
@@ -236,8 +236,6 @@ def gmf_surface_mc_levels(
     eps: Optional[float] = None,
     rng=0,
     workers: int = 1,
-    grad_floor: float = DEFAULT_GRAD_FLOOR,
-    kernel_cut: float = 8.0,
 ) -> list[GmfVector]:
     """Kernel-smoothed co-area Monte Carlo estimates of M₀..M_J, one per level.
 
@@ -248,11 +246,12 @@ def gmf_surface_mc_levels(
         M̂₀ = (1/N) Σ 1{Xᵢ ∈ region},
         M̂_j = (1/N) Σ (j−1)!·c_{j−1}(Xᵢ)·‖∇F(Xᵢ)‖·κ_ε(F(Xᵢ)−u),  j ≥ 1,
 
-    with κ_ε(t) = φ(t/ε)/ε.  When ``eps`` is None a Silverman-style
-    bandwidth 1.06·σ̂_F·N^{−1/5} is fitted on a pilot block.  Points whose
-    gradient norm falls below ``grad_floor`` inside the kernel window are
-    skipped and counted in ``meta["skip_fraction"]``; a skip fraction above
-    10% raises :class:`SurfaceDegeneracyError`.
+    with κ_ε(t) = φ(t/ε)/ε cut at |t| > ``KERNEL_CUT``·ε.  When ``eps`` is
+    None a Silverman-style bandwidth 1.06·σ̂_F·N^{−1/5} is fitted on a pilot
+    block.  Points whose gradient norm falls below ``DEFAULT_GRAD_FLOOR``
+    inside the kernel window are skipped and counted in
+    ``meta["skip_fraction"]``; a skip fraction above 10% raises
+    :class:`SurfaceDegeneracyError`.
 
     Every level shares one sample set: a block draws its samples and
     evaluates F once, and the co-area weights ‖∇F‖·c_j, which do not depend
@@ -305,11 +304,10 @@ def gmf_surface_mc_levels(
             gn[rows] = np.linalg.norm(grads, axis=1)
             if order >= 2:
                 coeffs[rows], degenerate[rows] = jacobian_coeffs(
-                    xw, grads, lambda v: func.moments(xw, v, order - 1),
-                    orientation, grad_floor,
+                    xw, grads, lambda v: func.moments(xw, v, order - 1), orientation
                 )
             else:
-                degenerate[rows] = gn[rows] < grad_floor
+                degenerate[rows] = gn[rows] < DEFAULT_GRAD_FLOOR
                 coeffs[rows] = np.where(degenerate[rows], 0.0, 1.0)[:, None]
         return gn, degenerate, coeffs
 
@@ -318,7 +316,7 @@ def gmf_surface_mc_levels(
         x = func.sample(gen, sizes[b])
         fv = func.values(x)
         t = [(fv - region.level) / eps for region in regions]
-        in_window = [np.abs(ti) <= kernel_cut for ti in t]
+        in_window = [np.abs(ti) <= KERNEL_CUT for ti in t]
         union = np.nonzero(np.logical_or.reduce(in_window))[0]
         if order >= 1 and union.size:
             gn, degenerate, coeffs = surface_weights(x, union)

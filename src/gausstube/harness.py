@@ -215,37 +215,48 @@ def _integer(name: str, value) -> int:
     return value
 
 
+def _number(name: str, value) -> float:
+    """A nested spec's finite number; a bool, a string, NaN or ±inf is rejected."""
+    if not _is_number(value):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
 # A region is its closed-form distance oracle, whose ``.region`` is the
 # RegionSpec the samplers use, plus its closed-form GMF vector per order J.
 def _halfspace(u, dim=1):
-    u = float(u)
+    u = _number("u", u)
     return halfspace_oracle(u, _integer("dim", dim)), lambda J: gmf_halfspace(u, J)
 
 
 def _ball(radius, dim):
-    radius, dim = float(radius), _integer("dim", dim)
+    radius, dim = _number("radius", radius), _integer("dim", dim)
     return ball_oracle(radius, dim), lambda J: gmf_ball(radius, dim, J)
 
 
 def _two_sided(a, dim=1):
-    a = float(a)
+    a = _number("a", a)
     return two_sided_oracle(a, _integer("dim", dim)), lambda J: gmf_two_sided(a, J)
 
 
 _REGIONS = {"halfspace": _halfspace, "ball": _ball, "two-sided": _two_sided}
 _SPACES = {
-    "interval": lambda length, grid: ParamSpace.interval(float(length), _integer("grid", grid)),
-    "circle": lambda length, grid: ParamSpace.circle(float(length), _integer("grid", grid)),
+    "interval": lambda length, grid: ParamSpace.interval(
+        _number("length", length), _integer("grid", grid)
+    ),
+    "circle": lambda length, grid: ParamSpace.circle(
+        _number("length", length), _integer("grid", grid)
+    ),
     "torus": lambda lengths, grid: ParamSpace(
-        "torus", tuple(map(float, lengths)), _integer("grid", grid)
+        "torus", tuple(_number("lengths", l) for l in lengths), _integer("grid", grid)
     ),
 }
 _COVS = {
-    "cosine": SpatialCov.cosine,
-    "torus-pair": SpatialCov.torus_pair,
+    "cosine": lambda frequency: SpatialCov.cosine(_number("frequency", frequency)),
+    "torus-pair": lambda frequency: SpatialCov.torus_pair(_number("frequency", frequency)),
     "wave-sum": SpatialCov.wave_sum,
     "squared-exponential": lambda lambda2, n_waves=64, seed=0: SpatialCov.squared_exponential(
-        float(lambda2), _integer("n_waves", n_waves), rng=_integer("seed", seed)
+        _number("lambda2", lambda2), _integer("n_waves", n_waves), rng=_integer("seed", seed)
     ),
 }
 

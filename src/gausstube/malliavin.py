@@ -33,15 +33,15 @@ DEFAULT_GRAD_FLOOR = 1e-10
 
 @dataclass(frozen=True)
 class SmoothFunctional:
-    """A scalar functional on ℝᵏ with value, gradient and Hessian oracles.
+    """A scalar functional on ℝᵏ with value, gradient and curvature oracles.
 
     ``values``, ``grads`` and ``hessians`` act on (B, k) stacks and return
     (B,), (B, k) and (B, k, k) arrays; ``value``, ``grad`` and ``hess`` are
-    the same oracles on one (k,) point.  The optional
-    ``moments_batch(x, v, order)`` returns the curvature moments (τ, μ) of
-    :func:`hessian_moments` without a dense Hessian stack, for functionals
-    whose Hessian has structure; when absent they are taken from the
-    Hessian stack.
+    the same oracles on one (k,) point.  ``moments_batch(x, v, order)``
+    returns the curvature moments (τ, μ) of :func:`hessian_moments` without
+    a dense Hessian stack, for functionals whose Hessian has structure.  A
+    functional needs at least one of the two: the moments are taken from
+    ``moments_batch`` when it is set and from the Hessian stack otherwise.
 
     The Monte Carlo estimators average over canonical Gaussian points of
     ℝᵏ, drawn by :meth:`sample`.  The optional ``draw(gen, size)`` replaces
@@ -54,11 +54,15 @@ class SmoothFunctional:
     dim: int
     values: Callable[[np.ndarray], np.ndarray]
     grads: Callable[[np.ndarray], np.ndarray]
-    hessians: Callable[[np.ndarray], np.ndarray]
+    hessians: Optional[Callable[[np.ndarray], np.ndarray]] = None
     moments_batch: Optional[
         Callable[[np.ndarray, np.ndarray, int], tuple[np.ndarray, np.ndarray]]
     ] = None
     draw: Optional[Callable[[np.random.Generator, int], np.ndarray]] = None
+
+    def __post_init__(self):
+        if self.hessians is None and self.moments_batch is None:
+            raise ValueError("a functional needs hessians or moments_batch")
 
     def sample(self, gen: np.random.Generator, size: int) -> np.ndarray:
         """``size`` points, (size, k), of the law the estimators average over."""
@@ -111,7 +115,6 @@ def jacobian_series(
     orientation: int,
     x: np.ndarray,
     order: int = DEFAULT_ORDER,
-    grad_floor: float = DEFAULT_GRAD_FLOOR,
 ) -> TruncSeries:
     """Taylor coefficients of ρ ↦ det₂(I+ρ∇η)·exp(−ρδ(η)−ρ²/2) at x.
 
@@ -123,17 +126,15 @@ def jacobian_series(
     (j+1)-th Gaussian Minkowski functional.
 
     Raises :class:`DegeneratePointError` when ‖∇F(x)‖ falls below
-    ``grad_floor``: such points are excluded from surface integrals.
+    ``DEFAULT_GRAD_FLOOR``: such points are excluded from surface integrals.
     """
     x = np.asarray(x, dtype=float)[None, :]
-    grads = func.grads(x)
-    coeffs, degenerate = jacobian_coeffs(
-        x, grads, lambda v: func.moments(x, v, order), orientation, grad_floor
-    )
+    g = func.grads(x)
+    coeffs, degenerate = jacobian_coeffs(x, g, lambda v: func.moments(x, v, order), orientation)
     if degenerate[0]:
         raise DegeneratePointError(
-            f"gradient norm {np.linalg.norm(grads[0]):.3e} below floor "
-            f"{grad_floor:.1e} at x={x[0]!r}"
+            f"gradient norm {np.linalg.norm(g[0]):.3e} below floor "
+            f"{DEFAULT_GRAD_FLOOR:.1e} at x={x[0]!r}"
         )
     return TruncSeries(order, coeffs[0])
 
@@ -211,7 +212,6 @@ def jacobian_coeffs(
     grads: np.ndarray,
     moments: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     orientation: int,
-    grad_floor: float = DEFAULT_GRAD_FLOOR,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Jacobian-series coefficients at a stack of points, from their moments.
 
@@ -225,7 +225,7 @@ def jacobian_coeffs(
     x = np.asarray(x, dtype=float)
     g = np.asarray(grads, dtype=float)
     gn = np.linalg.norm(g, axis=1)
-    degenerate = gn < grad_floor
+    degenerate = gn < DEFAULT_GRAD_FLOOR
     gn_safe = np.where(degenerate, 1.0, gn)
     v = g / gn_safe[:, None]
     tau, mu = moments(v)
@@ -242,18 +242,15 @@ def jacobian_coeffs_batch(
     hessians: np.ndarray,
     orientation: int,
     order: int,
-    grad_floor: float = DEFAULT_GRAD_FLOOR,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized :func:`jacobian_series` over a stack of points.
 
     Parameters are stacks: ``x`` (B,k), ``grads`` (B,k), ``hessians``
     (B,k,k).  Returns ``(coeffs, degenerate)`` where ``coeffs`` is (B, J+1)
-    and ``degenerate`` marks rows whose gradient norm fell below the floor
-    (their coefficients are set to 0 and must be skipped by the caller).
-    This is the dense route: moments from :func:`hessian_moments`, then
-    :func:`jacobian_coeffs_from_moments`.
+    and ``degenerate`` marks rows whose gradient norm fell below
+    ``DEFAULT_GRAD_FLOOR`` (their coefficients are set to 0 and must be
+    skipped by the caller).  This is the dense route: moments from
+    :func:`hessian_moments`, then :func:`jacobian_coeffs_from_moments`.
     """
     h = np.asarray(hessians, dtype=float)
-    return jacobian_coeffs(
-        x, grads, lambda v: hessian_moments(h, v, order), orientation, grad_floor
-    )
+    return jacobian_coeffs(x, grads, lambda v: hessian_moments(h, v, order), orientation)

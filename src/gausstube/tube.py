@@ -21,6 +21,12 @@ from .errors import ProjectionError
 from .functionals import coordinate, norm, quadratic
 from .gmf import GmfVector, RegionSpec, assemble_tube_series
 
+#: KKT residual of a converged projection; a retraction stops at |F − u| ≤ it·(1 + |u|).
+PROJECTION_TOL = 1e-8
+
+#: Gaussian points at which :func:`projection_oracle` checks the Hessian is PSD.
+CONVEXITY_PROBES = 100
+
 
 @dataclass(frozen=True)
 class DistanceOracle:
@@ -28,13 +34,12 @@ class DistanceOracle:
 
     ``method`` is ``'closed-form'`` (a vectorized ``formula`` is supplied)
     or ``'projection'`` (projected-gradient descent on the boundary level
-    set with Armijo backtracking, KKT tangential residual below ``tol``).
+    set with Armijo backtracking, KKT residual below ``PROJECTION_TOL``).
     d(x) = 0 exactly when x lies in the region; d is 1-Lipschitz.
     """
 
     region: RegionSpec
     method: str
-    tol: float = 1e-8
     maxiter: int = 500
     formula: Optional[Callable[[np.ndarray], np.ndarray]] = field(default=None, repr=False)
 
@@ -85,30 +90,25 @@ def two_sided_oracle(a: float, dim: int) -> DistanceOracle:
     )
 
 
-def projection_oracle(
-    region: RegionSpec,
-    tol: float = 1e-8,
-    maxiter: int = 500,
-    convexity_probes: int = 100,
-    rng=0,
-) -> DistanceOracle:
+def projection_oracle(region: RegionSpec, maxiter: int = 500, rng=0) -> DistanceOracle:
     """Projection-solver oracle for a convex region.
 
     Convexity is assumed, not verified globally; a sampled check (Hessian
-    PSD at ``convexity_probes`` Gaussian points) runs once here and rejects
-    clearly non-convex functionals.
+    PSD at ``CONVEXITY_PROBES`` Gaussian points) runs once here and rejects
+    clearly non-convex functionals, and functionals without ``hessians``.
     """
-    if convexity_probes > 0:
-        gen = np.random.default_rng(as_seed_sequence(rng))
-        probes = gen.standard_normal((convexity_probes, region.dim))
-        hess = region.functional.hessians(probes)
-        min_eig = float(np.min(np.linalg.eigvalsh(hess)))
-        if min_eig < -1e-6 * max(1.0, float(np.max(np.abs(hess)))):
-            raise ValueError(
-                f"functional fails the sampled convexity check (min Hessian "
-                f"eigenvalue {min_eig:.3e}); projection distances need a convex level structure"
-            )
-    return DistanceOracle(region, "projection", tol=tol, maxiter=maxiter)
+    if region.functional.hessians is None:
+        raise ValueError("the projection solver's convexity check needs hessians")
+    gen = np.random.default_rng(as_seed_sequence(rng))
+    probes = gen.standard_normal((CONVEXITY_PROBES, region.dim))
+    hess = region.functional.hessians(probes)
+    min_eig = float(np.min(np.linalg.eigvalsh(hess)))
+    if min_eig < -1e-6 * max(1.0, float(np.max(np.abs(hess)))):
+        raise ValueError(
+            f"functional fails the sampled convexity check (min Hessian "
+            f"eigenvalue {min_eig:.3e}); projection distances need a convex level structure"
+        )
+    return DistanceOracle(region, "projection", maxiter=maxiter)
 
 
 def _sq_norms(v: np.ndarray) -> np.ndarray:
@@ -144,15 +144,14 @@ def _project_exterior(oracle: DistanceOracle, x: np.ndarray) -> np.ndarray:
     """Distances from a (m, k) stack of exterior points to the region's boundary.
 
     Projected gradient on the level set, all rows at once: a row stays
-    active until its KKT tangential residual drops below ``tol`` (or its
-    distance is 0), and fails — NaN — when a retraction does not converge,
-    40 Armijo halvings find no sufficient decrease, or ``maxiter``
-    iterations pass.
+    active until its KKT tangential residual drops below ``PROJECTION_TOL``
+    (or its distance is 0), and fails — NaN — when a retraction does not
+    converge, 40 Armijo halvings find no sufficient decrease, or
+    ``maxiter`` iterations pass.
     """
     func = oracle.region.functional
     u = oracle.region.level
-    tol = oracle.tol
-    tol_f = tol * (1.0 + abs(u))
+    tol_f = PROJECTION_TOL * (1.0 + abs(u))
 
     out = np.full(x.shape[0], np.nan)
     y, ok = _retract_to_level(func, x, u, tol_f)
@@ -170,7 +169,7 @@ def _project_exterior(oracle: DistanceOracle, x: np.ndarray) -> np.ndarray:
         res = np.sqrt(gt_norm2) / np.maximum(1.0, np.sqrt(dist2))
         zero = dist2 == 0.0
         out[active[zero]] = 0.0
-        conv = ~zero & (res < tol)
+        conv = ~zero & (res < PROJECTION_TOL)
         out[active[conv]] = np.sqrt(dist2[conv])
         live = ~(zero | conv)
         active, xa, ya, gt = active[live], xa[live], ya[live], gt[live]
@@ -307,8 +306,8 @@ def validate_tube_series(
     """Compare tube-volume Monte Carlo with the truncated Minkowski series.
 
     Reports per-ρ residuals r(ρ) = tube_mc − series, the maximum |r|, and
-    the log–log slope of |r| against ρ fitted on noise-dominant-free points
-    (|r| > 2·stderr); the slope is None when fewer than two such points
+    the log–log slope of |r| against ρ fitted on the points with ρ > 0 and
+    |r| > 2·stderr; the slope is None when fewer than two such points
     remain, in which case the residuals sit at the Monte Carlo noise floor.
     """
     rho_grid = np.asarray(rho_grid, dtype=float)
@@ -318,7 +317,7 @@ def validate_tube_series(
     series = np.array([assemble_tube_series(gmfs, float(rho)) for rho in rho_grid])
     residuals = est - series
 
-    signal = np.abs(residuals) > 2.0 * se
+    signal = (np.abs(residuals) > 2.0 * se) & (rho_grid > 0)  # log ρ needs ρ > 0
     slope = None
     if int(signal.sum()) >= 2:
         lx = np.log(rho_grid[signal])

@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -173,6 +174,19 @@ class TestCli:
             ("tube", {"region": {"kind": "halfspace", "u": 0.5, "dim": True}}),
             ("gkf", {"cov": {**sq_exp, "n_waves": 64.5}}),
             ("gkf", {"cov": {**sq_exp, "seed": 1.0}}),
+            # nested numbers that are not finite, booleans, or out of range
+            ("gmf", {"region": {"kind": "ball", "radius": math.nan, "dim": 2}}),
+            ("gmf", {"region": {"kind": "ball", "radius": True, "dim": 2}}),
+            ("gmf", {"region": {"kind": "two-sided", "a": math.inf}}),
+            ("tube", {"region": {"kind": "halfspace", "u": math.nan, "dim": 2}}),
+            ("gkf", {"space": {"kind": "interval", "length": math.nan, "grid": 200}}),
+            ("gkf", {"space": {"kind": "interval", "length": True, "grid": 200}}),
+            ("gkf", {"cov": {"preset": "cosine", "frequency": math.nan}}),
+            ("gkf", {"cov": {"preset": "cosine", "frequency": True}}),
+            ("gkf", {"cov": {"preset": "wave-sum", "frequencies": [[math.nan]]}}),
+            ("gkf", {"cov": {"preset": "wave-sum", "frequencies": [[1]], "weights": [math.nan]}}),
+            ("gkf", {"cov": {**sq_exp, "lambda2": -1}}),
+            ("gkf", {"cov": {**sq_exp, "lambda2": math.nan}}),
         ]
         capsys.readouterr()
         bases = {"gmf": GMF, "gkf": gkf, "crofton": CROFTON, "converge": CONVERGE, "tube": TUBE}

@@ -248,6 +248,12 @@ class TestMeridian:
         assert stats.kstest(x[:, 0], "norm").pvalue > 1e-3
         assert stats.kstest(x[:, 1] ** 2, "chi2", args=(15,)).pvalue > 1e-3
 
+    def test_has_no_dense_hessian(self):
+        # its moments are those of the n×n Hessian; no 2×2 stack stands in for them
+        meridian = CylFunctional(16, PotentialV.preset("identity")).meridian()
+        assert meridian.hessians is None
+        assert meridian.moments_batch is not None
+
     def test_needs_an_affine_potential(self):
         with pytest.raises(ValueError, match="affine"):
             CylFunctional(8, PotentialV.preset("sin")).meridian()
@@ -364,8 +370,8 @@ class TestDistribution:
 class TestMoments:
     def test_sup_moments_finite_and_stable(self):
         v = PotentialV.preset("cubic")
-        small = derivative_sup_moments(v, 32, 1000, p=8, rng=97)
-        large = derivative_sup_moments(v, 32, 4000, p=8, rng=101)
+        small = derivative_sup_moments(v, 1000, rng=97)
+        large = derivative_sup_moments(v, 4000, rng=101)
         assert np.all(np.isfinite(small)) and np.all(np.isfinite(large))
         # p-th-root moments of the sup stabilize: no blow-up between sizes
         assert np.all(large <= 2.0 * small + 1.0)

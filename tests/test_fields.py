@@ -519,7 +519,6 @@ class TestAssumptions:
             d2=lambda b: -np.sin(b),
             d3=lambda b: -np.cos(b),
             d4=np.sin,
-            growth_bound=0,
         )
         with pytest.raises(AssertionError, match="finite differences"):
             validate_assumptions(SpatialCov.cosine(1.0), bad, rng=97)

@@ -262,6 +262,17 @@ class TestJacobianSeries:
 
 
 class TestOracleChecks:
+    def test_needs_hessians_or_moments(self):
+        values, grads = (lambda x: x[:, 0]), (lambda x: np.ones_like(x))
+        with pytest.raises(ValueError, match="hessians or moments_batch"):
+            SmoothFunctional(dim=2, values=values, grads=grads)
+        flat = SmoothFunctional(
+            dim=2, values=values, grads=grads,
+            moments_batch=lambda x, v, order: (np.zeros((len(x), order)),) * 2,
+        )
+        assert flat.hessians is None
+        assert np.all(flat.moments(np.zeros((3, 2)), np.ones((3, 2)), 2)[1] == 0.0)
+
     def test_builders_pass(self):
         rng = np.random.default_rng(41)
         for f in (coordinate(3), half_norm_squared(4), quadratic(np.eye(2), np.ones(2))):

@@ -4,7 +4,8 @@ import pytest
 from _oracles import dist_to_region, half_norm_squared, reference_distances
 from gausstube.errors import ProjectionError
 from gausstube.functionals import norm, quadratic
-from gausstube.gmf import RegionSpec, gmf_halfspace, gmf_two_sided
+from gausstube.cylinder import CylFunctional, PotentialV
+from gausstube.gmf import RegionSpec, gmf_ball, gmf_halfspace, gmf_two_sided
 from gausstube.series import gaussian_tail
 from gausstube.tube import (
     ball_oracle,
@@ -107,6 +108,11 @@ class TestProjectionSolver:
     def test_convexity_check_rejects_concave(self):
         region = RegionSpec(quadratic(-np.eye(2)), -1.0, "sub-level")
         with pytest.raises(ValueError, match="convexity"):
+            projection_oracle(region)
+
+    def test_needs_hessians(self):
+        region = CylFunctional(8, PotentialV.preset("identity")).excursion(0.5)
+        with pytest.raises(ValueError, match="needs hessians"):
             projection_oracle(region)
 
     @pytest.mark.parametrize(
@@ -252,6 +258,15 @@ class TestValidateSeries:
         gmfs = gmf_halfspace(1.0, 4)
         report = validate_tube_series(oracle, gmfs, [0.1, 0.2, 0.3, 0.4, 0.5], 1_000_000, rng=47)
         assert report.noise_floor or (report.slope is not None and report.slope >= 4.5)
+
+    def test_zero_radius_is_left_out_of_the_slope(self):
+        # at this seed the rho = 0 residual, pure noise, exceeds 2 stderr,
+        # and log 0 has no place in the log-log fit
+        report = validate_tube_series(
+            ball_oracle(2.0, 3), gmf_ball(2.0, 3, 3), [0, 0.05, 0.1, 0.2, 0.3, 0.4], 20_000, rng=2
+        )
+        assert abs(report.residuals[0]) > 2 * report.tube_stderr[0]
+        assert report.slope is None or np.isfinite(report.slope)
 
     def test_rows_schema(self):
         oracle = halfspace_oracle(0.0, 2)
