@@ -26,7 +26,6 @@ from .cylinder import (
 )
 from .errors import (
     ConfigError,
-    DegeneratePointError,
     GausstubeError,
     ProjectionError,
     SurfaceDegeneracyError,
@@ -38,7 +37,7 @@ from .fields import (
     SpatialCov,
     ec_mc_levels,
     euler_char,
-    excursion_volume_mc,
+    excursion_volumes_mc,
     kinematic_weights,
     lkc,
     simulate_field,
@@ -55,19 +54,12 @@ from .gmf import (
     gmf_two_sided,
 )
 from .harness import ExperimentConfig, RunResult, report, run
-from .malliavin import (
-    SmoothFunctional,
-    det2_series,
-    jacobian_series,
-)
+from .malliavin import SmoothFunctional, det2_series
 from .series import (
     DEFAULT_ORDER,
-    TruncSeries,
     gaussian_pdf,
     gaussian_tail,
-    hermite,
     hermite_all,
-    series_exp,
 )
 from .tube import (
     DistanceOracle,
@@ -75,7 +67,6 @@ from .tube import (
     ball_oracle,
     halfspace_oracle,
     projection_oracle,
-    tube_volume_mc,
     tube_volumes_mc,
     two_sided_oracle,
     validate_tube_series,

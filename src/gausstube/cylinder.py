@@ -355,11 +355,6 @@ class ConvergenceReport:
     estimates: tuple[GmfVector, ...]
     target: Optional[GmfVector]
 
-    def deviations(self) -> Optional[np.ndarray]:
-        if self.target is None:
-            return None
-        return np.stack([g.values - self.target.values for g in self.estimates])
-
     def rows(self) -> list[dict]:
         out = []
         for n, g in zip(self.n_grid, self.estimates):

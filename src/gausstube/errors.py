@@ -5,10 +5,6 @@ class GausstubeError(Exception):
     """Base class for library-specific failures."""
 
 
-class DegeneratePointError(GausstubeError, ValueError):
-    """Gradient vanished (below the configured floor) at a surface point."""
-
-
 class SurfaceDegeneracyError(GausstubeError, RuntimeError):
     """Too many degenerate points for a surface Monte Carlo run to be trusted."""
 

@@ -129,6 +129,8 @@ class SpatialCov:
     def __post_init__(self):
         freq = np.atleast_2d(np.asarray(self.frequencies, dtype=float))
         w = np.asarray(self.weights, dtype=float)
+        if freq.size == 0:
+            raise ValueError("frequencies must hold at least one frequency")
         if freq.shape[0] != w.shape[0]:
             raise ValueError("frequencies and weights must have matching length")
         if not (np.all(np.isfinite(freq)) and np.all(np.isfinite(w))):
@@ -377,6 +379,25 @@ def check_reps(reps: int) -> None:
         raise ValueError(f"reps must be >= 100, got {reps}")
 
 
+def _replicate(space, cov, potential, u_levels, time_n, reps, rng, workers, statistic):
+    """(reps, levels) array of ``statistic(sample, u)`` over independent fields.
+
+    All levels share the same field realizations; each replication runs on
+    its own substream of ``rng``, so results are reproducible for any
+    worker count.
+    """
+    check_reps(reps)
+    u_levels = [float(u) for u in u_levels]
+    cov.compatible_with(space)
+    children = as_seed_sequence(rng).spawn(reps)
+
+    def one_rep(i: int) -> np.ndarray:
+        sample = simulate_field(space, cov, potential, time_n, rng=children[i])
+        return np.array([statistic(sample, u) for u in u_levels], dtype=float)
+
+    return np.stack(run_blocks(one_rep, reps, workers))
+
+
 def ec_mc_levels(
     space: ParamSpace,
     cov: SpatialCov,
@@ -387,53 +408,39 @@ def ec_mc_levels(
     rng=0,
     workers: int = 1,
 ) -> list[EcEstimate]:
-    """Euler-characteristic means over independent field samples, one per level.
-
-    All levels share the same field realizations; each replication runs on
-    its own substream, so results are reproducible for any worker count.
-    """
-    check_reps(reps)
-    u_levels = [float(u) for u in u_levels]
-    cov.compatible_with(space)
-    root = as_seed_sequence(rng)
-    children = root.spawn(reps)
-
-    def one_rep(i: int) -> np.ndarray:
-        sample = simulate_field(space, cov, potential, time_n, rng=children[i])
-        return np.array([euler_char(sample, u) for u in u_levels], dtype=float)
-
-    chi = np.stack(run_blocks(one_rep, reps, workers))
+    """Euler-characteristic means over independent field samples, one per level."""
+    chi = _replicate(space, cov, potential, u_levels, time_n, reps, rng, workers, euler_char)
     means = chi.mean(axis=0)
     stderrs = chi.std(axis=0, ddof=1) / np.sqrt(reps)
     return [EcEstimate(float(m), float(s), reps) for m, s in zip(means, stderrs)]
 
 
-def excursion_volume_mc(
+def excursion_volumes_mc(
     space: ParamSpace,
     cov: SpatialCov,
     potential: PotentialV,
-    u: float,
+    u_levels,
     time_n: int,
     reps: int,
     rng=0,
     workers: int = 1,
-) -> tuple[float, float]:
-    """Direct Monte Carlo of E[L_dim(A_u)] = L_dim(M)·P(f ≥ u).
+) -> tuple[np.ndarray, np.ndarray]:
+    """Direct Monte Carlo of E[L_dim(A_u)] = L_dim(M)·P(f ≥ u), one entry per level.
 
     Estimates the supra-threshold volume fraction on the grid and scales by
-    the top Lipschitz–Killing curvature.
+    the top Lipschitz–Killing curvature; returns ``(means, stderrs)``.  All
+    levels share one field set, and each level is reduced as a contiguous
+    row, so entry i is bit-identical to a call at ``[u_levels[i]]`` with the
+    same ``rng``.
     """
-    check_reps(reps)
-    root = as_seed_sequence(rng)
-    children = root.spawn(reps)
+    fractions = np.ascontiguousarray(
+        _replicate(
+            space, cov, potential, u_levels, time_n, reps, rng, workers,
+            lambda sample, u: np.mean(sample.f_values >= u),
+        ).T
+    )
     top = lkc(space, cov)[-1]
-
-    def one_rep(i: int) -> float:
-        sample = simulate_field(space, cov, potential, time_n, rng=children[i])
-        return float(np.mean(sample.f_values >= u))
-
-    fractions = np.array(run_blocks(one_rep, reps, workers))
-    return top * float(fractions.mean()), top * float(fractions.std(ddof=1) / np.sqrt(reps))
+    return top * fractions.mean(axis=1), top * (fractions.std(axis=1, ddof=1) / np.sqrt(reps))
 
 
 def unit_ball_volume(dim: int) -> float:

@@ -72,9 +72,6 @@ class RegionSpec:
             return f_values <= self.level
         return f_values >= self.level
 
-    def contains(self, x: np.ndarray) -> bool:
-        return bool(self.contains_values(self.functional.value(np.asarray(x, dtype=float))))
-
 
 @dataclass(frozen=True)
 class GmfVector:

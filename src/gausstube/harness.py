@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from ._mc import as_seed_sequence
-from .cylinder import CylFunctional, PotentialV, check_time_grid, convergence_study
+from .cylinder import _PRESETS, CylFunctional, PotentialV, check_time_grid, convergence_study
 from .errors import ConfigError
 from .fields import (
     ParamSpace,
@@ -31,7 +31,7 @@ from .fields import (
     check_reps,
     check_resolution,
     ec_mc_levels,
-    excursion_volume_mc,
+    excursion_volumes_mc,
     kinematic_weights,
     lkc,
     validate_assumptions,
@@ -66,11 +66,16 @@ def _non_empty_list_of(test: Callable) -> Callable:
 
 
 # Config keys that must be integers (booleans rejected) wherever they appear.
-_INT_KEYS = ("seed", "workers", "J", "N", "n", "reps")
+_INT_KEYS = ("seed", "workers", "J", "N", "n", "reps", "index")
 # The other checked keys, each with its test and what the test asks for.
 _VALUE_KEYS = {
     "J": (lambda v: _is_int(v) and v >= 0, "a non-negative integer"),
     "eps": (lambda v: v is None or (_is_number(v) and v > 0), "a positive number"),
+    "method": (
+        lambda v: v in (None, "closed-form", "projection"),
+        "a distance method, 'closed-form' or 'projection'",
+    ),
+    "potential": (lambda v: isinstance(v, str) and v in _PRESETS, f"one of {sorted(_PRESETS)}"),
     "u": (_is_number, "a number"),
     "u_levels": (_non_empty_list_of(_is_number), "a non-empty list of numbers"),
     "rho_grid": (
@@ -222,6 +227,13 @@ def _number(name: str, value) -> float:
     return float(value)
 
 
+def _numbers(name: str, values) -> list:
+    """A nested spec's list (of lists) of finite numbers, each checked by :func:`_number`."""
+    if isinstance(values, (list, tuple)):
+        return [_numbers(name, v) for v in values]
+    return _number(name, values)
+
+
 # A region is its closed-form distance oracle, whose ``.region`` is the
 # RegionSpec the samplers use, plus its closed-form GMF vector per order J.
 def _halfspace(u, dim=1):
@@ -254,18 +266,14 @@ _SPACES = {
 _COVS = {
     "cosine": lambda frequency: SpatialCov.cosine(_number("frequency", frequency)),
     "torus-pair": lambda frequency: SpatialCov.torus_pair(_number("frequency", frequency)),
-    "wave-sum": SpatialCov.wave_sum,
+    "wave-sum": lambda frequencies, weights=None: SpatialCov.wave_sum(
+        _numbers("frequencies", frequencies),
+        None if weights is None else _numbers("weights", weights),
+    ),
     "squared-exponential": lambda lambda2, n_waves=64, seed=0: SpatialCov.squared_exponential(
         _number("lambda2", lambda2), _integer("n_waves", n_waves), rng=_integer("seed", seed)
     ),
 }
-
-
-def _potential(config: ExperimentConfig) -> PotentialV:
-    try:
-        return PotentialV.preset(config.potential)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
 
 
 # Each runner maps (config, root SeedSequence) to (rows, counters).
@@ -291,8 +299,6 @@ def _run_gmf(config: ExperimentConfig, root):
 
 
 def _run_tube(config: ExperimentConfig, root):
-    if config.method not in (None, "closed-form", "projection"):
-        raise ConfigError(f"unknown distance method {config.method!r}")
     oracle, closed_factory = _from_spec("region", config.region, _REGIONS)
     if config.method == "projection":
         oracle = projection_oracle(oracle.region)
@@ -315,7 +321,7 @@ def _run_converge(config: ExperimentConfig, root):
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     study = convergence_study(
-        _potential(config),
+        PotentialV.preset(config.potential),
         config.u,
         config.J,
         config.n_grid,
@@ -332,15 +338,13 @@ def _run_kinematic(config: ExperimentConfig, root):
     """``gkf`` (index 0, against the EC Monte Carlo) and ``crofton`` at ``index``."""
     space = _from_spec("space", config.space, _SPACES)
     cov = _from_spec("cov", config.cov, _COVS, tag="preset")
-    potential = _potential(config)
+    potential = PotentialV.preset(config.potential)
     index = 0 if config.experiment == "gkf" else config.index
     try:
         cov.compatible_with(space)
         check_time_grid(config.n)
         if config.J < space.dim:
             raise ConfigError(f"J={config.J} must be >= space dimension {space.dim}")
-        if isinstance(index, bool) or not isinstance(index, int):
-            raise ConfigError(f"index must be an integer, got {index!r}")
         weights = kinematic_weights(index, space, cov, config.J)
         if index in (0, space.dim):
             # these indices simulate fields: reject a coarse grid before any sampling
@@ -365,6 +369,12 @@ def _run_kinematic(config: ExperimentConfig, root):
         [float(u) for u in config.u_levels], config.J, config.N, eps=config.eps,
         rng=rhs_seed.spawn(1)[0], workers=config.workers,
     )
+    if index == space.dim:
+        # one field set for every level, drawn from vol_seed's first child
+        vols, vol_ses = excursion_volumes_mc(
+            space, cov, potential, config.u_levels, config.n, max(100, config.reps // 4),
+            rng=vol_seed.spawn(1)[0], workers=config.workers,
+        )
     rows, gmf_meta = [], []
     for i, (u, gmfs) in enumerate(zip(config.u_levels, gmf_levels)):
         gmf_meta.append({"u": float(u), **gmfs.meta})
@@ -385,12 +395,7 @@ def _run_kinematic(config: ExperimentConfig, root):
                 }
             )
         if index == space.dim:
-            vol, vol_se = excursion_volume_mc(
-                space, cov, potential, float(u), config.n,
-                max(100, config.reps // 4), rng=vol_seed.spawn(1)[0],
-                workers=config.workers,
-            )
-            row.update({"volume_mc": vol, "volume_stderr": vol_se})
+            row.update({"volume_mc": vols[i], "volume_stderr": vol_ses[i]})
         rows.append(row)
     return rows, {"lkc": [float(v) for v in lkc(space, cov)], "gmf_meta": gmf_meta}
 

@@ -24,8 +24,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DegeneratePointError
-from .series import DEFAULT_ORDER, TruncSeries, exp_series
+from .series import DEFAULT_ORDER, exp_series
 
 #: Gradient norms below this are treated as numerically degenerate points.
 DEFAULT_GRAD_FLOOR = 1e-10
@@ -36,12 +35,12 @@ class SmoothFunctional:
     """A scalar functional on ℝᵏ with value, gradient and curvature oracles.
 
     ``values``, ``grads`` and ``hessians`` act on (B, k) stacks and return
-    (B,), (B, k) and (B, k, k) arrays; ``value``, ``grad`` and ``hess`` are
-    the same oracles on one (k,) point.  ``moments_batch(x, v, order)``
-    returns the curvature moments (τ, μ) of :func:`hessian_moments` without
-    a dense Hessian stack, for functionals whose Hessian has structure.  A
-    functional needs at least one of the two: the moments are taken from
-    ``moments_batch`` when it is set and from the Hessian stack otherwise.
+    (B,), (B, k) and (B, k, k) arrays; a single point is a one-row stack.
+    ``moments_batch(x, v, order)`` returns the curvature moments (τ, μ) of
+    :func:`hessian_moments` without a dense Hessian stack, for functionals
+    whose Hessian has structure.  A functional needs at least one of the
+    two: the moments are taken from ``moments_batch`` when it is set and
+    from the Hessian stack otherwise.
 
     The Monte Carlo estimators average over canonical Gaussian points of
     ℝᵏ, drawn by :meth:`sample`.  The optional ``draw(gen, size)`` replaces
@@ -70,15 +69,6 @@ class SmoothFunctional:
             return self.draw(gen, size)
         return gen.standard_normal((size, self.dim))
 
-    def value(self, x: np.ndarray) -> float:
-        return float(self.values(np.asarray(x, dtype=float)[None, :])[0])
-
-    def grad(self, x: np.ndarray) -> np.ndarray:
-        return self.grads(np.asarray(x, dtype=float)[None, :])[0]
-
-    def hess(self, x: np.ndarray) -> np.ndarray:
-        return self.hessians(np.asarray(x, dtype=float)[None, :])[0]
-
     def moments(
         self, x: np.ndarray, v: np.ndarray, order: int
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -91,8 +81,8 @@ class SmoothFunctional:
         return hessian_moments(self.hessians(x), v, order)
 
 
-def det2_series(a: np.ndarray, order: int = DEFAULT_ORDER) -> TruncSeries:
-    """Coefficients of ρ ↦ det₂(I + ρA) = Π(1+ρλᵢ)e^{−ρλᵢ}.
+def det2_series(a: np.ndarray, order: int = DEFAULT_ORDER) -> np.ndarray:
+    """Coefficients of ρ ↦ det₂(I + ρA) = Π(1+ρλᵢ)e^{−ρλᵢ}, shape (order+1,).
 
     Uses log det₂(I+ρA) = Σ_{m≥2} (−1)^{m+1} tr(Aᵐ) ρᵐ/m with the traces
     of :func:`hessian_moments`, so no eigendecomposition is needed: the
@@ -107,36 +97,7 @@ def det2_series(a: np.ndarray, order: int = DEFAULT_ORDER) -> TruncSeries:
     m = np.arange(2, order + 1)
     expo = np.zeros((1, order + 1))
     expo[:, 2:] = (-1.0) ** (m + 1) * tau[:, 1:] / m
-    return TruncSeries(order, exp_series(expo)[0])
-
-
-def jacobian_series(
-    func: SmoothFunctional,
-    orientation: int,
-    x: np.ndarray,
-    order: int = DEFAULT_ORDER,
-) -> TruncSeries:
-    """Taylor coefficients of ρ ↦ det₂(I+ρ∇η)·exp(−ρδ(η)−ρ²/2) at x.
-
-    η is the outward unit normal s·∇F/‖∇F‖ of the region cut out by
-    ``func`` at the given orientation s (+1 for sub-level regions {F ≤ u},
-    −1 for excursion regions {F ≥ u}).  This is :func:`jacobian_coeffs` on
-    one row.  Coefficient 0 is always 1.  Integrating j!·coefficient_j
-    against the Gaussian surface measure of the region boundary gives the
-    (j+1)-th Gaussian Minkowski functional.
-
-    Raises :class:`DegeneratePointError` when ‖∇F(x)‖ falls below
-    ``DEFAULT_GRAD_FLOOR``: such points are excluded from surface integrals.
-    """
-    x = np.asarray(x, dtype=float)[None, :]
-    g = func.grads(x)
-    coeffs, degenerate = jacobian_coeffs(x, g, lambda v: func.moments(x, v, order), orientation)
-    if degenerate[0]:
-        raise DegeneratePointError(
-            f"gradient norm {np.linalg.norm(g[0]):.3e} below floor "
-            f"{DEFAULT_GRAD_FLOOR:.1e} at x={x[0]!r}"
-        )
-    return TruncSeries(order, coeffs[0])
+    return exp_series(expo)[0]
 
 
 def hessian_moments(
@@ -175,8 +136,8 @@ def jacobian_coeffs_from_moments(
     """Taylor coefficients of the Jacobian series from curvature moments.
 
     With v = ∇F/‖∇F‖, P = I − vvᵀ and s the orientation, the normal's
-    Jacobian is ∇η = (s/‖∇F‖)·PH.  So the integrand of
-    :func:`jacobian_series` is exp(−ρ·η·x − ρ²/2)·det(I + tPH) with
+    Jacobian is ∇η = (s/‖∇F‖)·PH.  So the Jacobian series
+    det₂(I+ρ∇η)·exp(−ρδ(η)−ρ²/2) is exp(−ρ·η·x − ρ²/2)·det(I + tPH) with
     t = ρ·``scale``, ``scale`` = s/‖∇F‖, and by the matrix determinant lemma
 
         log det(I + tPH) = Σ_m (−1)^{m+1} τ_m tᵐ/m
@@ -213,12 +174,18 @@ def jacobian_coeffs(
     moments: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     orientation: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Jacobian-series coefficients at a stack of points, from their moments.
+    """Taylor coefficients of ρ ↦ det₂(I+ρ∇η)·exp(−ρδ(η)−ρ²/2) at a stack of points.
 
-    Unit normals v come from ``grads``; ``moments(v)`` returns the (B, J)
-    moments (τ, μ) of :func:`hessian_moments`, for instance
-    ``lambda v: func.moments(x, v, J)``.  Returns ``(coeffs, degenerate)``
-    as :func:`jacobian_coeffs_batch` does.
+    η is the outward unit normal s·∇F/‖∇F‖ of the region cut out by F at
+    the ``orientation`` s (+1 for sub-level regions {F ≤ u}, −1 for
+    excursion regions {F ≥ u}).  Unit normals v come from ``grads``;
+    ``moments(v)`` returns the (B, J) moments (τ, μ) of
+    :func:`hessian_moments`, for instance ``lambda v: func.moments(x, v, J)``.
+    Returns ``(coeffs, degenerate)``: ``coeffs`` is (B, J+1) with
+    coefficient 0 equal to 1, and integrating j!·coefficient_j against the
+    Gaussian surface measure of the boundary gives M_{j+1}.  ``degenerate``
+    marks rows whose gradient norm fell below ``DEFAULT_GRAD_FLOOR``; their
+    coefficients are 0 and the caller must skip them.
     """
     if orientation not in (+1, -1):
         raise ValueError(f"orientation must be +1 or -1, got {orientation}")
@@ -243,13 +210,10 @@ def jacobian_coeffs_batch(
     orientation: int,
     order: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized :func:`jacobian_series` over a stack of points.
+    """:func:`jacobian_coeffs` with the moments of a dense Hessian stack.
 
     Parameters are stacks: ``x`` (B,k), ``grads`` (B,k), ``hessians``
-    (B,k,k).  Returns ``(coeffs, degenerate)`` where ``coeffs`` is (B, J+1)
-    and ``degenerate`` marks rows whose gradient norm fell below
-    ``DEFAULT_GRAD_FLOOR`` (their coefficients are set to 0 and must be
-    skipped by the caller).  This is the dense route: moments from
+    (B,k,k).  This is the dense route: moments from
     :func:`hessian_moments`, then :func:`jacobian_coeffs_from_moments`.
     """
     h = np.asarray(hessians, dtype=float)

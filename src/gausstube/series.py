@@ -5,9 +5,9 @@ formal power series in the tube radius ρ, truncated at a fixed order J:
 terms of degree > J are discarded, never wrapped around.  The coefficient
 convention is plain Taylor coefficients, i.e. ``coeffs[j]`` multiplies ρʲ
 (factorials are applied by the callers that convert coefficients into
-Minkowski functionals).  Series are built as exponents and exponentiated
-by :func:`exp_series`, one row per sample point; :class:`TruncSeries` is
-the one-row view returned by the scalar APIs.
+Minkowski functionals).  Series are (B, J+1) coefficient stacks, one row
+per sample point; they are built as exponents and exponentiated by
+:func:`exp_series`.
 
 The Hermite polynomials here follow the probabilists' convention
 
@@ -19,50 +19,11 @@ which is the family paired with the weight e^{−y²/2}; equivalently
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 #: Default truncation order for Minkowski-functional series work; the
 #: acceptance studies need j <= 4, this leaves headroom for convergence checks.
 DEFAULT_ORDER = 6
-
-
-@dataclass(frozen=True)
-class TruncSeries:
-    """Power series in ρ truncated at degree ``order``.
-
-    ``coeffs`` has length ``order + 1`` and ``coeffs[j]`` is the coefficient
-    of ρʲ.  Instances are immutable (the coefficient array is frozen) and
-    safe to share between threads.
-    """
-
-    order: int
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        if self.order < 0:
-            raise ValueError(f"order must be >= 0, got {self.order}")
-        c = np.asarray(self.coeffs, dtype=float)
-        if c.ndim != 1 or c.shape[0] != self.order + 1:
-            raise ValueError(
-                f"coeffs must be a 1-D array of length order+1={self.order + 1}, "
-                f"got shape {c.shape}"
-            )
-        if not np.all(np.isfinite(c)):
-            raise ValueError("coeffs must be finite")
-        c = c.copy()
-        c.flags.writeable = False
-        object.__setattr__(self, "coeffs", c)
-
-    @classmethod
-    def from_coeffs(cls, coeffs) -> "TruncSeries":
-        c = np.atleast_1d(np.asarray(coeffs, dtype=float))
-        return cls(order=c.shape[0] - 1, coeffs=c)
-
-    def __call__(self, rho: float) -> float:
-        """Evaluate the truncated polynomial at ρ."""
-        return float(np.polynomial.polynomial.polyval(rho, self.coeffs))
 
 
 def exp_series(expo: np.ndarray) -> np.ndarray:
@@ -87,29 +48,10 @@ def exp_series(expo: np.ndarray) -> np.ndarray:
     return coeffs
 
 
-def series_exp(a: TruncSeries) -> TruncSeries:
-    """Coefficients of exp(a(ρ)) truncated at order J: :func:`exp_series` on one row.
-
-    Requires a(0) = 0; a nonzero constant term must be factored out by the
-    caller (exp(a₀) is then an exact scalar multiplier).
-    """
-    if a.coeffs[0] != 0.0:
-        raise ValueError(
-            f"series_exp requires a zero constant term, got {a.coeffs[0]!r}; "
-            "factor out exp(a0) first"
-        )
-    return TruncSeries(a.order, exp_series(a.coeffs[None, :])[0])
-
-
-def hermite(n: int, y: float) -> float:
-    """Probabilists' Hermite polynomial H_n(y): :func:`hermite_all` at one degree."""
-    if n < 0:
-        raise ValueError(f"degree must be >= 0, got {n}")
-    return float(hermite_all(n, y)[n])
-
-
 def hermite_all(n: int, y) -> np.ndarray:
     """H₀(y)..H_n(y) for scalar or array y, stacked along a leading axis."""
+    if n < 0:
+        raise ValueError(f"degree must be >= 0, got {n}")
     y = np.asarray(y, dtype=float)
     out = np.empty((n + 1,) + y.shape)
     out[0] = 1.0

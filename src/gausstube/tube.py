@@ -27,6 +27,9 @@ PROJECTION_TOL = 1e-8
 #: Gaussian points at which :func:`projection_oracle` checks the Hessian is PSD.
 CONVEXITY_PROBES = 100
 
+#: Outer projected-gradient iterations a projection may take before it fails.
+PROJECTION_MAXITER = 500
+
 
 @dataclass(frozen=True)
 class DistanceOracle:
@@ -34,13 +37,13 @@ class DistanceOracle:
 
     ``method`` is ``'closed-form'`` (a vectorized ``formula`` is supplied)
     or ``'projection'`` (projected-gradient descent on the boundary level
-    set with Armijo backtracking, KKT residual below ``PROJECTION_TOL``).
+    set with Armijo backtracking, KKT residual below ``PROJECTION_TOL``
+    within ``PROJECTION_MAXITER`` iterations).
     d(x) = 0 exactly when x lies in the region; d is 1-Lipschitz.
     """
 
     region: RegionSpec
     method: str
-    maxiter: int = 500
     formula: Optional[Callable[[np.ndarray], np.ndarray]] = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -90,7 +93,7 @@ def two_sided_oracle(a: float, dim: int) -> DistanceOracle:
     )
 
 
-def projection_oracle(region: RegionSpec, maxiter: int = 500, rng=0) -> DistanceOracle:
+def projection_oracle(region: RegionSpec, rng=0) -> DistanceOracle:
     """Projection-solver oracle for a convex region.
 
     Convexity is assumed, not verified globally; a sampled check (Hessian
@@ -108,7 +111,7 @@ def projection_oracle(region: RegionSpec, maxiter: int = 500, rng=0) -> Distance
             f"functional fails the sampled convexity check (min Hessian "
             f"eigenvalue {min_eig:.3e}); projection distances need a convex level structure"
         )
-    return DistanceOracle(region, "projection", maxiter=maxiter)
+    return DistanceOracle(region, "projection")
 
 
 def _sq_norms(v: np.ndarray) -> np.ndarray:
@@ -147,7 +150,7 @@ def _project_exterior(oracle: DistanceOracle, x: np.ndarray) -> np.ndarray:
     active until its KKT tangential residual drops below ``PROJECTION_TOL``
     (or its distance is 0), and fails — NaN — when a retraction does not
     converge, 40 Armijo halvings find no sufficient decrease, or
-    ``maxiter`` iterations pass.
+    ``PROJECTION_MAXITER`` iterations pass.
     """
     func = oracle.region.functional
     u = oracle.region.level
@@ -156,7 +159,7 @@ def _project_exterior(oracle: DistanceOracle, x: np.ndarray) -> np.ndarray:
     out = np.full(x.shape[0], np.nan)
     y, ok = _retract_to_level(func, x, u, tol_f)
     active = np.nonzero(ok)[0]
-    for _ in range(oracle.maxiter):
+    for _ in range(PROJECTION_MAXITER):
         if active.size == 0:
             break
         xa, ya = x[active], y[active]
@@ -212,18 +215,6 @@ def distances(oracle: DistanceOracle, x: np.ndarray) -> tuple[np.ndarray, int]:
     return out, int(np.count_nonzero(np.isnan(out[exterior])))
 
 
-def tube_volume_mc(
-    oracle: DistanceOracle,
-    rho: float,
-    n_samples: int,
-    rng=0,
-    workers: int = 1,
-) -> tuple[float, float]:
-    """Estimate γ_k(Tube(A, ρ)) = P(d(X) ≤ ρ): :func:`tube_volumes_mc` at one ρ."""
-    est, stderr = tube_volumes_mc(oracle, [rho], n_samples, rng=rng, workers=workers)
-    return float(est[0]), float(stderr[0])
-
-
 def tube_volumes_mc(
     oracle: DistanceOracle,
     rho_grid,
@@ -235,9 +226,9 @@ def tube_volumes_mc(
 
     The distances do not depend on ρ, so one sample set serves the whole
     grid: each block solves its distances once and counts d ≤ ρ for every
-    ρ.  Entry i is bit-identical to :func:`tube_volume_mc` at
-    ``rho_grid[i]`` with the same ``rng``.  Solver failures are dropped from
-    the tally; more than 0.1% of them aborts the run.
+    ρ.  Entry i is bit-identical to a call with ``rho_grid = [rho_grid[i]]``
+    and the same ``rng``.  Solver failures are dropped from the tally; more
+    than 0.1% of them aborts the run.
     """
     rho_grid = np.asarray(rho_grid, dtype=float)
     if rho_grid.ndim != 1 or rho_grid.size == 0:

@@ -8,11 +8,12 @@ from typing import Callable
 
 import numpy as np
 
+from gausstube import tube
 from gausstube._mc import as_seed_sequence
-from gausstube.errors import DegeneratePointError, GausstubeError, ProjectionError
+from gausstube.errors import GausstubeError, ProjectionError
 from gausstube.fields import FieldSample, ParamSpace
 from gausstube.malliavin import DEFAULT_GRAD_FLOOR, SmoothFunctional
-from gausstube.series import TruncSeries, hermite, series_exp
+from gausstube.series import exp_series, hermite_all
 from gausstube.tube import PROJECTION_TOL, distances
 
 
@@ -80,15 +81,15 @@ def driving_paths(space, cov, time_n, seed):
     return np.vstack([np.zeros((1, increments.shape[1])), np.cumsum(increments, axis=0)])
 
 
-def series_mul(a: TruncSeries, b: TruncSeries) -> TruncSeries:
-    """Cauchy product truncated at the common order J."""
-    if a.order != b.order:
+def series_mul(a, b) -> np.ndarray:
+    """Cauchy product of two coefficient arrays, truncated at their common order J."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if a.shape != b.shape:
         raise ValueError(
-            f"series_mul: order mismatch ({a.order} vs {b.order}); "
+            f"series_mul: order mismatch ({a.shape[0] - 1} vs {b.shape[0] - 1}); "
             "operands must be truncated at the same degree"
         )
-    full = np.convolve(a.coeffs, b.coeffs)
-    return TruncSeries(a.order, full[: a.order + 1])
+    return np.convolve(a, b)[: a.shape[0]]
 
 
 def half_norm_squared(dim: int) -> SmoothFunctional:
@@ -185,21 +186,19 @@ def unit_normal(
     if orientation not in (+1, -1):
         raise ValueError(f"orientation must be +1 or -1, got {orientation}")
     x = np.asarray(x, dtype=float)
-    g = np.asarray(func.grad(x), dtype=float)
+    g = func.grads(x[None])[0]
     gn = float(np.linalg.norm(g))
     if gn < grad_floor:
-        raise DegeneratePointError(
-            f"gradient norm {gn:.3e} below floor {grad_floor:.1e} at x={x!r}"
-        )
-    h = np.asarray(func.hess(x), dtype=float)
+        raise ValueError(f"gradient norm {gn:.3e} below floor {grad_floor:.1e} at x={x!r}")
+    h = func.hessians(x[None])[0]
     eta = orientation * g / gn
     hg = h @ g
     eta_jac = orientation * (h / gn - np.outer(g, hg) / gn**3)
     return eta, eta_jac
 
 
-def reference_jacobian_series(func, orientation, x, order, grad_floor=DEFAULT_GRAD_FLOOR):
-    """The Jacobian series at one point from the dense normal Jacobian ∇η.
+def reference_jacobian_coeffs(func, orientation, x, order, grad_floor=DEFAULT_GRAD_FLOOR):
+    """The Jacobian series at one point, (order+1,), from the dense normal Jacobian ∇η.
 
     Assembles exp(−ρ·δ(η) − ρ²/2 + Σ_{m≥2} (−1)^{m+1} tr((∇η)ᵐ) ρᵐ/m) from
     trace powers of ∇η.  It shares only the functional's oracles and the
@@ -217,7 +216,7 @@ def reference_jacobian_series(func, orientation, x, order, grad_floor=DEFAULT_GR
         expo[m] = (-1) ** (m + 1) * np.trace(p) / m
     if order >= 2:
         expo[2] -= 0.5
-    return series_exp(TruncSeries(order, expo))
+    return exp_series(expo[None])[0]
 
 
 def normal_field(
@@ -242,27 +241,25 @@ def check_derivatives(
     n_probes: int = 50,
     rel_tol: float = 1e-5,
 ) -> None:
-    """Verify grad/hess against central finite differences at Gaussian probes.
+    """Verify gradients and Hessians against central finite differences at Gaussian probes.
 
-    The step is 1e−4·(1+‖x‖); gradients of ``value`` and Hessians of
-    ``grad`` must match to relative error ``rel_tol``, and the Hessian must
+    The step is 1e−4·(1+‖x‖); gradients of ``values`` and Hessians of
+    ``grads`` must match to relative error ``rel_tol``, and the Hessian must
     be symmetric to 1e−10.  A functional without ``hessians`` has only its
-    gradient checked.  The one-point oracles are the batch oracles on
-    one row, so this checks what the Monte Carlo kernels evaluate.  Raises
-    AssertionError on failure.
+    gradient checked.  Each probe evaluates the batch oracles on one stack
+    of the point and its 2k shifted copies, so this checks what the Monte
+    Carlo kernels evaluate.  Raises AssertionError on failure.
     """
     k = func.dim
     for _ in range(n_probes):
         x = rng.standard_normal(k)
         step = 1e-4 * (1.0 + np.linalg.norm(x))
-        g = np.asarray(func.grad(x), dtype=float)
-        g_fd = np.empty(k)
-        h_fd = np.empty((k, k))
-        for i in range(k):
-            e = np.zeros(k)
-            e[i] = step
-            g_fd[i] = (func.value(x + e) - func.value(x - e)) / (2 * step)
-            h_fd[:, i] = (np.asarray(func.grad(x + e)) - np.asarray(func.grad(x - e))) / (2 * step)
+        shifts = step * np.eye(k)
+        stack = np.concatenate([x[None], x + shifts, x - shifts])
+        values, grads = func.values(stack), func.grads(stack)
+        g = grads[0]
+        g_fd = (values[1 : k + 1] - values[k + 1 :]) / (2 * step)
+        h_fd = ((grads[1 : k + 1] - grads[k + 1 :]) / (2 * step)).T
         scale_g = max(1.0, float(np.linalg.norm(g)))
         if np.linalg.norm(g_fd - g) > rel_tol * scale_g:
             raise AssertionError(
@@ -271,7 +268,7 @@ def check_derivatives(
             )
         if func.hessians is None:
             continue
-        h = np.asarray(func.hess(x), dtype=float)
+        h = func.hessians(x[None])[0]
         if np.max(np.abs(h - h.T)) > 1e-10:
             raise AssertionError(f"Hessian not symmetric at x={x!r}")
         scale_h = max(1.0, float(np.linalg.norm(h)))
@@ -317,21 +314,22 @@ class HermiteEval:
 
     @classmethod
     def at(cls, degree: int, argument: float) -> "HermiteEval":
-        return cls(degree, float(argument), hermite(degree, argument))
+        return cls(degree, float(argument), float(hermite_all(degree, argument)[degree]))
 
 
 def retract_to_level(func, y, u, tol_f, maxiter=60):
     """Damped Newton steps along ∇F back to the level set {F = u} (one point)."""
     for _ in range(maxiter):
-        f = func.value(y)
+        f = float(func.values(y[None])[0])
         if abs(f - u) <= tol_f:
             return y
-        g = np.asarray(func.grad(y), dtype=float)
+        g = func.grads(y[None])[0]
         gn2 = float(np.dot(g, g))
         if gn2 == 0.0:
             break
         y = y - (f - u) * g / gn2
-    raise ProjectionError("level-set retraction failed to converge", abs(func.value(y) - u))
+    residual = abs(float(func.values(y[None])[0]) - u)
+    raise ProjectionError("level-set retraction failed to converge", residual)
 
 
 def project_distance(oracle, x):
@@ -349,8 +347,8 @@ def project_distance(oracle, x):
 
     y = retract_to_level(func, x.copy(), u, tol_f)
     res = math.inf
-    for _ in range(oracle.maxiter):
-        g = np.asarray(func.grad(y), dtype=float)
+    for _ in range(tube.PROJECTION_MAXITER):
+        g = func.grads(y[None])[0]
         n = g / np.linalg.norm(g)
         d = y - x
         dist2 = float(np.dot(d, d))
@@ -373,7 +371,8 @@ def project_distance(oracle, x):
             break
         y = y_try
     raise ProjectionError(
-        f"projection did not reach KKT residual {tol:.1e} in {oracle.maxiter} iterations",
+        f"projection did not reach KKT residual {tol:.1e} in "
+        f"{tube.PROJECTION_MAXITER} iterations",
         res,
     )
 
@@ -384,7 +383,7 @@ def dist_to_region(oracle, x):
     if failures:
         raise ProjectionError(
             f"projection failed to reach KKT residual {PROJECTION_TOL:.1e} "
-            f"within {oracle.maxiter} iterations",
+            f"within {tube.PROJECTION_MAXITER} iterations",
             math.nan,
         )
     return float(d[0])
@@ -395,8 +394,9 @@ def reference_distances(oracle, x):
     region = oracle.region
     out = np.zeros(x.shape[0])
     failed = np.zeros(x.shape[0], dtype=bool)
+    inside = region.contains_values(region.functional.values(x))
     for i, row in enumerate(x):
-        if region.contains(row):
+        if inside[i]:
             continue
         try:
             out[i] = project_distance(oracle, row)

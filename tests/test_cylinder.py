@@ -47,19 +47,16 @@ class TestEvaluation:
     def test_constant_potential_is_linear(self):
         f = CylFunctional(8, PotentialV.preset("one")).functional()
         y = np.arange(8.0)
-        assert f.value(y) == pytest.approx(y.sum() / np.sqrt(8.0), rel=1e-14)
+        assert f.values(y[None])[0] == pytest.approx(y.sum() / np.sqrt(8.0), rel=1e-14)
 
     def test_hand_value_n2(self):
         f = CylFunctional(2, PotentialV.preset("identity")).functional()
-        assert f.value(np.array([1.0, 1.0])) == pytest.approx(0.5, abs=1e-15)
+        assert f.values(np.array([[1.0, 1.0]]))[0] == pytest.approx(0.5, abs=1e-15)
 
     def test_zero_input(self):
         for name in ("one", "identity", "sin", "cubic"):
             f = CylFunctional(6, PotentialV.preset(name)).functional()
-            if name == "one":
-                assert f.value(np.zeros(6)) == 0.0
-            else:
-                assert f.value(np.zeros(6)) == 0.0
+            assert f.values(np.zeros((1, 6)))[0] == 0.0
 
     def test_grid_size_bounds(self):
         with pytest.raises(ValueError):
@@ -71,20 +68,20 @@ class TestEvaluation:
 class TestDerivatives:
     def test_constant_potential_gradient(self):
         f = CylFunctional(5, PotentialV.preset("one")).functional()
-        y = np.array([0.3, -1.0, 0.2, 2.0, 0.0])
-        assert np.allclose(f.grad(y), np.full(5, 5.0**-0.5))
-        assert np.allclose(f.hess(y), 0.0)
+        y = np.array([[0.3, -1.0, 0.2, 2.0, 0.0]])
+        assert np.allclose(f.grads(y), np.full(5, 5.0**-0.5))
+        assert np.allclose(f.hessians(y), 0.0)
 
     def test_hand_gradient_n2(self):
         f = CylFunctional(2, PotentialV.preset("identity")).functional()
-        g = f.grad(np.array([1.0, 1.0]))
-        assert np.allclose(g, [0.5, 0.5])
+        g = f.grads(np.array([[1.0, 1.0]]))
+        assert np.allclose(g, [[0.5, 0.5]])
 
     def test_hand_hessian_n2(self):
         # F_2(y) = y1*y2/2 for V(b)=b
         f = CylFunctional(2, PotentialV.preset("identity")).functional()
-        h = f.hess(np.array([0.7, -0.3]))
-        assert np.allclose(h, [[0.0, 0.5], [0.5, 0.0]])
+        h = f.hessians(np.array([[0.7, -0.3]]))
+        assert np.allclose(h, [[[0.0, 0.5], [0.5, 0.0]]])
 
     @pytest.mark.parametrize("name", ["identity", "sin"])
     @pytest.mark.parametrize("n", [4, 16, 64])
@@ -95,9 +92,8 @@ class TestDerivatives:
     def test_hessian_symmetric(self):
         rng = np.random.default_rng(61)
         f = CylFunctional(32, PotentialV.preset("cubic")).functional()
-        for _ in range(5):
-            h = f.hess(rng.standard_normal(32))
-            assert np.max(np.abs(h - h.T)) < 1e-12
+        h = f.hessians(rng.standard_normal((5, 32)))
+        assert np.max(np.abs(h - h.transpose(0, 2, 1))) < 1e-12
 
     def test_batch_consistency(self):
         rng = np.random.default_rng(67)
@@ -106,11 +102,11 @@ class TestDerivatives:
         vals = cyl.value_batch(y)
         grads = cyl.grad_batch(y)
         hessians = cyl.hess_batch(y)
-        f = cyl.functional()
         for i in range(9):
-            assert vals[i] == pytest.approx(f.value(y[i]), rel=1e-13)
-            assert np.allclose(grads[i], f.grad(y[i]), atol=1e-13)
-            assert np.allclose(hessians[i], f.hess(y[i]), atol=1e-13)
+            row = y[i : i + 1]
+            assert vals[i] == pytest.approx(cyl.value_batch(row)[0], rel=1e-13)
+            assert np.allclose(grads[i], cyl.grad_batch(row)[0], atol=1e-13)
+            assert np.allclose(hessians[i], cyl.hess_batch(row)[0], atol=1e-13)
 
 
 def _points_off_the_floor(cyl, count, seed):
@@ -395,7 +391,7 @@ class TestConvergenceStudy:
             PotentialV.preset("identity"), 0.0, 1, [4, 8], 20_000, rng=103
         )
         assert report.target is not None
-        assert report.deviations().shape == (2, 2)
+        assert report.target.values.shape == (2,)
         rows = report.rows()
         assert {r["n"] for r in rows} == {4, 8}
         assert all("target" in r for r in rows)
@@ -404,7 +400,7 @@ class TestConvergenceStudy:
         report = convergence_study(
             PotentialV.preset("identity"), 0.0, 1, [8, 64], 100_000, rng=107
         )
-        dev = np.abs(report.deviations())
+        dev = np.abs(np.stack([g.values for g in report.estimates]) - report.target.values)
         se8 = report.estimates[0].stderr
         se64 = report.estimates[1].stderr
         # column 0 is the region mass M_0; its n=8 bias is ~0.03

@@ -6,6 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+import gausstube.fields
 from gausstube.cylinder import CylFunctional, PotentialV
 from gausstube.fields import (
     EcEstimate,
@@ -14,7 +15,7 @@ from gausstube.fields import (
     SpatialCov,
     ec_mc_levels,
     euler_char,
-    excursion_volume_mc,
+    excursion_volumes_mc,
     kinematic_weights,
     lkc,
     simulate_field,
@@ -468,14 +469,32 @@ class TestKinematicRhs:
     def test_volume_mc_matches_mass(self):
         space = ParamSpace.interval(10.0, 200)
         cov = SpatialCov.cosine(1.0)
-        vol, se = excursion_volume_mc(space, cov, ONE, 1.0, 4, 400, rng=79)
+        (vol,), (se,) = excursion_volumes_mc(space, cov, ONE, [1.0], 4, 400, rng=79)
         target = lkc(space, cov)[1] * gaussian_tail(1.0)
         assert abs(vol - target) <= 4 * se
 
+    def test_volume_levels_share_one_field_set(self, monkeypatch):
+        # every level reads the same fields, and entry i is the one-level call at u_levels[i]
+        calls = []
+        simulate = gausstube.fields.simulate_field
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return simulate(*args, **kwargs)
+
+        space, cov = ParamSpace.interval(10.0, 200), SpatialCov.cosine(1.0)
+        levels = [1.0, 0.0, 0.5]
+        monkeypatch.setattr(gausstube.fields, "simulate_field", counted)
+        vols, ses = excursion_volumes_mc(space, cov, ONE, levels, 4, 120, rng=83, workers=2)
+        assert len(calls) == 120
+        for i, u in enumerate(levels):
+            (vol,), (se,) = excursion_volumes_mc(space, cov, ONE, [u], 4, 120, rng=83)
+            assert (vols[i], ses[i]) == (vol, se)
+
     def test_volume_mc_reps_floor(self):
         with pytest.raises(ValueError, match="reps"):
-            excursion_volume_mc(
-                ParamSpace.interval(5.0, 64), SpatialCov.cosine(1.0), ONE, 1.0, 4, 1, rng=1
+            excursion_volumes_mc(
+                ParamSpace.interval(5.0, 64), SpatialCov.cosine(1.0), ONE, [1.0], 4, 1, rng=1
             )
 
 

@@ -17,8 +17,8 @@ from gausstube.gmf import (
     gmf_two_sided,
     silverman_bandwidth,
 )
-from gausstube.malliavin import SmoothFunctional
-from gausstube.series import hermite
+from gausstube.malliavin import SmoothFunctional, jacobian_coeffs
+from gausstube.series import hermite_all
 
 PHI_1 = 0.24197072451914335
 PSI_1 = 0.15865525393145705
@@ -149,8 +149,8 @@ class TestRegionSpec:
 
     def test_contains(self):
         r = RegionSpec(coordinate(2), 1.0, "excursion")
-        assert r.contains(np.array([2.0, 0.0]))
-        assert not r.contains(np.array([0.0, 0.0]))
+        x = np.array([[2.0, 0.0], [0.0, 0.0]])
+        assert r.contains_values(r.functional.values(x)).tolist() == [True, False]
 
     def test_bad_kind(self):
         with pytest.raises(ValueError):
@@ -162,15 +162,14 @@ class TestHermiteConsistency:
         # On {x_1 = u} the weight (j-1)! c_{j-1} |grad F| must equal H_{j-1}(u):
         # combined with the halfspace closed form this pins the factorial
         # bookkeeping of the estimator.
-        from gausstube.malliavin import jacobian_series
-
         f = coordinate(5)
-        for u in (0.0, 1.0, 2.0):
-            x = np.array([u, 0.1, -0.2, 0.3, 0.0])
-            coeffs = jacobian_series(f, -1, x, 6).coeffs
-            for j in range(1, 7):
-                weight = math.factorial(j - 1) * coeffs[j - 1] * 1.0
-                assert weight == pytest.approx(hermite(j - 1, u), rel=1e-12, abs=1e-12)
+        u = np.array([0.0, 1.0, 2.0])
+        x = np.column_stack([u, np.tile([0.1, -0.2, 0.3, 0.0], (3, 1))])
+        coeffs, _ = jacobian_coeffs(x, f.grads(x), lambda v: f.moments(x, v, 6), -1)
+        hermites = hermite_all(5, u)
+        for j in range(1, 7):
+            weight = math.factorial(j - 1) * coeffs[:, j - 1] * 1.0
+            assert weight == pytest.approx(hermites[j - 1], rel=1e-12, abs=1e-12)
 
 
 class TestSurfaceMonteCarlo:

@@ -285,23 +285,21 @@ class TestRunGkf:
             "validate_assumptions", "gmf_surface_mc", "gmf_surface_mc_levels", "ec_mc_levels"
         ):
             monkeypatch.setattr(gausstube.harness, name, not_reached)
-        cfg = ExperimentConfig.from_dict(
-            {
-                "experiment": "crofton",
-                "seed": 17,
-                "space": {"kind": "interval", "length": 10.0, "grid": 200},
-                "cov": {"preset": "cosine", "frequency": 1.0},
-                "potential": "identity",
-                "u_levels": [0.5],
-                "n": 8,
-                "J": 1,
-                "N": 30_000,
-                "reps": 300,
-                "index": index,
-            }
-        )
+        data = {
+            "experiment": "crofton",
+            "seed": 17,
+            "space": {"kind": "interval", "length": 10.0, "grid": 200},
+            "cov": {"preset": "cosine", "frequency": 1.0},
+            "potential": "identity",
+            "u_levels": [0.5],
+            "n": 8,
+            "J": 1,
+            "N": 30_000,
+            "reps": 300,
+            "index": index,
+        }
         with pytest.raises(ConfigError, match="index"):
-            run(cfg)
+            run(ExperimentConfig.from_dict(data))
 
     @pytest.mark.parametrize(
         "experiment,fault,match",
@@ -386,6 +384,12 @@ class TestRunGkf:
             ({"cov": {"preset": "squared-exponential", "lambda2": 1, "dim": 2}}, "dim"),
             ({"space": {"kind": "torus", "lengths": [6.0], "grid": 40}}, "bad space"),
             ({"space": ["interval", 10.0]}, "dict"),
+            ({"cov": {"preset": "wave-sum", "frequencies": [[True], [-1]]}}, "frequencies"),
+            (
+                {"cov": {"preset": "wave-sum", "frequencies": [[1], [-1]], "weights": [True, 0.0]}},
+                "weights",
+            ),
+            ({"cov": {"preset": "wave-sum", "frequencies": []}}, "frequencies"),
         ],
     )
     def test_bad_keys_and_specs_fail_before_any_sampling(self, fault, match, monkeypatch):
@@ -415,6 +419,35 @@ class TestRunGkf:
                 data.update(experiment="tube", rho_grid=[0.1])
         with pytest.raises(ConfigError, match=match):
             run(ExperimentConfig.from_dict({**data, **fault}))
+
+    @pytest.mark.parametrize(
+        "fault,match",
+        [
+            ({"experiment": "tube", "rho_grid": [0.1], "method": "bisection"}, "distance method"),
+            ({"experiment": "crofton", "index": "1"}, "index must be an integer"),
+            ({"experiment": "crofton", "index": None}, "index must be an integer"),
+            ({"potential": "nope"}, "potential must be one of"),
+            ({"potential": ["identity"]}, "potential must be one of"),
+        ],
+    )
+    def test_from_dict_checks_every_scalar_key(self, fault, match):
+        # from_dict is the validation call of the CLI and the benchmark's set-up step
+        data = {
+            "experiment": "gkf",
+            "seed": 17,
+            "space": {"kind": "interval", "length": 10.0, "grid": 200},
+            "cov": {"preset": "cosine", "frequency": 1.0},
+            "potential": "identity",
+            "u_levels": [0.5],
+            "n": 8,
+            "J": 1,
+            "N": 30_000,
+            "reps": 300,
+        }
+        if fault.get("experiment") == "tube":
+            data = gmf_config()
+        with pytest.raises(ConfigError, match=match):
+            ExperimentConfig.from_dict({**data, **fault})
 
     def test_low_order_fails_before_validation(self, monkeypatch):
         def not_reached(*args, **kwargs):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from _oracles import dist_to_region, half_norm_squared, reference_distances
+from gausstube import tube
 from gausstube.errors import ProjectionError
 from gausstube.functionals import norm, quadratic
 from gausstube.cylinder import CylFunctional, PotentialV
@@ -12,7 +13,6 @@ from gausstube.tube import (
     distances,
     halfspace_oracle,
     projection_oracle,
-    tube_volume_mc,
     tube_volumes_mc,
     two_sided_oracle,
     validate_tube_series,
@@ -129,10 +129,11 @@ class TestProjectionSolver:
         ],
         ids=["halfspace", "ball", "ball-excursion", "norm-ball", "ellipse", "ellipse-capped"],
     )
-    def test_batch_matches_reference(self, region, maxiter):
+    def test_batch_matches_reference(self, region, maxiter, monkeypatch):
         # the batch solver against the per-point reference, row by row; the
         # origin is an exterior point with zero gradient for the excursions
-        oracle = projection_oracle(region, maxiter=maxiter)
+        monkeypatch.setattr(tube, "PROJECTION_MAXITER", maxiter)
+        oracle = projection_oracle(region)
         x = 2.0 * np.random.default_rng(59).standard_normal((300, region.dim))
         x[0] = 0.0
         d, failures = distances(oracle, x)
@@ -141,9 +142,10 @@ class TestProjectionSolver:
         assert failures == int(ref_failed.sum())
         assert np.max(np.abs(d[~ref_failed] - ref[~ref_failed])) <= 1e-12
 
-    def test_mixed_batch_failures_stay_in_their_rows(self):
+    def test_mixed_batch_failures_stay_in_their_rows(self, monkeypatch):
+        monkeypatch.setattr(tube, "PROJECTION_MAXITER", 2)
         region = RegionSpec(quadratic(np.diag([400.0, 0.01])), 1.0, "sub-level")
-        oracle = projection_oracle(region, maxiter=2)
+        oracle = projection_oracle(region)
         # on-axis exterior points converge at once; interior points are at 0
         easy = np.array([[1.0, 0.0], [-2.0, 0.0], [0.0, 20.0], [0.0, -30.0], [0.0, 1.0]])
         hard = np.array([[1.0, 9.0], [-1.0, 9.0], [0.5, -12.0], [2.0, 3.0]])
@@ -155,11 +157,12 @@ class TestProjectionSolver:
         assert np.all(np.isnan(d[is_hard]))
         assert np.array_equal(d[~is_hard], alone)
 
-    def test_failure_counting(self):
+    def test_failure_counting(self, monkeypatch):
         # An extremely anisotropic ellipse needs more projected-gradient
         # iterations than allowed, so the solve is reported as failed.
+        monkeypatch.setattr(tube, "PROJECTION_MAXITER", 2)
         region = RegionSpec(quadratic(np.diag([400.0, 0.01])), 1.0, "sub-level")
-        oracle = projection_oracle(region, maxiter=2)
+        oracle = projection_oracle(region)
         x = np.array([[1.0, 9.0]])
         d, failures = distances(oracle, x)
         assert failures == 1 and np.isnan(d[0])
@@ -168,17 +171,17 @@ class TestProjectionSolver:
 class TestTubeVolume:
     def test_halfspace_tube(self):
         oracle = halfspace_oracle(1.0, 3)
-        est, se = tube_volume_mc(oracle, 0.3, 200_000, rng=17)
+        (est,), (se,) = tube_volumes_mc(oracle, [0.3], 200_000, rng=17)
         assert abs(est - 0.24196365222307301) <= 4 * se
 
     def test_zero_radius_recovers_mass(self):
         oracle = halfspace_oracle(1.0, 2)
-        est, se = tube_volume_mc(oracle, 0.0, 100_000, rng=19)
+        (est,), (se,) = tube_volumes_mc(oracle, [0.0], 100_000, rng=19)
         assert abs(est - gaussian_tail(1.0)) <= 4 * se
 
     def test_ball_tube_chi_cdf(self):
         oracle = ball_oracle(1.0, 2)
-        est, se = tube_volume_mc(oracle, 0.5, 200_000, rng=23)
+        (est,), (se,) = tube_volumes_mc(oracle, [0.5], 200_000, rng=23)
         # P(chi_2 <= 1.5) = 1 - exp(-1.5^2/2)
         assert abs(est - 0.67534753264165027) <= 4 * se
 
@@ -190,17 +193,18 @@ class TestTubeVolume:
         fractions = [(d <= rho).mean() for rho in (0.0, 0.2, 0.4, 0.8)]
         assert np.all(np.diff(fractions) >= 0)
 
-    def test_abort_on_failures(self):
+    def test_abort_on_failures(self, monkeypatch):
+        monkeypatch.setattr(tube, "PROJECTION_MAXITER", 2)
         region = RegionSpec(quadratic(np.diag([400.0, 0.01])), 1.0, "sub-level")
-        oracle = projection_oracle(region, maxiter=2)
+        oracle = projection_oracle(region)
         with pytest.raises(ProjectionError):
-            tube_volume_mc(oracle, 0.5, 12_000, rng=31)
+            tube_volumes_mc(oracle, [0.5], 12_000, rng=31)
 
     def test_worker_independence(self):
         projection = projection_oracle(RegionSpec(norm(2), 1.0, "sub-level"))
         for oracle in (two_sided_oracle(1.0, 2), projection):
-            a = tube_volume_mc(oracle, 0.2, 70_000, rng=37)
-            b = tube_volume_mc(oracle, 0.2, 70_000, rng=37, workers=4)
+            a = tube_volumes_mc(oracle, [0.2], 70_000, rng=37)
+            b = tube_volumes_mc(oracle, [0.2], 70_000, rng=37, workers=4)
             assert a == b
 
 
@@ -214,7 +218,7 @@ class TestTubeGrid:
         grid = [0.0, 0.1, 0.3, 0.6]
         est, se = tube_volumes_mc(oracle, grid, 40_000, rng=61, workers=2)
         for i, rho in enumerate(grid):
-            assert (est[i], se[i]) == tube_volume_mc(oracle, rho, 40_000, rng=61, workers=2)
+            assert (est[i], se[i]) == tube_volumes_mc(oracle, [rho], 40_000, rng=61, workers=2)
 
     def test_bad_grid_rejected(self):
         oracle = ball_oracle(1.0, 2)
@@ -223,14 +227,15 @@ class TestTubeGrid:
         with pytest.raises(ValueError, match="rho"):
             tube_volumes_mc(oracle, [0.1, -0.2], 10_000, rng=1)
 
-    def test_abort_counts_each_failure_once(self):
+    def test_abort_counts_each_failure_once(self, monkeypatch):
         # one solve per sample, however many radii share it
+        monkeypatch.setattr(tube, "PROJECTION_MAXITER", 2)
         region = RegionSpec(quadratic(np.diag([400.0, 0.01])), 1.0, "sub-level")
-        oracle = projection_oracle(region, maxiter=2)
+        oracle = projection_oracle(region)
         with pytest.raises(ProjectionError) as grid_error:
             tube_volumes_mc(oracle, [0.1, 0.5, 1.0], 12_000, rng=31)
         with pytest.raises(ProjectionError) as one_error:
-            tube_volume_mc(oracle, 0.5, 12_000, rng=31)
+            tube_volumes_mc(oracle, [0.5], 12_000, rng=31)
         assert str(grid_error.value) == str(one_error.value)
 
 
