@@ -18,4 +18,4 @@ class ProjectionError(GausstubeError, RuntimeError):
 
 
 class ConfigError(GausstubeError, ValueError):
-    """Experiment configuration is malformed or inconsistent."""
+    """An experiment configuration or a saved result is malformed or inconsistent."""

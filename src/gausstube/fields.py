@@ -40,12 +40,23 @@ DERIVATIVE_REL_TOL = 1e-5
 LIPSCHITZ_PAIRS = 64
 
 
+#: Flat parameter spaces as products of axes: kind → (number of axes, whether they wrap).
+_KINDS = {"interval": (1, False), "circle": (1, True), "torus": (2, True)}
+
+# Slices that drop the last or the first point along each axis, for unwrapped grids.
+_AXES = range(max(dim for dim, _ in _KINDS.values()))
+_HEAD = tuple((slice(None),) * axis + (slice(None, -1),) for axis in _AXES)
+_TAIL = tuple((slice(None),) * axis + (slice(1, None),) for axis in _AXES)
+
+
 @dataclass(frozen=True)
 class ParamSpace:
     """A flat parameter space: interval, circle, or flat torus.
 
-    ``grid`` is the number of sample points per dimension; circle and torus
-    grids wrap (periodic adjacency), the interval grid does not.
+    Each kind is a product of ``dim`` axes of the given ``lengths`` that
+    all wrap or all do not.  ``grid`` is the number of sample points per
+    axis; circle and torus grids wrap (periodic adjacency), the interval
+    grid does not.
     """
 
     kind: str
@@ -53,11 +64,10 @@ class ParamSpace:
     grid: int
 
     def __post_init__(self):
-        if self.kind not in ("interval", "circle", "torus"):
+        if self.kind not in _KINDS:
             raise ValueError(f"unknown parameter space kind {self.kind!r}")
-        expected = 2 if self.kind == "torus" else 1
-        if len(self.lengths) != expected:
-            raise ValueError(f"{self.kind} needs {expected} length(s), got {self.lengths}")
+        if len(self.lengths) != self.dim:
+            raise ValueError(f"{self.kind} needs {self.dim} length(s), got {self.lengths}")
         if any(l <= 0 for l in self.lengths):
             raise ValueError(f"lengths must be positive, got {self.lengths}")
         if self.grid < 4:
@@ -78,11 +88,11 @@ class ParamSpace:
 
     @property
     def dim(self) -> int:
-        return 2 if self.kind == "torus" else 1
+        return _KINDS[self.kind][0]
 
     @property
     def wraps(self) -> bool:
-        return self.kind != "interval"
+        return _KINDS[self.kind][1]
 
     @property
     def grid_shape(self) -> tuple[int, ...]:
@@ -96,11 +106,8 @@ class ParamSpace:
 
     def points(self) -> np.ndarray:
         """All grid points as a (G, dim) array (row-major over the grid)."""
-        if self.dim == 1:
-            return self.axis_points(0)[:, None]
-        ax0, ax1 = self.axis_points(0), self.axis_points(1)
-        xx, yy = np.meshgrid(ax0, ax1, indexing="ij")
-        return np.column_stack([xx.ravel(), yy.ravel()])
+        axes = np.meshgrid(*map(self.axis_points, range(self.dim)), indexing="ij")
+        return np.column_stack([axis.ravel() for axis in axes])
 
     @property
     def spacing(self) -> float:
@@ -231,7 +238,7 @@ class SpatialCov:
             if np.max(np.abs(cycles - np.round(cycles))) > 1e-9:
                 raise ValueError(
                     f"frequencies {self.frequencies[:, axis]} are not periodic on a "
-                    f"{space.kind} of length {length}"
+                    f"wrapped axis of length {length}"
                 )
 
 
@@ -330,47 +337,47 @@ def simulate_field(
 def euler_char(sample: FieldSample, u: float) -> int:
     """Euler characteristic of {f ≥ u} on the vertex-thresholded complex.
 
-    A cell of the grid complex is kept iff all its vertices are above the
-    level; χ = #V − #E (+ #squares on the torus), with periodic
-    identification on wrapped spaces.  A fully supra-threshold interval
+    The grid complex is the product of one chain of vertices and edges per
+    axis (a cycle on wrapped axes).  A cell is kept iff all its vertices
+    are above the level, so gluing each kept cell to its neighbour along
+    the next axis gives the kept cells one dimension up; χ sums their
+    counts with sign (−1)^dimension.  A fully supra-threshold interval
     gives 1, a full circle or torus gives 0.
     """
-    above = sample.f_values >= u
-    kind = sample.space.kind
-    if kind == "interval":
-        v = int(above.sum())
-        e = int(np.count_nonzero(above[:-1] & above[1:]))
-        return v - e
-    if kind == "circle":
-        v = int(above.sum())
-        e = int(np.count_nonzero(above & np.roll(above, -1)))
-        return v - e
-    v = int(above.sum())
-    right = np.roll(above, -1, axis=0)
-    up = np.roll(above, -1, axis=1)
-    e = int(np.count_nonzero(above & right)) + int(np.count_nonzero(above & up))
-    f = int(np.count_nonzero(above & right & up & np.roll(right, -1, axis=1)))
-    return v - e + f
+    space = sample.space
+    cells = [(sample.f_values >= u, 1)]  # (mask, (−1)^dimension)
+    for axis in range(space.dim):
+        if space.wraps:
+            cells += [(c & np.roll(c, -1, axis), -sign) for c, sign in cells]
+        else:
+            head, tail = _HEAD[axis], _TAIL[axis]
+            cells += [(c[head] & c[tail], -sign) for c, sign in cells]
+    chi = 0
+    for c, sign in cells:
+        chi += sign * np.count_nonzero(c)
+    return int(chi)
 
 
 def lkc(space: ParamSpace, cov: SpatialCov) -> np.ndarray:
     """Lipschitz–Killing curvatures of the space under the induced metric.
 
-    The time-one marginal of the driving field has unit variance and second
-    spectral moment λ₂, so the induced metric is λ₂ times the flat one and
-    every j-dimensional volume scales by λ₂^{j/2}:
+    Flat LKCs multiply over a product: an interval axis of length T has
+    (1, T), a circle (0, L), and the space's curvatures are the product of
+    these as polynomials.  The time-one marginal of the driving field has
+    unit variance and second spectral moment λ₂, so the induced metric is
+    λ₂ times the flat one and every j-dimensional volume scales by
+    λ₂^{j/2}:
 
         interval [0,T] → (1, T√λ₂),  circle → (0, L√λ₂),
         torus → (0, 0, L₁L₂λ₂).
     """
     if cov.dim != space.dim:
         raise ValueError("covariance/space dimension mismatch")
-    scale = np.sqrt(cov.lambda2)
-    if space.kind == "interval":
-        return np.array([1.0, space.lengths[0] * scale])
-    if space.kind == "circle":
-        return np.array([0.0, space.lengths[0] * scale])
-    return np.array([0.0, 0.0, space.lengths[0] * space.lengths[1] * cov.lambda2])
+    curvatures = np.ones(1)
+    for length in space.lengths:
+        curvatures = np.convolve(curvatures, [0.0 if space.wraps else 1.0, length])
+    j = np.arange(curvatures.size)
+    return curvatures * np.where(j % 2, np.sqrt(cov.lambda2), 1.0) * cov.lambda2 ** (j // 2)
 
 
 def check_reps(reps: int) -> None:

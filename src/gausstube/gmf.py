@@ -153,35 +153,14 @@ def gmf_two_sided(a: float, order: int = DEFAULT_ORDER) -> GmfVector:
     return GmfVector(order, 2.0 * half.values, np.zeros(order + 1))
 
 
-def _chi_pdf_poly_derivatives(dim: int, order: int) -> list[np.ndarray]:
-    """Polynomial parts of d^m/dr^m [r^{k−1} e^{−r²/2}] for m = 0..order−1.
-
-    Each derivative is p(r)·e^{−r²/2}; differentiation maps the coefficient
-    array p by p'[a−1] += a·p[a], p'[a+1] −= p[a].
-    """
-    polys = []
-    p = np.zeros(dim)
-    p[dim - 1] = 1.0  # r^{k-1}
-    for _ in range(order):
-        polys.append(p)
-        q = np.zeros(p.shape[0] + 1)
-        for a in range(p.shape[0]):
-            if p[a] == 0.0:
-                continue
-            if a >= 1:
-                q[a - 1] += a * p[a]
-            q[a + 1] -= p[a]
-        p = q
-    return polys
-
-
 def gmf_ball(radius: float, dim: int, order: int = DEFAULT_ORDER) -> GmfVector:
     """Functionals of the centered ball {‖x‖ ≤ R} in ℝᵏ.
 
     The tube of the ball is the ball of radius R+ρ, so
     M_j = dʲ/dρʲ P(χ_k ≤ R+ρ)|₀: M₀ is the chi CDF at R and the higher
-    functionals are derivatives of the chi density, computed symbolically
-    from the recurrence for derivatives of r^{k−1}e^{−r²/2}.
+    functionals are derivatives of the chi density.  Each derivative of
+    r^{k−1}e^{−r²/2} is p(r)·e^{−r²/2}, and the next one has polynomial
+    part p′ − r·p.
     """
     from scipy import special
 
@@ -194,8 +173,10 @@ def gmf_ball(radius: float, dim: int, order: int = DEFAULT_ORDER) -> GmfVector:
     if order >= 1:
         norm_const = 1.0 / (2.0 ** (dim / 2.0 - 1.0) * special.gamma(dim / 2.0))
         weight = norm_const * math.exp(-(radius**2) / 2.0)
-        for m, poly in enumerate(_chi_pdf_poly_derivatives(dim, order)):
-            values[m + 1] = weight * float(np.polynomial.polynomial.polyval(radius, poly))
+        p = np.eye(dim)[-1]  # coefficients of r^{k−1}, lowest degree first
+        for m in range(order):
+            values[m + 1] = weight * float(np.polynomial.polynomial.polyval(radius, p))
+            p = np.append(p[1:] * np.arange(1, p.size), [0.0, 0.0]) - np.append(0.0, p)
     return GmfVector(order, values, np.zeros(order + 1))
 
 

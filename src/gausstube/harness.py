@@ -68,8 +68,10 @@ def _non_empty_list_of(test: Callable) -> Callable:
 # Config keys that must be integers (booleans rejected) wherever they appear.
 _INT_KEYS = ("seed", "workers", "J", "N", "n", "reps", "index")
 # The other checked keys, each with its test and what the test asks for.
+_NON_NEGATIVE = (lambda v: _is_int(v) and v >= 0, "a non-negative integer")
 _VALUE_KEYS = {
-    "J": (lambda v: _is_int(v) and v >= 0, "a non-negative integer"),
+    "seed": _NON_NEGATIVE,
+    "J": _NON_NEGATIVE,
     "eps": (lambda v: v is None or (_is_number(v) and v > 0), "a positive number"),
     "method": (
         lambda v: v in (None, "closed-form", "projection"),
@@ -182,7 +184,11 @@ class RunResult:
     @classmethod
     def load(cls, path) -> "RunResult":
         data = json.loads(Path(path).read_text())
-        return cls(**{f.name: data[f.name] for f in dataclasses.fields(cls)})
+        names = [f.name for f in dataclasses.fields(cls)]
+        missing = [name for name in names if not isinstance(data, dict) or name not in data]
+        if missing:
+            raise ConfigError(f"{path} is not a saved RunResult: missing keys {missing}")
+        return cls(**{name: data[name] for name in names})
 
 
 def _from_spec(what: str, spec, table: dict, tag: str = "kind"):

@@ -406,6 +406,30 @@ def reference_distances(oracle, x):
     return out, failed
 
 
+def reference_euler_char(sample: FieldSample, u: float) -> int:
+    """χ of {f ≥ u} counted kind by kind: #V − #E (+ #squares on the torus).
+
+    The library counts the same vertex-thresholded complex as a product of
+    axes; this hand-written count per kind is its oracle.
+    """
+    above = sample.f_values >= u
+    kind = sample.space.kind
+    if kind == "interval":
+        v = int(above.sum())
+        e = int(np.count_nonzero(above[:-1] & above[1:]))
+        return v - e
+    if kind == "circle":
+        v = int(above.sum())
+        e = int(np.count_nonzero(above & np.roll(above, -1)))
+        return v - e
+    v = int(above.sum())
+    right = np.roll(above, -1, axis=0)
+    up = np.roll(above, -1, axis=1)
+    e = int(np.count_nonzero(above & right)) + int(np.count_nonzero(above & up))
+    f = int(np.count_nonzero(above & right & up & np.roll(right, -1, axis=1)))
+    return v - e + f
+
+
 _EXPORT_MAGIC = b"GTFS"
 _EXPORT_VERSION = 1
 
@@ -447,11 +471,6 @@ def load_field(path) -> tuple[FieldSample, dict]:
             raise ValueError(f"unsupported export version {version}")
         header = json.loads(fh.read(hlen).decode("utf-8"))
         data = np.frombuffer(fh.read(), dtype="<f8").reshape(header["shape"])
-    if header["kind"] == "torus":
-        space = ParamSpace.torus(*header["lengths"], grid=header["grid"])
-    elif header["kind"] == "circle":
-        space = ParamSpace.circle(header["lengths"][0], header["grid"])
-    else:
-        space = ParamSpace.interval(header["lengths"][0], header["grid"])
+    space = ParamSpace(header["kind"], tuple(header["lengths"]), header["grid"])
     sample = FieldSample(space=space, time_n=header["time_n"], f_values=data, seed=header["seed"])
     return sample, header

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import gausstube.harness
 from gausstube.cli import _build_parser, main
 from gausstube.harness import EXPERIMENTS, ExperimentConfig
@@ -187,6 +189,8 @@ class TestCli:
             ("gkf", {"cov": {"preset": "wave-sum", "frequencies": [[1]], "weights": [math.nan]}}),
             ("gkf", {"cov": {**sq_exp, "lambda2": -1}}),
             ("gkf", {"cov": {**sq_exp, "lambda2": math.nan}}),
+            # a seed the generator cannot take
+            ("gmf", {"seed": -1}),
         ]
         capsys.readouterr()
         bases = {"gmf": GMF, "gkf": gkf, "crofton": CROFTON, "converge": CONVERGE, "tube": TUBE}
@@ -195,6 +199,9 @@ class TestCli:
             cfg = write_config(tmp_path, {**base, **fault}, name=f"bad_{i}.json")
             assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2, fault
             assert capsys.readouterr().err.startswith("config error:"), fault
+        cfg = write_config(tmp_path, GMF, name="gmf_seed.json")
+        assert main(["gmf", "--config", cfg, "--seed", "-1", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
 
     def test_example_configs_match_the_registry(self):
         examples = sorted(Path(__file__).parents[1].glob("examples_configs/*.json"))
@@ -265,3 +272,18 @@ class TestCli:
         code = main(["report", str(result), "--out", str(tmp_path / "rep")])
         assert code == 0
         assert (tmp_path / "rep" / "summary.txt").exists()
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"experiment": "gmf", "rows": [], "counters": {}, "wall_clock": 0.0, "version": "0"},
+            [{"config_hash": "0" * 64, "experiment": "gmf"}],
+        ],
+        ids=["missing-config-hash", "top-level-list"],
+    )
+    def test_report_rejects_a_file_that_is_not_a_result(self, tmp_path, capsys, data):
+        path = write_config(tmp_path, data, name="result.json")
+        assert main(["report", path, "--out", str(tmp_path / "rep")]) == 2
+        err = capsys.readouterr().err
+        assert "not a saved RunResult" in err and "'config_hash'" in err
+        assert not (tmp_path / "rep").exists()

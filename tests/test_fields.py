@@ -5,6 +5,9 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import gausstube.fields
 from gausstube.cylinder import CylFunctional, PotentialV
@@ -25,8 +28,16 @@ from gausstube.fields import (
 from gausstube.gmf import gmf_surface_mc
 from gausstube.series import gaussian_pdf, gaussian_tail
 
-from _oracles import driving_paths, ito_loop_field, lambda2_fd, load_field, save_field
+from _oracles import (
+    driving_paths,
+    ito_loop_field,
+    lambda2_fd,
+    load_field,
+    reference_euler_char,
+    save_field,
+)
 
+DIMS = {"interval": 1, "circle": 1, "torus": 2}
 ONE = PotentialV.preset("one")
 IDENTITY = PotentialV.preset("identity")
 
@@ -290,58 +301,97 @@ class TestFieldExport:
             load_field(path)
 
 
+def _grid_sample(values, kind="interval", length=1.0):
+    values = np.asarray(values, dtype=float)
+    space = ParamSpace(kind, (length,) * values.ndim, values.shape[0])
+    return FieldSample(space=space, time_n=2, f_values=values, seed=0)
+
+
+@st.composite
+def _grid_fields(draw):
+    """A field on a 4–12 point grid of any kind, with values tied in {0, 1, 2, 3}."""
+    kind = draw(st.sampled_from(sorted(DIMS)))
+    n = draw(st.integers(4, 12))
+    levels = st.sampled_from([0.0, 1.0, 2.0, 3.0])
+    values = draw(arrays(np.float64, (n,) * DIMS[kind], elements=levels))
+    return _grid_sample(values, kind)
+
+
 class TestEulerChar:
-    def _sample(self, values, kind="interval", length=1.0):
-        values = np.asarray(values, dtype=float)
-        if kind == "torus":
-            space = ParamSpace.torus(length, length, values.shape[0])
-        elif kind == "circle":
-            space = ParamSpace.circle(length, values.shape[0])
-        else:
-            space = ParamSpace.interval(length, values.shape[0])
-        return FieldSample(space=space, time_n=2, f_values=values, seed=0)
+    @settings(max_examples=300, deadline=None)
+    @given(
+        sample=_grid_fields(),
+        u=st.sampled_from([0.0, 1.0, 2.0, 3.0]) | st.floats(-1.0, 4.0, allow_nan=False),
+    )
+    def test_matches_reference_count(self, sample, u):
+        assert euler_char(sample, u) == reference_euler_char(sample, u)
+
+    @pytest.mark.parametrize("kind, full", [("interval", 1), ("circle", 0), ("torus", 0)])
+    @pytest.mark.parametrize("n", [4, 12])
+    def test_all_above_and_all_below(self, kind, full, n):
+        values = np.random.default_rng(n).standard_normal((n,) * DIMS[kind])
+        sample = _grid_sample(values, kind)
+        for u, chi in ((values.min(), full), (np.nextafter(values.max(), np.inf), 0)):
+            assert euler_char(sample, u) == reference_euler_char(sample, u) == chi
 
     def test_interval_all_below(self):
-        s = self._sample(np.zeros(10))
+        s = _grid_sample(np.zeros(10))
         assert euler_char(s, 1.0) == 0
 
     def test_interval_all_above(self):
-        s = self._sample(np.ones(10))
+        s = _grid_sample(np.ones(10))
         assert euler_char(s, 0.5) == 1
 
     def test_interval_components(self):
-        s = self._sample([1, 0, 1, 1, 0, 1, 1, 1, 0, 0])
+        s = _grid_sample([1, 0, 1, 1, 0, 1, 1, 1, 0, 0])
         assert euler_char(s, 0.5) == 3
 
     def test_circle_all_above_is_zero(self):
-        s = self._sample(np.ones(12), kind="circle")
+        s = _grid_sample(np.ones(12), kind="circle")
         assert euler_char(s, 0.5) == 0
 
     def test_circle_wrapping_run(self):
         # one component that wraps through the seam
-        s = self._sample([1, 0, 0, 0, 0, 1], kind="circle")
+        s = _grid_sample([1, 0, 0, 0, 0, 1], kind="circle")
         assert euler_char(s, 0.5) == 1
 
     def test_torus_all_above_is_zero(self):
         vals = np.ones((8, 8))
-        s = self._sample(vals, kind="torus")
+        s = _grid_sample(vals, kind="torus")
         assert euler_char(s, 0.5) == 0
 
     def test_torus_single_blob(self):
         vals = np.zeros((8, 8))
         vals[2:5, 3:6] = 1.0
-        s = self._sample(vals, kind="torus")
+        s = _grid_sample(vals, kind="torus")
         assert euler_char(s, 0.5) == 1
 
     def test_torus_ring_has_zero_ec(self):
         # a band around one handle: chi = 0
         vals = np.zeros((8, 8))
         vals[:, 2:5] = 1.0
-        s = self._sample(vals, kind="torus")
+        s = _grid_sample(vals, kind="torus")
         assert euler_char(s, 0.5) == 0
 
 
 class TestLkc:
+    def test_interval_is_exact(self):
+        cov = SpatialCov.cosine(1.3)
+        out = lkc(ParamSpace.interval(10.0, 50), cov)
+        assert out.tolist() == [1.0, 10.0 * np.sqrt(cov.lambda2)]
+
+    def test_torus_is_the_product_of_two_circles(self):
+        # waves (±2, ±2) with weight 1/2: lambda2 = 4 exactly, as for cos(2h) on a circle
+        waves = SpatialCov.wave_sum([[2.0, 2.0], [2.0, -2.0], [-2.0, 2.0], [-2.0, -2.0]])
+        circle = SpatialCov.cosine(2.0)
+        assert waves.lambda2 == circle.lambda2 == 4.0
+        torus = lkc(ParamSpace.torus(2 * np.pi, 4 * np.pi, 32), waves)
+        product = np.convolve(
+            lkc(ParamSpace.circle(2 * np.pi, 32), circle),
+            lkc(ParamSpace.circle(4 * np.pi, 32), circle),
+        )
+        assert torus.tolist() == product.tolist() == [0.0, 0.0, 32.0 * np.pi**2]
+
     def test_interval(self):
         space = ParamSpace.interval(10.0, 50)
         assert np.allclose(lkc(space, SpatialCov.cosine(1.0)), [1.0, 10.0])
