@@ -31,7 +31,6 @@ from .errors import (
     SurfaceDegeneracyError,
 )
 from .fields import (
-    EcEstimate,
     FieldSample,
     ParamSpace,
     SpatialCov,
@@ -55,12 +54,7 @@ from .gmf import (
 )
 from .harness import ExperimentConfig, RunResult, report, run
 from .malliavin import SmoothFunctional, det2_series
-from .series import (
-    DEFAULT_ORDER,
-    gaussian_pdf,
-    gaussian_tail,
-    hermite_all,
-)
+from .series import gaussian_pdf, gaussian_tail, hermite_all
 from .tube import (
     DistanceOracle,
     ValidationReport,

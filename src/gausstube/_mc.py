@@ -20,12 +20,14 @@ BLOCK_SIZE = 32768
 
 
 def as_seed_sequence(seed) -> np.random.SeedSequence:
-    """Normalize int / SeedSequence / Generator seeds to a SeedSequence."""
+    """Normalize a seed to a SeedSequence.
+
+    Accepts a SeedSequence (returned as is), an int, or a tuple or list of
+    ints; anything else, a ``numpy.random.Generator`` included, raises
+    TypeError.
+    """
     if isinstance(seed, np.random.SeedSequence):
         return seed
-    if isinstance(seed, np.random.Generator):
-        # Derive fresh entropy; deterministic given the generator's state.
-        return np.random.SeedSequence(int(seed.integers(2**63)))
     if isinstance(seed, (int, np.integer)):
         return np.random.SeedSequence(int(seed))
     if isinstance(seed, (tuple, list)) and all(isinstance(s, (int, np.integer)) for s in seed):

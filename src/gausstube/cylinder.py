@@ -44,14 +44,14 @@ import numpy as np
 from .gmf import GmfVector, RegionSpec, gmf_halfspace, gmf_surface_mc, gmf_two_sided
 from ._mc import as_seed_sequence
 from .malliavin import SmoothFunctional
-from .series import DEFAULT_ORDER
 
-#: Default cap on the time-grid size.  The moment kernel on ℝⁿ is O(n) per
+#: Largest time-grid size accepted.  The moment kernel on ℝⁿ is O(n) per
 #: sample for J ≤ 3 and O(n²·J) above (the affine meridian: O(1) at any J);
 #: a dense Hessian stack is O(n²) memory.
 MAX_TIME_GRID = 256
 
-#: Time-grid size and moment order of :func:`derivative_sup_moments`.
+#: Brownian paths, time-grid size and moment order of :func:`derivative_sup_moments`.
+SUP_MOMENT_PATHS = 512
 SUP_MOMENT_TIME_N = 32
 SUP_MOMENT_P = 8
 
@@ -332,7 +332,7 @@ def _quadric_moments(
     return tau, mu
 
 
-def limit_gmf_chisq(u: float, order: int = DEFAULT_ORDER) -> GmfVector:
+def limit_gmf_chisq(u: float, order: int) -> GmfVector:
     """Minkowski functionals of the limiting region for V(b) = b.
 
     For V(b)=b the integral is (ω(1)² − 1)/2, so the excursion region in
@@ -407,16 +407,17 @@ def convergence_study(
     return ConvergenceReport(u=u, n_grid=n_grid, estimates=tuple(estimates), target=target)
 
 
-def derivative_sup_moments(potential: PotentialV, n_paths: int, rng=0) -> np.ndarray:
+def derivative_sup_moments(potential: PotentialV, rng) -> np.ndarray:
     """Empirical p-th moments of sup_t |V⁽ᵏ⁾(B_t)|, k = 0..4, p = ``SUP_MOMENT_P``.
 
     Smoke check that the potential's derivatives have finite moments along
-    ``n_paths`` Brownian paths on a ``SUP_MOMENT_TIME_N``-point grid (they
-    do whenever V has polynomial growth); returns the p-th root of the
-    k-indexed moment estimates.
+    ``SUP_MOMENT_PATHS`` Brownian paths on a ``SUP_MOMENT_TIME_N``-point
+    grid (they do whenever V has polynomial growth); returns the p-th root
+    of the k-indexed moment estimates.
     """
     gen = np.random.default_rng(as_seed_sequence(rng))
-    increments = gen.standard_normal((n_paths, SUP_MOMENT_TIME_N)) / np.sqrt(SUP_MOMENT_TIME_N)
+    shape = (SUP_MOMENT_PATHS, SUP_MOMENT_TIME_N)
+    increments = gen.standard_normal(shape) / np.sqrt(SUP_MOMENT_TIME_N)
     b = np.cumsum(increments, axis=1)
     out = np.empty(5)
     for k in range(5):

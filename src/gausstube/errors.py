@@ -12,10 +12,6 @@ class SurfaceDegeneracyError(GausstubeError, RuntimeError):
 class ProjectionError(GausstubeError, RuntimeError):
     """Projection solver failed to reach the requested KKT residual."""
 
-    def __init__(self, message: str, residual: float):
-        super().__init__(message)
-        self.residual = residual
-
 
 class ConfigError(GausstubeError, ValueError):
     """An experiment configuration or a saved result is malformed or inconsistent."""

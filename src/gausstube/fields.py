@@ -126,7 +126,6 @@ class SpatialCov:
     the diagonal.
     """
 
-    preset: str
     frequencies: np.ndarray  # (K, dim)
     weights: np.ndarray  # (K,)
     lambda2: float = field(init=False)
@@ -161,7 +160,7 @@ class SpatialCov:
     @classmethod
     def cosine(cls, frequency: float) -> "SpatialCov":
         """C(x, y) = cos(ω(x−y)) on a one-dimensional space; λ₂ = ω²."""
-        return cls("cosine", np.array([[float(frequency)]]), np.array([1.0]))
+        return cls(np.array([[float(frequency)]]), np.array([1.0]))
 
     @classmethod
     def wave_sum(cls, frequencies, weights=None) -> "SpatialCov":
@@ -169,7 +168,7 @@ class SpatialCov:
         freq = np.atleast_2d(np.asarray(frequencies, dtype=float))
         if weights is None:
             weights = np.full(freq.shape[0], 1.0 / np.sqrt(freq.shape[0]))
-        return cls("wave-sum", freq, np.asarray(weights, dtype=float))
+        return cls(freq, np.asarray(weights, dtype=float))
 
     @classmethod
     def torus_pair(cls, frequency: float) -> "SpatialCov":
@@ -191,7 +190,7 @@ class SpatialCov:
             raise ValueError(f"lambda2 must be >= 0, got {lambda2}")
         gen = np.random.default_rng(as_seed_sequence(rng))
         freq = gen.standard_normal((n_waves, 1)) * np.sqrt(lambda2)
-        return cls("squared-exponential", freq, np.full(n_waves, n_waves**-0.5))
+        return cls(freq, np.full(n_waves, n_waves**-0.5))
 
     @property
     def dim(self) -> int:
@@ -247,9 +246,7 @@ class FieldSample:
     """One realization of the field on the grid."""
 
     space: ParamSpace
-    time_n: int
     f_values: np.ndarray  # grid-shaped
-    seed: object
 
     def __post_init__(self):
         f = np.asarray(self.f_values, dtype=float)
@@ -260,15 +257,6 @@ class FieldSample:
         f = f.copy()
         f.flags.writeable = False
         object.__setattr__(self, "f_values", f)
-
-
-@dataclass(frozen=True)
-class EcEstimate:
-    """Monte Carlo mean of the excursion Euler characteristic."""
-
-    mean: float
-    stderr: float
-    reps: int
 
 
 def check_resolution(space: ParamSpace, cov: SpatialCov) -> None:
@@ -305,8 +293,7 @@ def simulate_field(
     if time_n < 2:
         raise ValueError(f"time_n must be >= 2, got {time_n}")
     check_resolution(space, cov)
-    root = as_seed_sequence(rng)
-    gen = np.random.default_rng(root)
+    gen = np.random.default_rng(as_seed_sequence(rng))
     basis = cov.wave_basis(space)  # (G, 2K)
     width = basis.shape[1]
     increments = gen.standard_normal((time_n, width)) / np.sqrt(time_n)
@@ -325,13 +312,7 @@ def simulate_field(
             db = basis @ increments[i]
             f += potential.value(b) * db
             b += db
-    seed = root.entropy if root.spawn_key == () else (root.entropy, root.spawn_key)
-    return FieldSample(
-        space=space,
-        time_n=time_n,
-        f_values=f.reshape(space.grid_shape),
-        seed=seed,
-    )
+    return FieldSample(space=space, f_values=f.reshape(space.grid_shape))
 
 
 def euler_char(sample: FieldSample, u: float) -> int:
@@ -414,12 +395,14 @@ def ec_mc_levels(
     reps: int,
     rng=0,
     workers: int = 1,
-) -> list[EcEstimate]:
-    """Euler-characteristic means over independent field samples, one per level."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Euler-characteristic means over independent field samples, one per level.
+
+    Returns ``(means, stderrs)``, like :func:`excursion_volumes_mc`; all
+    levels share one field set.
+    """
     chi = _replicate(space, cov, potential, u_levels, time_n, reps, rng, workers, euler_char)
-    means = chi.mean(axis=0)
-    stderrs = chi.std(axis=0, ddof=1) / np.sqrt(reps)
-    return [EcEstimate(float(m), float(s), reps) for m, s in zip(means, stderrs)]
+    return chi.mean(axis=0), chi.std(axis=0, ddof=1) / np.sqrt(reps)
 
 
 def excursion_volumes_mc(
@@ -525,7 +508,7 @@ def validate_assumptions(cov: SpatialCov, potential: PotentialV, rng=0) -> None:
         spectral moment (so the same holds for ∇B and ∇²B).
     """
     check_potential_derivatives(potential)
-    moments = derivative_sup_moments(potential, n_paths=512, rng=rng)
+    moments = derivative_sup_moments(potential, rng)
     if not np.all(np.isfinite(moments)):
         raise AssertionError(f"potential sup-moments are not finite: {moments!r}")
 

@@ -12,16 +12,14 @@ import numpy as np
 from .malliavin import SmoothFunctional
 
 
-def coordinate(dim: int, index: int = 0) -> SmoothFunctional:
-    """F(x) = x[index]; the half-space building block."""
-    if not 0 <= index < dim:
-        raise ValueError(f"index {index} out of range for dim {dim}")
+def coordinate(dim: int) -> SmoothFunctional:
+    """F(x) = x₁; the half-space building block."""
     e = np.zeros(dim)
-    e[index] = 1.0
+    e[0] = 1.0
 
     return SmoothFunctional(
         dim=dim,
-        values=lambda x: x[:, index],
+        values=lambda x: x[:, 0],
         grads=lambda x: np.broadcast_to(e, x.shape).copy(),
         hessians=lambda x: np.zeros((x.shape[0], dim, dim)),
     )
@@ -46,18 +44,15 @@ def norm(dim: int) -> SmoothFunctional:
     return SmoothFunctional(dim=dim, values=values, grads=grads, hessians=hessians)
 
 
-def quadratic(a: np.ndarray, b: np.ndarray | None = None, c: float = 0.0) -> SmoothFunctional:
-    """F(x) = ½ xᵀA x + bᵀx + c for symmetric A."""
+def quadratic(a: np.ndarray) -> SmoothFunctional:
+    """F(x) = ½ xᵀA x, with A symmetrized."""
     a = np.asarray(a, dtype=float)
     dim = a.shape[0]
-    if b is None:
-        b = np.zeros(dim)
-    b = np.asarray(b, dtype=float)
     a_sym = 0.5 * (a + a.T)
 
     return SmoothFunctional(
         dim=dim,
-        values=lambda x: 0.5 * np.einsum("bi,ij,bj->b", x, a_sym, x) + x @ b + c,
-        grads=lambda x: x @ a_sym.T + b,
+        values=lambda x: 0.5 * np.einsum("bi,ij,bj->b", x, a_sym, x),
+        grads=lambda x: x @ a_sym.T,
         hessians=lambda x: np.broadcast_to(a_sym, (x.shape[0], dim, dim)).copy(),
     )

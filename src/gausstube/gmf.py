@@ -33,7 +33,7 @@ import numpy as np
 from ._mc import as_seed_sequence, block_sizes, fsum_arrays, run_blocks
 from .errors import SurfaceDegeneracyError
 from .malliavin import DEFAULT_GRAD_FLOOR, SmoothFunctional, jacobian_coeffs
-from .series import DEFAULT_ORDER, gaussian_pdf, gaussian_tail, hermite_all
+from .series import gaussian_pdf, gaussian_tail, hermite_all
 
 #: Fewest samples :func:`gmf_surface_mc_levels` accepts (10^4).
 MIN_SURFACE_SAMPLES = 10_000
@@ -126,7 +126,7 @@ def assemble_tube_series(gmfs: GmfVector, rho: float) -> float:
     return float(np.dot(weights, gmfs.values))
 
 
-def gmf_halfspace(u: float, order: int = DEFAULT_ORDER) -> GmfVector:
+def gmf_halfspace(u: float, order: int) -> GmfVector:
     """Closed-form functionals of the excursion half-space {x₁ ≥ u}.
 
     M₀ = Ψ(u) and M_j = H_{j−1}(u)·φ(u) for j ≥ 1; the tube of the
@@ -140,7 +140,7 @@ def gmf_halfspace(u: float, order: int = DEFAULT_ORDER) -> GmfVector:
     return GmfVector(order, values, np.zeros(order + 1))
 
 
-def gmf_two_sided(a: float, order: int = DEFAULT_ORDER) -> GmfVector:
+def gmf_two_sided(a: float, order: int) -> GmfVector:
     """Functionals of the two-sheeted region {|x₁| ≥ a}, a > 0.
 
     By symmetry and additivity of the two disjoint sheets these are twice
@@ -153,7 +153,7 @@ def gmf_two_sided(a: float, order: int = DEFAULT_ORDER) -> GmfVector:
     return GmfVector(order, 2.0 * half.values, np.zeros(order + 1))
 
 
-def gmf_ball(radius: float, dim: int, order: int = DEFAULT_ORDER) -> GmfVector:
+def gmf_ball(radius: float, dim: int, order: int) -> GmfVector:
     """Functionals of the centered ball {‖x‖ ≤ R} in ℝᵏ.
 
     The tube of the ball is the ball of radius R+ρ, so

@@ -152,6 +152,20 @@ class ExperimentConfig:
         return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
+# What each field of a saved RunResult holds, with the test and what it asks for.
+_RESULT_FIELDS = {
+    "config_hash": (lambda v: isinstance(v, str), "a string"),
+    "experiment": (lambda v: isinstance(v, str), "a string"),
+    "rows": (
+        lambda v: isinstance(v, list) and all(isinstance(r, dict) for r in v),
+        "a list of objects",
+    ),
+    "counters": (lambda v: isinstance(v, dict), "an object"),
+    "wall_clock": (_is_number, "a number"),
+    "version": (lambda v: isinstance(v, str), "a string"),
+}
+
+
 @dataclass
 class RunResult:
     """Estimates, counters, and provenance for one experiment run."""
@@ -184,11 +198,16 @@ class RunResult:
     @classmethod
     def load(cls, path) -> "RunResult":
         data = json.loads(Path(path).read_text())
-        names = [f.name for f in dataclasses.fields(cls)]
-        missing = [name for name in names if not isinstance(data, dict) or name not in data]
+        missing = [k for k in _RESULT_FIELDS if not isinstance(data, dict) or k not in data]
         if missing:
             raise ConfigError(f"{path} is not a saved RunResult: missing keys {missing}")
-        return cls(**{name: data[name] for name in names})
+        for key, (test, wanted) in _RESULT_FIELDS.items():
+            if not test(data[key]):
+                raise ConfigError(
+                    f"{path} is not a saved RunResult: {key!r} must be {wanted}, "
+                    f"got {data[key]!r}"
+                )
+        return cls(**{key: data[key] for key in _RESULT_FIELDS})
 
 
 def _from_spec(what: str, spec, table: dict, tag: str = "kind"):
@@ -362,10 +381,9 @@ def _run_kinematic(config: ExperimentConfig, root):
         raise ConfigError(str(exc)) from None
     validate_assumptions(cov, potential, rng=root.spawn(1)[0])
     lhs_seed, rhs_seed, vol_seed = root.spawn(3)
-    ec = None
     if index == 0:
         # only the Euler-characteristic index has an EC Monte Carlo side
-        ec = ec_mc_levels(
+        ec_means, ec_ses = ec_mc_levels(
             space, cov, potential, config.u_levels, config.n, config.reps,
             rng=lhs_seed, workers=config.workers,
         )
@@ -391,13 +409,13 @@ def _run_kinematic(config: ExperimentConfig, root):
             "rhs": value,
             "rhs_stderr": stderr,
         }
-        if ec is not None:
-            combined = float(np.hypot(ec[i].stderr, stderr))
+        if index == 0:
+            combined = float(np.hypot(ec_ses[i], stderr))
             row.update(
                 {
-                    "ec_mean": ec[i].mean,
-                    "ec_stderr": ec[i].stderr,
-                    "z": (ec[i].mean - value) / combined if combined > 0 else 0.0,
+                    "ec_mean": ec_means[i],
+                    "ec_stderr": ec_ses[i],
+                    "z": (ec_means[i] - value) / combined if combined > 0 else 0.0,
                 }
             )
         if index == space.dim:

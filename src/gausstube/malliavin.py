@@ -24,7 +24,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .series import DEFAULT_ORDER, exp_series
+from .series import exp_series
 
 #: Gradient norms below this are treated as numerically degenerate points.
 DEFAULT_GRAD_FLOOR = 1e-10
@@ -81,7 +81,7 @@ class SmoothFunctional:
         return hessian_moments(self.hessians(x), v, order)
 
 
-def det2_series(a: np.ndarray, order: int = DEFAULT_ORDER) -> np.ndarray:
+def det2_series(a: np.ndarray, order: int) -> np.ndarray:
     """Coefficients of ρ ↦ det₂(I + ρA) = Π(1+ρλᵢ)e^{−ρλᵢ}, shape (order+1,).
 
     Uses log det₂(I+ρA) = Σ_{m≥2} (−1)^{m+1} tr(Aᵐ) ρᵐ/m with the traces

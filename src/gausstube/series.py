@@ -21,10 +21,6 @@ from __future__ import annotations
 
 import numpy as np
 
-#: Default truncation order for Minkowski-functional series work; the
-#: acceptance studies need j <= 4, this leaves headroom for convergence checks.
-DEFAULT_ORDER = 6
-
 
 def exp_series(expo: np.ndarray) -> np.ndarray:
     """Coefficients of exp(a(ρ)) for each row of a (B, J+1) exponent stack.

@@ -10,7 +10,6 @@ convex sub-level regions.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -29,6 +28,9 @@ CONVEXITY_PROBES = 100
 
 #: Outer projected-gradient iterations a projection may take before it fails.
 PROJECTION_MAXITER = 500
+
+#: Newton steps a retraction to the level set may take before it fails.
+RETRACTION_MAXITER = 60
 
 
 @dataclass(frozen=True)
@@ -93,17 +95,17 @@ def two_sided_oracle(a: float, dim: int) -> DistanceOracle:
     )
 
 
-def projection_oracle(region: RegionSpec, rng=0) -> DistanceOracle:
+def projection_oracle(region: RegionSpec) -> DistanceOracle:
     """Projection-solver oracle for a convex region.
 
     Convexity is assumed, not verified globally; a sampled check (Hessian
-    PSD at ``CONVEXITY_PROBES`` Gaussian points) runs once here and rejects
-    clearly non-convex functionals, and functionals without ``hessians``.
+    PSD at ``CONVEXITY_PROBES`` Gaussian points of a fixed seed) runs once
+    here and rejects clearly non-convex functionals, and functionals
+    without ``hessians``.
     """
     if region.functional.hessians is None:
         raise ValueError("the projection solver's convexity check needs hessians")
-    gen = np.random.default_rng(as_seed_sequence(rng))
-    probes = gen.standard_normal((CONVEXITY_PROBES, region.dim))
+    probes = np.random.default_rng(0).standard_normal((CONVEXITY_PROBES, region.dim))
     hess = region.functional.hessians(probes)
     min_eig = float(np.min(np.linalg.eigvalsh(hess)))
     if min_eig < -1e-6 * max(1.0, float(np.max(np.abs(hess)))):
@@ -118,17 +120,17 @@ def _sq_norms(v: np.ndarray) -> np.ndarray:
     return np.einsum("bi,bi->b", v, v)
 
 
-def _retract_to_level(func, y: np.ndarray, u: float, tol_f: float, maxiter: int = 60):
+def _retract_to_level(func, y: np.ndarray, u: float, tol_f: float):
     """Damped Newton steps along ∇F back to the level set {F = u}, row by row.
 
     Returns the retracted (m, k) stack and a mask of the rows that reached
-    |F − u| ≤ ``tol_f`` within ``maxiter`` steps; a row whose gradient
-    vanishes first fails.
+    |F − u| ≤ ``tol_f`` within ``RETRACTION_MAXITER`` steps; a row whose
+    gradient vanishes first fails.
     """
     y = y.copy()
     ok = np.zeros(y.shape[0], dtype=bool)
     active = np.arange(y.shape[0])
-    for _ in range(maxiter):
+    for _ in range(RETRACTION_MAXITER):
         if active.size == 0:
             break
         r = func.values(y[active]) - u
@@ -251,9 +253,7 @@ def tube_volumes_mc(
     valid = sum(r[1] for r in results)
     failures = sum(r[2] for r in results)
     if failures > 1e-3 * n_samples:
-        raise ProjectionError(
-            f"{failures} of {n_samples} projection solves failed (> 0.1%)", math.nan
-        )
+        raise ProjectionError(f"{failures} of {n_samples} projection solves failed (> 0.1%)")
     est = np.sum([r[0] for r in results], axis=0) / valid
     return est, np.sqrt(est * (1.0 - est) / valid)
 

@@ -12,6 +12,7 @@ from gausstube import tube
 from gausstube._mc import as_seed_sequence
 from gausstube.errors import GausstubeError, ProjectionError
 from gausstube.fields import FieldSample, ParamSpace
+from gausstube.functionals import quadratic
 from gausstube.malliavin import DEFAULT_GRAD_FLOOR, SmoothFunctional
 from gausstube.series import exp_series, hermite_all
 from gausstube.tube import PROJECTION_TOL, distances
@@ -99,6 +100,19 @@ def half_norm_squared(dim: int) -> SmoothFunctional:
         values=lambda x: 0.5 * np.einsum("bi,bi->b", x, x),
         grads=lambda x: x.copy(),
         hessians=lambda x: np.broadcast_to(np.eye(dim), (x.shape[0], dim, dim)).copy(),
+    )
+
+
+def affine_quadratic(a, b, c=0.0) -> SmoothFunctional:
+    """F(x) = ½ xᵀA x + bᵀx + c: ``gausstube.functionals.quadratic`` plus a linear
+    and a constant term, which no region of the library needs."""
+    quad = quadratic(a)
+    b = np.asarray(b, dtype=float)
+    return SmoothFunctional(
+        dim=quad.dim,
+        values=lambda x: quad.values(x) + x @ b + c,
+        grads=lambda x: quad.grads(x) + b,
+        hessians=quad.hessians,
     )
 
 
@@ -317,9 +331,9 @@ class HermiteEval:
         return cls(degree, float(argument), float(hermite_all(degree, argument)[degree]))
 
 
-def retract_to_level(func, y, u, tol_f, maxiter=60):
+def retract_to_level(func, y, u, tol_f):
     """Damped Newton steps along ∇F back to the level set {F = u} (one point)."""
-    for _ in range(maxiter):
+    for _ in range(tube.RETRACTION_MAXITER):
         f = float(func.values(y[None])[0])
         if abs(f - u) <= tol_f:
             return y
@@ -329,7 +343,7 @@ def retract_to_level(func, y, u, tol_f, maxiter=60):
             break
         y = y - (f - u) * g / gn2
     residual = abs(float(func.values(y[None])[0]) - u)
-    raise ProjectionError("level-set retraction failed to converge", residual)
+    raise ProjectionError(f"level-set retraction failed to converge (|F - u| = {residual:.1e})")
 
 
 def project_distance(oracle, x):
@@ -372,8 +386,7 @@ def project_distance(oracle, x):
         y = y_try
     raise ProjectionError(
         f"projection did not reach KKT residual {tol:.1e} in "
-        f"{tube.PROJECTION_MAXITER} iterations",
-        res,
+        f"{tube.PROJECTION_MAXITER} iterations (residual {res:.1e})"
     )
 
 
@@ -383,8 +396,7 @@ def dist_to_region(oracle, x):
     if failures:
         raise ProjectionError(
             f"projection failed to reach KKT residual {PROJECTION_TOL:.1e} "
-            f"within {tube.PROJECTION_MAXITER} iterations",
-            math.nan,
+            f"within {tube.PROJECTION_MAXITER} iterations"
         )
     return float(d[0])
 
@@ -439,16 +451,14 @@ def save_field(sample: FieldSample, path, u_levels=()) -> None:
 
     Layout (little endian): 4-byte magic ``GTFS``, uint32 version, uint32
     header length, UTF-8 JSON header, then the C-order float64 grid values.
-    The header records kind, lengths, grid, time_n, seed and any threshold
-    levels of interest.
+    The header records kind, lengths, grid and any threshold levels of
+    interest.
     """
     header = {
         "version": _EXPORT_VERSION,
         "kind": sample.space.kind,
         "lengths": list(sample.space.lengths),
         "grid": sample.space.grid,
-        "time_n": sample.time_n,
-        "seed": repr(sample.seed),
         "u_levels": list(map(float, u_levels)),
         "shape": list(sample.f_values.shape),
     }
@@ -472,5 +482,5 @@ def load_field(path) -> tuple[FieldSample, dict]:
         header = json.loads(fh.read(hlen).decode("utf-8"))
         data = np.frombuffer(fh.read(), dtype="<f8").reshape(header["shape"])
     space = ParamSpace(header["kind"], tuple(header["lengths"]), header["grid"])
-    sample = FieldSample(space=space, time_n=header["time_n"], f_values=data, seed=header["seed"])
+    sample = FieldSample(space=space, f_values=data)
     return sample, header

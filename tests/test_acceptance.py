@@ -181,7 +181,9 @@ class TestCriterion8GaussianGkf:
         potential = gt.PotentialV.preset("one")
         root = np.random.SeedSequence(seed)
         lhs_seed, rhs_seed = root.spawn(2)
-        ec = gt.ec_mc_levels(space, cov, potential, self.U_LEVELS, 16, reps, rng=lhs_seed)
+        ec_means, ec_ses = gt.ec_mc_levels(
+            space, cov, potential, self.U_LEVELS, 16, reps, rng=lhs_seed
+        )
         rhs_children = rhs_seed.spawn(len(self.U_LEVELS))
         weights = gt.kinematic_weights(0, space, cov, space.dim)
         worst = 0.0
@@ -191,10 +193,10 @@ class TestCriterion8GaussianGkf:
                 rng=rhs_children[i],
             )
             rhs, rse = gmfs.dot(weights)
-            gap = abs(ec[i].mean - rhs)
-            combined = math.hypot(ec[i].stderr, rse)
+            gap = abs(ec_means[i] - rhs)
+            combined = math.hypot(ec_ses[i], rse)
             assert gap <= 3 * combined, (
-                f"{label} u={u}: |{ec[i].mean:.4f} - {rhs:.4f}| > 3*{combined:.4f}"
+                f"{label} u={u}: |{ec_means[i]:.4f} - {rhs:.4f}| > 3*{combined:.4f}"
             )
             worst = max(worst, gap / (3 * combined))
         elapsed = time.perf_counter() - t0
@@ -231,7 +233,9 @@ class TestCriterion9StochasticIntegralGkf:
         u_levels = [0.0, 0.5, 1.0]
         root = np.random.SeedSequence(20_240_609)
         lhs_seed, rhs_seed = root.spawn(2)
-        ec = gt.ec_mc_levels(space, cov, potential, u_levels, n, 4000, rng=lhs_seed)
+        ec_means, ec_ses = gt.ec_mc_levels(
+            space, cov, potential, u_levels, n, 4000, rng=lhs_seed
+        )
         rhs_children = rhs_seed.spawn(len(u_levels))
         weights = gt.kinematic_weights(0, space, cov, 1)
         lines = []
@@ -240,12 +244,12 @@ class TestCriterion9StochasticIntegralGkf:
                 gt.CylFunctional(n, potential).excursion(u), 1, 400_000, rng=rhs_children[i]
             )
             rhs, rse = gmfs.dot(weights)
-            gap = abs(ec[i].mean - rhs)
-            tol = max(3 * math.hypot(ec[i].stderr, rse), 0.10 * abs(rhs))
+            gap = abs(ec_means[i] - rhs)
+            tol = max(3 * math.hypot(ec_ses[i], rse), 0.10 * abs(rhs))
             assert gap <= tol, (
-                f"u={u}: |EC {ec[i].mean:.4f} - RHS {rhs:.4f}| = {gap:.4f} > {tol:.4f}"
+                f"u={u}: |EC {ec_means[i]:.4f} - RHS {rhs:.4f}| = {gap:.4f} > {tol:.4f}"
             )
-            lines.append(f"u={u}: {ec[i].mean:.3f} vs {rhs:.3f}")
+            lines.append(f"u={u}: {ec_means[i]:.3f} vs {rhs:.3f}")
         elapsed = time.perf_counter() - t0
         assert elapsed < 1800.0
         _report(9, "stochastic-integral kinematic identity", "; ".join(lines) + f", {elapsed:.0f}s")

@@ -60,6 +60,16 @@ TUBE = {
     "rho_grid": [0.1, 0.2],
 }
 
+# A well-formed saved result, for the malformed variants of the report tests.
+SAVED_RESULT = {
+    "config_hash": "0" * 64,
+    "experiment": "gmf",
+    "rows": [{"j": 0, "estimate": 0.5}],
+    "counters": {},
+    "wall_clock": 0.1,
+    "version": "0",
+}
+
 
 class TestCli:
     def test_gmf_run_writes_outputs(self, tmp_path, capsys):
@@ -274,16 +284,28 @@ class TestCli:
         assert (tmp_path / "rep" / "summary.txt").exists()
 
     @pytest.mark.parametrize(
-        "data",
+        "data, wanted",
         [
-            {"experiment": "gmf", "rows": [], "counters": {}, "wall_clock": 0.0, "version": "0"},
-            [{"config_hash": "0" * 64, "experiment": "gmf"}],
+            (
+                {"experiment": "gmf", "rows": [], "counters": {}, "wall_clock": 0.0,
+                 "version": "0"},
+                "missing keys ['config_hash']",
+            ),
+            ([{"config_hash": "0" * 64, "experiment": "gmf"}], "missing keys ['config_hash'"),
+            ({**SAVED_RESULT, "rows": 5}, "'rows' must be a list of objects"),
+            ({**SAVED_RESULT, "config_hash": 7}, "'config_hash' must be a string"),
+            ({**SAVED_RESULT, "wall_clock": "x"}, "'wall_clock' must be a number"),
+            ({**SAVED_RESULT, "counters": [1]}, "'counters' must be an object"),
         ],
-        ids=["missing-config-hash", "top-level-list"],
+        ids=[
+            "missing-config-hash", "top-level-list", "rows-int", "config-hash-int",
+            "wall-clock-string", "counters-list",
+        ],
     )
-    def test_report_rejects_a_file_that_is_not_a_result(self, tmp_path, capsys, data):
+    def test_report_rejects_a_file_that_is_not_a_result(self, tmp_path, capsys, data, wanted):
         path = write_config(tmp_path, data, name="result.json")
         assert main(["report", path, "--out", str(tmp_path / "rep")]) == 2
         err = capsys.readouterr().err
-        assert "not a saved RunResult" in err and "'config_hash'" in err
+        assert err.startswith("config error:") and "not a saved RunResult" in err
+        assert wanted in err
         assert not (tmp_path / "rep").exists()

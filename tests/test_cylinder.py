@@ -364,10 +364,12 @@ class TestDistribution:
 
 
 class TestMoments:
-    def test_sup_moments_finite_and_stable(self):
+    def test_sup_moments_finite_and_stable(self, monkeypatch):
         v = PotentialV.preset("cubic")
-        small = derivative_sup_moments(v, 1000, rng=97)
-        large = derivative_sup_moments(v, 4000, rng=101)
+        monkeypatch.setattr(gausstube.cylinder, "SUP_MOMENT_PATHS", 1000)
+        small = derivative_sup_moments(v, rng=97)
+        monkeypatch.setattr(gausstube.cylinder, "SUP_MOMENT_PATHS", 4000)
+        large = derivative_sup_moments(v, rng=101)
         assert np.all(np.isfinite(small)) and np.all(np.isfinite(large))
         # p-th-root moments of the sup stabilize: no blow-up between sizes
         assert np.all(large <= 2.0 * small + 1.0)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import gausstube.harness
+from gausstube._mc import as_seed_sequence
 from gausstube.cylinder import CylFunctional
 from gausstube.errors import ConfigError
 from gausstube.harness import ExperimentConfig, RunResult, report, run
@@ -511,3 +512,23 @@ class TestReport:
         result.save(path)
         loaded = RunResult.load(path)
         assert loaded.payload() == result.payload()
+
+
+class TestSeeds:
+    @pytest.mark.parametrize(
+        "seed", [7, np.int64(7), [7], (7,)], ids=["int", "numpy-int", "list", "tuple"]
+    )
+    def test_int_forms_agree(self, seed):
+        state = as_seed_sequence(seed).generate_state(4)
+        assert np.array_equal(state, np.random.SeedSequence(7).generate_state(4))
+
+    def test_seed_sequence_is_returned_as_is(self):
+        root = np.random.SeedSequence(7)
+        assert as_seed_sequence(root) is root
+
+    @pytest.mark.parametrize(
+        "seed", [np.random.default_rng(7), 7.0, "7", None], ids=["generator", "float", "str", "none"]
+    )
+    def test_other_forms_raise(self, seed):
+        with pytest.raises(TypeError, match="as a seed"):
+            as_seed_sequence(seed)

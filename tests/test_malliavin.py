@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gausstube.cylinder import CylFunctional, PotentialV
-from gausstube.functionals import coordinate, norm, quadratic
+from gausstube.functionals import coordinate, norm
 from gausstube.malliavin import (
     SmoothFunctional,
     det2_series,
@@ -17,6 +17,7 @@ from gausstube.series import exp_series, hermite_all
 from _oracles import (
     ValidityRadiusError,
     VectorField,
+    affine_quadratic,
     check_derivatives,
     check_jacobian,
     divergence,
@@ -69,7 +70,7 @@ class TestUnitNormal:
         rng = np.random.default_rng(7)
         for _ in range(10):
             a = rng.standard_normal((4, 4))
-            f = quadratic(a + a.T, rng.standard_normal(4))
+            f = affine_quadratic(a + a.T, rng.standard_normal(4))
             x = rng.standard_normal(4)
             eta, jac = unit_normal(f, -1, x)
             assert np.allclose(jac.T @ eta, 0.0, atol=1e-10)
@@ -181,7 +182,7 @@ class TestJacobianSeries:
     def test_leading_coefficient_is_one(self):
         rng = np.random.default_rng(31)
         a = rng.standard_normal((3, 3))
-        f = quadratic(a @ a.T + np.eye(3), rng.standard_normal(3))
+        f = affine_quadratic(a @ a.T + np.eye(3), rng.standard_normal(3))
         x = rng.standard_normal((1, 3))
         coeffs, _ = jacobian_coeffs(x, f.grads(x), lambda v: f.moments(x, v, 4), +1)
         assert coeffs[0, 0] == 1.0
@@ -236,7 +237,7 @@ class TestJacobianSeries:
         # the dense and the structured moment routes against trace powers of grad eta
         rng = np.random.default_rng(37)
         a = rng.standard_normal((5, 5))
-        f = quadratic(a + a.T, rng.standard_normal(5), 0.3)
+        f = affine_quadratic(a + a.T, rng.standard_normal(5), 0.3)
         x = rng.standard_normal((40, 5))
         coeffs, degenerate = jacobian_coeffs_batch(
             x, f.grads(x), f.hessians(x), -1, 5
@@ -282,7 +283,7 @@ class TestOracleChecks:
 
     def test_builders_pass(self):
         rng = np.random.default_rng(41)
-        for f in (coordinate(3), half_norm_squared(4), quadratic(np.eye(2), np.ones(2))):
+        for f in (coordinate(3), half_norm_squared(4), affine_quadratic(np.eye(2), np.ones(2))):
             check_derivatives(f, rng, n_probes=10)
 
     def test_norm_passes_away_from_origin(self):
@@ -301,7 +302,7 @@ class TestOracleChecks:
             check_derivatives(f, np.random.default_rng(47), n_probes=5)
 
     def test_normal_field_jacobian(self):
-        f = quadratic(np.diag([2.0, 1.0, 0.5]), np.array([0.1, 0.0, -0.3]))
+        f = affine_quadratic(np.diag([2.0, 1.0, 0.5]), np.array([0.1, 0.0, -0.3]))
         field = normal_field(f, +1)
         check_jacobian(field, np.random.default_rng(53), n_probes=10)
 
