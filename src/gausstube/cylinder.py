@@ -36,7 +36,7 @@ tested against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -61,9 +61,10 @@ class PotentialV:
     """An integrand V: ℝ → ℝ with derivatives up to fourth order.
 
     All callables must accept numpy arrays elementwise.  ``coeffs``, when
-    set, are V's polynomial coefficients, lowest degree first; field
-    simulation and :meth:`CylFunctional.meridian` use them to evaluate
-    affine potentials in closed form (see :attr:`affine`), and
+    set, are V's polynomial coefficients, lowest degree first;
+    :meth:`polynomial` builds V and its derivatives from them.  Field
+    simulation, :meth:`CylFunctional.meridian` and the convergence targets
+    read affine potentials from them (see :attr:`affine`), and
     :func:`~gausstube.fields.validate_assumptions` checks them against V.
     """
 
@@ -74,6 +75,18 @@ class PotentialV:
     d4: Callable
     name: Optional[str] = None
     coeffs: Optional[tuple[float, ...]] = None
+
+    @classmethod
+    def polynomial(cls, name: str, coeffs) -> "PotentialV":
+        """V(b) = Σᵢ coeffs[i]·bⁱ, lowest degree first, and V′…V⁗: each derivative's
+        coefficients are c[1:]·(1, 2, …), and ``np.polyval`` (Horner's rule,
+        highest degree first) evaluates each tuple."""
+        c = np.asarray(coeffs, dtype=float)
+        ladder = []
+        for _ in range(5):
+            ladder.append(tuple(c.tolist()) or (0.0,))
+            c = c[1:] * np.arange(1, c.size)
+        return cls(*(partial(np.polyval, d[::-1]) for d in ladder), name=name, coeffs=ladder[0])
 
     @classmethod
     def preset(cls, name: str) -> "PotentialV":
@@ -100,35 +113,11 @@ class PotentialV:
         return float(a0), float(a1)
 
 
-def _const(c: float) -> Callable:
-    return lambda b: np.full_like(np.asarray(b, dtype=float), c)
-
-
 _PRESETS = {
-    "one": PotentialV(
-        _const(1.0), _const(0.0), _const(0.0), _const(0.0), _const(0.0), "one", (1.0,)
-    ),
-    "identity": PotentialV(
-        lambda b: np.asarray(b, dtype=float),
-        _const(1.0), _const(0.0), _const(0.0), _const(0.0), "identity", (0.0, 1.0),
-    ),
-    "sin": PotentialV(
-        np.sin,
-        np.cos,
-        lambda b: -np.sin(b),
-        lambda b: -np.cos(b),
-        np.sin,
-        "sin",
-    ),
-    "cubic": PotentialV(
-        lambda b: np.asarray(b, dtype=float) ** 3,
-        lambda b: 3.0 * np.asarray(b, dtype=float) ** 2,
-        lambda b: 6.0 * np.asarray(b, dtype=float),
-        _const(6.0),
-        _const(0.0),
-        "cubic",
-        (0.0, 0.0, 0.0, 1.0),
-    ),
+    "one": PotentialV.polynomial("one", (1.0,)),
+    "identity": PotentialV.polynomial("identity", (0.0, 1.0)),
+    "sin": PotentialV(np.sin, np.cos, lambda b: -np.sin(b), lambda b: -np.cos(b), np.sin, "sin"),
+    "cubic": PotentialV.polynomial("cubic", (0.0, 0.0, 0.0, 1.0)),
 }
 
 
@@ -346,6 +335,13 @@ def limit_gmf_chisq(u: float, order: int) -> GmfVector:
     return gmf_two_sided(np.sqrt(2.0 * u + 1.0), order)
 
 
+def convergence_target(potential: PotentialV, u: float, order: int) -> Optional[GmfVector]:
+    """M_j(F⁻¹[u,∞)) as n → ∞, chosen by V's affine coefficients: the half-space
+    for V = 1 (F_n is N(0, 1) at every n), the χ² limit for V(b) = b, else None."""
+    build = {(1.0, 0.0): gmf_halfspace, (0.0, 1.0): limit_gmf_chisq}.get(potential.affine)
+    return None if build is None else build(u, order)
+
+
 @dataclass(frozen=True)
 class ConvergenceReport:
     """Minkowski estimates of F_n excursions along a grid of time resolutions."""
@@ -381,21 +377,12 @@ def convergence_study(
     eps: Optional[float] = None,
     workers: int = 1,
 ) -> ConvergenceReport:
-    """Estimate M_j(F_n⁻¹[u,∞)) along an increasing grid of n.
-
-    When the potential is the identity the chi-squared limit targets are
-    attached; for the constant potential F_n is exactly linear and the
-    half-space values are the (n-independent) truth.
-    """
+    """Estimate M_j(F_n⁻¹[u,∞)) along an increasing grid of n; attach its limit if known."""
     n_grid = tuple(int(n) for n in n_grid)
     if any(b <= a for a, b in zip(n_grid, n_grid[1:])):
         raise ValueError(f"n_grid must be strictly increasing, got {n_grid}")
     # built first, so a level outside the target's domain fails before any sampling
-    target = None
-    if potential.name == "identity":
-        target = limit_gmf_chisq(u, order)
-    elif potential.name == "one":
-        target = gmf_halfspace(u, order)
+    target = convergence_target(potential, u, order)
     root = as_seed_sequence(rng)
     children = root.spawn(len(n_grid))
     estimates = []

@@ -23,7 +23,14 @@ import numpy as np
 
 from . import __version__
 from ._mc import as_seed_sequence
-from .cylinder import _PRESETS, CylFunctional, PotentialV, check_time_grid, convergence_study
+from .cylinder import (
+    _PRESETS,
+    CylFunctional,
+    PotentialV,
+    check_time_grid,
+    convergence_study,
+    convergence_target,
+)
 from .errors import ConfigError
 from .fields import (
     ParamSpace,
@@ -277,6 +284,13 @@ def _two_sided(a, dim=1):
 
 
 _REGIONS = {"halfspace": _halfspace, "ball": _ball, "two-sided": _two_sided}
+
+
+def _torus(lengths, grid):
+    length1, length2 = (_number("lengths", l) for l in lengths)
+    return ParamSpace.torus(length1, length2, _integer("grid", grid))
+
+
 _SPACES = {
     "interval": lambda length, grid: ParamSpace.interval(
         _number("length", length), _integer("grid", grid)
@@ -284,9 +298,7 @@ _SPACES = {
     "circle": lambda length, grid: ParamSpace.circle(
         _number("length", length), _integer("grid", grid)
     ),
-    "torus": lambda lengths, grid: ParamSpace(
-        "torus", tuple(_number("lengths", l) for l in lengths), _integer("grid", grid)
-    ),
+    "torus": _torus,
 }
 _COVS = {
     "cosine": lambda frequency: SpatialCov.cosine(_number("frequency", frequency)),
@@ -340,13 +352,15 @@ def _run_tube(config: ExperimentConfig, root):
 
 
 def _run_converge(config: ExperimentConfig, root):
+    potential = PotentialV.preset(config.potential)
     try:
         for n in config.n_grid:
             check_time_grid(n)
+        convergence_target(potential, config.u, config.J)  # rejects a level outside its domain
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     study = convergence_study(
-        PotentialV.preset(config.potential),
+        potential,
         config.u,
         config.J,
         config.n_grid,

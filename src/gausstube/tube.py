@@ -229,8 +229,8 @@ def tube_volumes_mc(
     The distances do not depend on ρ, so one sample set serves the whole
     grid: each block solves its distances once and counts d ≤ ρ for every
     ρ.  Entry i is bit-identical to a call with ``rho_grid = [rho_grid[i]]``
-    and the same ``rng``.  Solver failures are dropped from the tally; more
-    than 0.1% of them aborts the run.
+    and the same ``rng``.  Any failed projection solve raises ProjectionError:
+    failures are not missing at random, so dropping them would bias the estimate.
     """
     rho_grid = np.asarray(rho_grid, dtype=float)
     if rho_grid.ndim != 1 or rho_grid.size == 0:
@@ -245,17 +245,14 @@ def tube_volumes_mc(
         gen = np.random.default_rng(children[b])
         x = oracle.region.functional.sample(gen, sizes[b])
         d, failures = distances(oracle, x)
-        d = d[~np.isnan(d)]
-        hits = [int(np.count_nonzero(d <= rho)) for rho in rho_grid]
-        return hits, d.shape[0], failures
+        return [int(np.count_nonzero(d <= rho)) for rho in rho_grid], failures
 
     results = run_blocks(one_block, len(sizes), workers)
-    valid = sum(r[1] for r in results)
-    failures = sum(r[2] for r in results)
-    if failures > 1e-3 * n_samples:
-        raise ProjectionError(f"{failures} of {n_samples} projection solves failed (> 0.1%)")
-    est = np.sum([r[0] for r in results], axis=0) / valid
-    return est, np.sqrt(est * (1.0 - est) / valid)
+    failures = sum(r[1] for r in results)
+    if failures:
+        raise ProjectionError(f"{failures} of {n_samples} projection solves failed")
+    est = np.sum([r[0] for r in results], axis=0) / n_samples
+    return est, np.sqrt(est * (1.0 - est) / n_samples)
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,12 @@
-"""Every public name has a caller, and every defaulted parameter a setter.
+"""Every public name and method has a caller, and every defaulted parameter a setter.
 
 A name exported in ``gausstube.__all__`` must be used by the library itself
 (outside its own definition and the package ``__init__``), by the
 benchmark in ``perfbench/``, or be one of the few documented entry points
-listed below.  A parameter with a default must be passed by some call in
-the library or the benchmark, or be on its own short allowlist.  A new
-option or function lands with the code that calls it.
+listed below.  Every public method of an exported class must be used there
+too.  A parameter with a default must be passed by some call in the
+library or the benchmark, or be on its own short allowlist.  A new option
+or function lands with the code that calls it.
 """
 
 import ast
@@ -61,6 +62,22 @@ def test_every_public_name_has_a_caller():
     unused = [name for name in sorted(gausstube.__all__) if name not in used]
     assert not unused, f"public names with no caller in src/ or perfbench/: {unused}"
 
+
+def test_every_public_method_has_a_caller():
+    """A public method, property or classmethod of an exported class is
+    reached by name somewhere in src/ or perfbench/; names match across
+    classes, as attribute access does not say which class it reaches."""
+    used = _used_names()
+    unused = [
+        f"{cls.name}.{node.name}"
+        for path in sorted(SRC.glob("*.py"))
+        for cls in ast.parse(path.read_text()).body
+        if isinstance(cls, ast.ClassDef) and cls.name in gausstube.__all__
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+        and node.name not in used
+    ]
+    assert not unused, f"public methods with no caller in src/ or perfbench/: {unused}"
 
 
 # Defaulted parameters that no call in src/ or perfbench/ passes, each with the

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import gausstube.harness
+import gausstube.tube
 from gausstube.cli import _build_parser, main
 from gausstube.harness import EXPERIMENTS, ExperimentConfig
 
@@ -180,6 +181,8 @@ class TestCli:
             ("converge", {"n_grid": [8, 4]}),
             ("converge", {"n_grid": [8, 8]}),
             ("tube", {"rho_grid": [0.1, -0.2]}),
+            # a level outside the chi-squared limit target's domain u > -1/2
+            ("converge", {"u": -0.6}),
             # nested integers given as floats or booleans
             ("gkf", {"space": {"kind": "interval", "length": 10.0, "grid": 200.7}}),
             ("gmf", {"region": {"kind": "ball", "radius": 1.0, "dim": 2.0}}),
@@ -227,14 +230,15 @@ class TestCli:
 
     def test_config_validation_does_not_load_scipy(self):
         # a fresh interpreter: importing the package and checking configs
-        # must leave scipy unloaded, which keeps start-up cheap
+        # must leave scipy and numpy.polynomial unloaded, which keeps start-up cheap
         code = (
             "import json, sys\n"
             "import gausstube\n"
             "from gausstube.harness import ExperimentConfig\n"
             "for data in json.loads(sys.argv[1]):\n"
             "    ExperimentConfig.from_dict(data)\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.split('.')[0] == 'scipy' or m.startswith('numpy.polynomial')))\n"
         )
         configs = json.dumps([GMF, CROFTON, CONVERGE, TUBE])
         src = str(Path(gausstube.harness.__file__).parents[1])
@@ -252,22 +256,14 @@ class TestCli:
         cfg = write_config(tmp_path, GMF)
         assert main(["tube", "--config", cfg]) == 2
 
-    def test_numerical_failure_exits_3(self, tmp_path):
-        # chi-squared limit targets are undefined at u <= -1/2: the study
-        # raises a domain error at runtime, not at validation time
-        cfg = write_config(
-            tmp_path,
-            {
-                "experiment": "converge",
-                "seed": 3,
-                "potential": "identity",
-                "u": -0.7,
-                "J": 1,
-                "N": 10_000,
-                "n_grid": [4],
-            },
-        )
-        assert main(["converge", "--config", cfg, "--out", str(tmp_path)]) == 3
+    def test_numerical_failure_exits_3(self, tmp_path, capsys, monkeypatch):
+        # a projection solver allowed no iterations fails on every exterior
+        # point: a ProjectionError at runtime, not a config error
+        monkeypatch.setattr(gausstube.tube, "PROJECTION_MAXITER", 0)
+        cfg = write_config(tmp_path, {**TUBE, "method": "projection"})
+        assert main(["tube", "--config", cfg, "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure:") and "projection solves failed" in err
 
     def test_env_var_default_out(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("GAUSSTUBE_OUT", str(tmp_path / "envout"))

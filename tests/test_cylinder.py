@@ -9,6 +9,7 @@ from gausstube.cylinder import (
     CylFunctional,
     PotentialV,
     convergence_study,
+    convergence_target,
     derivative_sup_moments,
     limit_gmf_chisq,
 )
@@ -34,6 +35,30 @@ class TestPotential:
     def test_unknown_preset(self):
         with pytest.raises(ValueError, match="unknown potential"):
             PotentialV.preset("tan")
+
+    def test_polynomial_and_its_derivatives(self):
+        # V = 0.5 − b + 2b³, V′ = −1 + 6b², V″ = 12b, V‴ = 12, V⁗ = 0
+        v = PotentialV.polynomial("p", (0.5, -1.0, 0.0, 2.0))
+        b = np.array([-1.5, 0.0, 0.5, 2.0])
+        expected = [
+            [-4.75, 0.5, 0.25, 14.5],
+            [12.5, -1.0, 0.5, 23.0],
+            [-18.0, 0.0, 6.0, 24.0],
+            [12.0] * 4,
+            [0.0] * 4,
+        ]
+        for k, want in enumerate(expected):
+            assert np.allclose(v.derivative(k)(b), want, rtol=1e-15, atol=0.0), k
+        assert v.coeffs == (0.5, -1.0, 0.0, 2.0) and v.affine is None
+        assert hash(CylFunctional(8, v)) == hash(CylFunctional(8, v))
+
+    def test_presets_are_their_coefficients(self):
+        b = np.linspace(-3.0, 3.0, 13)
+        for name, coeffs in (("one", (1.0,)), ("identity", (0.0, 1.0)), ("cubic", (0, 0, 0, 1))):
+            preset, built = PotentialV.preset(name), PotentialV.polynomial(name, coeffs)
+            assert preset.coeffs == built.coeffs
+            for k in range(5):
+                assert np.array_equal(preset.derivative(k)(b), built.derivative(k)(b))
 
     @pytest.mark.parametrize("name", ["one", "identity", "sin", "cubic"])
     def test_derivative_ladder(self, name):
@@ -203,13 +228,21 @@ class TestAffineClosedForm:
         assert PotentialV.preset("cubic").affine is None
 
 
+# A degree-1 potential that is no preset.
+AFFINE = PotentialV.polynomial("affine", (0.3, 2.0))
+
+
+def _affine(name):
+    return AFFINE if name == "affine" else PotentialV.preset(name)
+
+
 class TestMeridian:
     """F_n for affine V on (z, r) = (S/√n, ‖y − ȳ·1‖), against the ℝⁿ oracles."""
 
     @pytest.mark.parametrize("n", [2, 8, 64])
-    @pytest.mark.parametrize("name", ["one", "identity"])
+    @pytest.mark.parametrize("name", ["one", "identity", "affine"])
     def test_matches_the_rn_oracles(self, name, n):
-        cyl = CylFunctional(n, PotentialV.preset(name))
+        cyl = CylFunctional(n, _affine(name))
         full, meridian = cyl.functional(), cyl.meridian()
         y = np.random.default_rng(n).standard_normal((500, n))
         z = y.sum(axis=1) / np.sqrt(n)
@@ -235,9 +268,9 @@ class TestMeridian:
         close(tau_mer, tau_full, h**k * ((n - 1.0) ** k + n - 1))
         close(mu_mer, mu_full, h**k * (n - 1.0) ** k)
 
-    @pytest.mark.parametrize("name", ["one", "identity"])
+    @pytest.mark.parametrize("name", ["one", "identity", "affine"])
     def test_derivatives_and_law(self, name):
-        meridian = CylFunctional(16, PotentialV.preset(name)).meridian()
+        meridian = CylFunctional(16, _affine(name)).meridian()
         check_derivatives(meridian, np.random.default_rng(3), n_probes=5)
         x = meridian.sample(np.random.default_rng(5), 50_000)
         assert x.shape == (50_000, 2) and np.all(x[:, 1] >= 0)
@@ -257,9 +290,9 @@ class TestMeridian:
         assert CylFunctional(8, PotentialV.preset("identity")).excursion(0.5).dim == 2
 
     @pytest.mark.parametrize("n", [8, 64])
-    @pytest.mark.parametrize("name", ["one", "identity"])
+    @pytest.mark.parametrize("name", ["one", "identity", "affine"])
     def test_estimate_matches_the_rn_estimate(self, name, n):
-        cyl = CylFunctional(n, PotentialV.preset(name))
+        cyl = CylFunctional(n, _affine(name))
         levels = [0.5, 1.0]
         got, ref = (
             gmf_surface_mc_levels(func, "excursion", levels, 3, 200_000, eps=0.05, rng=seed)
@@ -387,6 +420,16 @@ class TestConvergenceStudy:
         monkeypatch.setattr(gausstube.cylinder, "gmf_surface_mc", no_sampling)
         with pytest.raises(ValueError, match="-1/2"):
             convergence_study(PotentialV.preset("identity"), -0.7, 1, [4, 8], 10_000)
+
+    def test_target_follows_the_coefficients(self):
+        # chosen by (a₀, a₁), whatever the potential is called
+        chisq = PotentialV.polynomial("x", (0.0, 1.0))
+        flat = PotentialV.polynomial("identity", (1.0,))
+        for potential, limit in ((chisq, limit_gmf_chisq), (flat, gmf_halfspace)):
+            target = convergence_target(potential, 0.5, 2)
+            assert np.array_equal(target.values, limit(0.5, 2).values)
+        for other in (AFFINE, PotentialV.preset("sin"), PotentialV.preset("cubic")):
+            assert convergence_target(other, 0.5, 2) is None
 
     def test_identity_attaches_targets(self):
         report = convergence_study(

@@ -39,6 +39,7 @@ from _oracles import (
 DIMS = {"interval": 1, "circle": 1, "torus": 2}
 ONE = PotentialV.preset("one")
 IDENTITY = PotentialV.preset("identity")
+AFFINE = PotentialV.polynomial("affine", (0.3, 2.0))  # a degree-1 potential that is no preset
 
 
 class TestParamSpace:
@@ -236,7 +237,9 @@ AFFINE_CASES = [
 
 
 class TestAffineClosedForm:
-    @pytest.mark.parametrize("potential", [ONE, IDENTITY], ids=["one", "identity"])
+    @pytest.mark.parametrize(
+        "potential", [ONE, IDENTITY, AFFINE], ids=["one", "identity", "affine"]
+    )
     @pytest.mark.parametrize("space,cov", AFFINE_CASES, ids=["interval", "circle", "torus"])
     def test_matches_time_loop(self, space, cov, potential):
         closed = simulate_field(space, cov, potential, 16, rng=101)
@@ -244,7 +247,9 @@ class TestAffineClosedForm:
         scale = np.max(np.abs(loop.f_values))
         assert np.max(np.abs(closed.f_values - loop.f_values)) <= 1e-12 * scale
 
-    @pytest.mark.parametrize("potential", [ONE, IDENTITY], ids=["one", "identity"])
+    @pytest.mark.parametrize(
+        "potential", [ONE, IDENTITY, AFFINE], ids=["one", "identity", "affine"]
+    )
     def test_torus_workload_never_evaluates_v(self, potential):
         space = ParamSpace.torus(2 * np.pi, 2 * np.pi, 400)
         cov = SpatialCov.torus_pair(2.0)

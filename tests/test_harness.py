@@ -391,6 +391,7 @@ class TestRunGkf:
                 "weights",
             ),
             ({"cov": {"preset": "wave-sum", "frequencies": []}}, "frequencies"),
+            ({"space": {"kind": "torus", "lengths": [6.0, 6.0, 6.0], "grid": 40}}, "bad space"),
         ],
     )
     def test_bad_keys_and_specs_fail_before_any_sampling(self, fault, match, monkeypatch):

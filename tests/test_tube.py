@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -200,10 +202,24 @@ class TestTubeVolume:
         with pytest.raises(ProjectionError):
             tube_volumes_mc(oracle, [0.5], 12_000, rng=31)
 
+    def test_one_failed_solve_aborts(self):
+        # {‖x‖²/2 ≥ 2} with one draw at the origin, an exterior point whose
+        # gradient vanishes: exactly that one solve fails, and fails the run
+        def draw(gen, size):
+            x = gen.standard_normal((size, 2))
+            x[0] = 0.0
+            return x
+
+        func = dataclasses.replace(half_norm_squared(2), draw=draw)
+        oracle = projection_oracle(RegionSpec(func, 2.0, "excursion"))
+        with pytest.raises(ProjectionError, match="^1 of 4000 projection solves failed"):
+            tube_volumes_mc(oracle, [0.5], 4000, rng=31)
+
     @pytest.mark.xfail(
         strict=True,
         raises=ProjectionError,
-        reason="projection stall (ROADMAP item 3): 217 of 8192 solves fail here (limit 0.1%). "
+        reason="projection stall (ROADMAP item 3): 217 of 8192 solves fail here, and any "
+        "failed solve aborts the run. "
         "The retraction accepts any |F - u| <= tol*(1 + |u|), so iterates ride the edge of "
         "that band; a full tangential step leaves it, Newton snaps it back farther from x, "
         "and Armijo rejects it until the iteration cap",
