@@ -476,7 +476,7 @@ def check_potential_derivatives(potential: PotentialV) -> None:
     grid = np.linspace(-6.0, 6.0, 241)
     if potential.coeffs is not None:
         values = potential.value(grid)
-        poly = np.polynomial.polynomial.polyval(grid, potential.coeffs)
+        poly = np.polyval(potential.coeffs[::-1], grid)
         err = float(np.max(np.abs(poly - values)))
         if err > DERIVATIVE_REL_TOL * max(1.0, float(np.max(np.abs(values)))):
             raise AssertionError(

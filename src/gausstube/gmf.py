@@ -175,7 +175,7 @@ def gmf_ball(radius: float, dim: int, order: int) -> GmfVector:
         weight = norm_const * math.exp(-(radius**2) / 2.0)
         p = np.eye(dim)[-1]  # coefficients of r^{k−1}, lowest degree first
         for m in range(order):
-            values[m + 1] = weight * float(np.polynomial.polynomial.polyval(radius, p))
+            values[m + 1] = weight * float(np.polyval(p[::-1], radius))
             p = np.append(p[1:] * np.arange(1, p.size), [0.0, 0.0]) - np.append(0.0, p)
     return GmfVector(order, values, np.zeros(order + 1))
 

@@ -9,15 +9,14 @@ estimate bit-exactly.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import hashlib
 import inspect
 import json
-import math
+import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -65,27 +64,112 @@ def _is_int(value) -> bool:
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    """An int or float, not a bool, with a finite float value (not NaN, ±inf or 10**400)."""
+    return (_is_int(value) or isinstance(value, float)) and abs(value) <= sys.float_info.max
 
 
 def _non_empty_list_of(test: Callable) -> Callable:
     return lambda value: isinstance(value, (list, tuple)) and bool(value) and all(map(test, value))
 
 
-# Config keys that must be integers (booleans rejected) wherever they appear.
-_INT_KEYS = ("seed", "workers", "J", "N", "n", "reps", "index")
-# The other checked keys, each with its test and what the test asks for.
-_NON_NEGATIVE = (lambda v: _is_int(v) and v >= 0, "a non-negative integer")
-_VALUE_KEYS = {
+def _is_array(value) -> bool:
+    """A finite number, or a non-empty list of such arrays nested to any depth."""
+    if isinstance(value, (list, tuple)):
+        return bool(value) and all(map(_is_array, value))
+    return _is_number(value)
+
+
+# A region is its closed-form distance oracle, whose ``.region`` is the
+# RegionSpec the samplers use, plus its closed-form GMF vector per order J.
+def _halfspace(u, dim=1):
+    return halfspace_oracle(u, dim), lambda J: gmf_halfspace(u, J)
+
+
+def _ball(radius, dim):
+    return ball_oracle(radius, dim), lambda J: gmf_ball(radius, dim, J)
+
+
+def _two_sided(a, dim=1):
+    return two_sided_oracle(a, dim), lambda J: gmf_two_sided(a, J)
+
+
+# Each nested spec's builders, keyed by its tag; a builder's parameters are its keys.
+_REGIONS = {"halfspace": _halfspace, "ball": _ball, "two-sided": _two_sided}
+_SPACES = {
+    "interval": ParamSpace.interval,
+    "circle": ParamSpace.circle,
+    "torus": lambda lengths, grid: ParamSpace.torus(*lengths, grid),
+}
+_COVS = {
+    "cosine": SpatialCov.cosine,
+    "torus-pair": SpatialCov.torus_pair,
+    "wave-sum": lambda frequencies, weights=None: SpatialCov.wave_sum(frequencies, weights),
+    "squared-exponential": lambda lambda2, n_waves=64, seed=0: SpatialCov.squared_exponential(
+        lambda2, n_waves, rng=seed
+    ),
+}
+
+
+def _check(what: str, data, table: dict, tag: str) -> tuple:
+    """Check a config, or a nested spec, against the builder ``table[data[tag]]``.
+
+    The builder's parameters are the keys ``data`` may carry; a parameter
+    with no default, and not in ``_DEFAULTS``, is required.  Every value
+    must pass its ``_KEYS`` test.  Builds nothing: returns the builder and
+    its keyword arguments, with ``_DEFAULTS`` filled in.
+    """
+    if not isinstance(data, dict) or tag not in data:
+        raise ConfigError(f"{what} must be a dict with key {tag!r}, got {data!r}")
+    kind = data[tag]
+    build = table.get(kind) if isinstance(kind, str) else None
+    if build is None:
+        raise ConfigError(f"unknown {what} {tag} {kind!r}, not one of {sorted(table)}")
+    params = inspect.signature(build).parameters
+    args = {k: v for k, v in data.items() if k != tag}
+    unknown = sorted(set(args) - set(params))
+    if unknown:
+        raise ConfigError(f"unknown {what} keys for {kind!r}: {unknown}")
+    missing = [
+        k for k, p in params.items()
+        if p.default is p.empty and k not in args and k not in _DEFAULTS
+    ]
+    if missing:
+        raise ConfigError(f"missing {what} keys for {kind!r}: {missing}")
+    for key, value in args.items():
+        test, wanted = _KEYS[key]
+        if not test(value):
+            raise ConfigError(f"bad {what}: {key} must be {wanted}, got {value!r}")
+    return build, {**{k: _DEFAULTS[k] for k in params if k in _DEFAULTS}, **args}
+
+
+def _from_spec(what: str, spec, table: dict, tag: str = "kind"):
+    """Check and build a nested spec; a value its builder rejects is a ConfigError."""
+    build, args = _check(what, spec, table, tag)
+    try:
+        return build(**args)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {what} spec {spec!r}: {exc}") from None
+
+
+_INT = (_is_int, "an integer")
+_NON_NEGATIVE = (lambda v: _is_int(v) and v >= 0, "an integer >= 0")
+_NUMBER = (_is_number, "a finite number")
+# Every config key, top-level or nested, with its test and what the test asks for.
+_KEYS = {
     "seed": _NON_NEGATIVE,
+    "workers": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
     "J": _NON_NEGATIVE,
+    "N": _INT,
+    "n": _INT,
+    "reps": _INT,
+    "index": _INT,
     "eps": (lambda v: v is None or (_is_number(v) and v > 0), "a positive number"),
     "method": (
         lambda v: v in (None, "closed-form", "projection"),
         "a distance method, 'closed-form' or 'projection'",
     ),
     "potential": (lambda v: isinstance(v, str) and v in _PRESETS, f"one of {sorted(_PRESETS)}"),
-    "u": (_is_number, "a number"),
+    "u": _NUMBER,
     "u_levels": (_non_empty_list_of(_is_number), "a non-empty list of numbers"),
     "rho_grid": (
         _non_empty_list_of(lambda v: _is_number(v) and v >= 0),
@@ -95,63 +179,53 @@ _VALUE_KEYS = {
         lambda v: _non_empty_list_of(_is_int)(v) and all(a < b for a, b in zip(v, v[1:])),
         "a non-empty, strictly increasing list of integers",
     ),
+    # a nested spec's test is _check, which raises its own error on a bad spec
+    "region": (lambda v: bool(_check("region", v, _REGIONS, "kind")), "a region spec"),
+    "space": (lambda v: bool(_check("space", v, _SPACES, "kind")), "a space spec"),
+    "cov": (lambda v: bool(_check("cov", v, _COVS, "preset")), "a cov spec"),
+    "dim": _INT,
+    "radius": _NUMBER,
+    "a": _NUMBER,
+    "length": _NUMBER,
+    "lengths": (
+        lambda v: isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_is_number, v)),
+        "a list of two finite numbers",
+    ),
+    "grid": _INT,
+    "frequency": _NUMBER,
+    "frequencies": (_is_array, "a finite number or a non-empty list (of lists) of them"),
+    "weights": (
+        lambda v: v is None or _non_empty_list_of(_is_number)(v), "a non-empty list of numbers"
+    ),
+    "lambda2": _NUMBER,
+    "n_waves": _INT,
 }
+# The keys a config may omit, with the value the runner then gets.
+_DEFAULTS = {"workers": 1, "eps": None, "method": None}
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated, JSON-round-trippable experiment description."""
+    """A validated experiment config: ``keys`` are its runner's keyword arguments."""
 
     experiment: str
-    seed: int
-    workers: int = 1
-    region: Optional[dict] = None
-    space: Optional[dict] = None
-    cov: Optional[dict] = None
-    potential: Optional[str] = None
-    J: Optional[int] = None
-    N: Optional[int] = None
-    eps: Optional[float] = None
-    reps: Optional[int] = None
-    n: Optional[int] = None
-    n_grid: Optional[list] = None
-    rho_grid: Optional[list] = None
-    u: Optional[float] = None
-    u_levels: Optional[list] = None
-    index: Optional[int] = None
-    method: Optional[str] = None
+    keys: dict
 
     @classmethod
-    def from_dict(cls, data: dict) -> "ExperimentConfig":
-        if not isinstance(data, dict):
-            raise ConfigError(f"config must be a JSON object, got {type(data).__name__}")
-        experiment = data.get("experiment")
-        names = tuple(EXPERIMENTS)
-        if experiment not in names:
-            raise ConfigError(f"experiment must be one of {names}, got {experiment!r}")
-        entry = EXPERIMENTS[experiment]
-        unknown = set(data) - {"experiment", "seed", "workers"} - entry.required - entry.optional
-        if unknown:
-            raise ConfigError(f"unknown config keys for {experiment!r}: {sorted(unknown)}")
-        missing = (entry.required | {"seed"}) - set(data)
-        if missing:
-            raise ConfigError(f"missing config keys for {experiment!r}: {sorted(missing)}")
-        for key in _INT_KEYS:
-            value = data.get(key, 1)
-            if not _is_int(value):
-                raise ConfigError(f"{key} must be an integer, got {value!r}")
-        if data.get("workers", 1) < 1:
-            raise ConfigError(f"workers must be an integer >= 1, got {data['workers']!r}")
-        if data.get("N", entry.min_N) < entry.min_N:
-            raise ConfigError(f"N must be >= {entry.min_N} for {experiment!r}, got {data['N']}")
-        for key, (test, wanted) in _VALUE_KEYS.items():
-            if key in data and not test(data[key]):
-                raise ConfigError(f"{key} must be {wanted}, got {data[key]!r}")
-        return cls(**data)
+    def from_dict(cls, data) -> "ExperimentConfig":
+        """Check every key, top-level and nested, and build nothing."""
+        runners = {name: entry.run for name, entry in EXPERIMENTS.items()}
+        _, keys = _check("config", data, runners, "experiment")
+        experiment = data["experiment"]
+        min_N = EXPERIMENTS[experiment].min_N
+        if keys["N"] < min_N:
+            raise ConfigError(f"N must be >= {min_N} for {experiment!r}, got {keys['N']}")
+        return cls(experiment, keys)
 
     def to_dict(self) -> dict:
         return {
-            k: v for k, v in dataclasses.asdict(self).items() if v is not None
+            "experiment": self.experiment,
+            **{k: v for k, v in self.keys.items() if v is not None},
         }
 
     def hash(self) -> str:
@@ -217,111 +291,14 @@ class RunResult:
         return cls(**{key: data[key] for key in _RESULT_FIELDS})
 
 
-def _from_spec(what: str, spec, table: dict, tag: str = "kind"):
-    """Build a nested config object with the builder ``table[spec[tag]]``.
-
-    A builder's parameters are the keys its spec may carry; those without a
-    default are required.  Anything else about the spec that is wrong (not a
-    dict, an unknown kind or key, a missing key, a value the builder rejects)
-    raises ConfigError before any sampling.
-    """
-    if not isinstance(spec, dict) or tag not in spec:
-        raise ConfigError(f"{what} must be a dict with a {tag!r}, got {spec!r}")
-    kind = spec[tag]
-    build = table.get(kind) if isinstance(kind, str) else None
-    if build is None:
-        raise ConfigError(f"unknown {what} {tag} {kind!r}")
-    args = {k: v for k, v in spec.items() if k != tag}
-    params = inspect.signature(build).parameters
-    unknown = set(args) - set(params)
-    if unknown:
-        raise ConfigError(f"unknown keys for {what} {kind!r}: {sorted(unknown)}")
-    missing = [k for k, p in params.items() if p.default is p.empty and k not in args]
-    if missing:
-        raise ConfigError(f"{what} {kind!r} is missing key {missing[0]!r}")
-    try:
-        return build(**args)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad {what} spec {spec!r}: {exc}") from None
+# A runner's parameters are its experiment's config keys; it gets them, with
+# ``seed`` as the root SeedSequence, and returns (rows, counters).
 
 
-def _integer(name: str, value) -> int:
-    """A nested spec's integer value; anything else (a bool, 200.7, 8.0) is rejected."""
-    if not _is_int(value):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return value
-
-
-def _number(name: str, value) -> float:
-    """A nested spec's finite number; a bool, a string, NaN or ±inf is rejected."""
-    if not _is_number(value):
-        raise ValueError(f"{name} must be a finite number, got {value!r}")
-    return float(value)
-
-
-def _numbers(name: str, values) -> list:
-    """A nested spec's list (of lists) of finite numbers, each checked by :func:`_number`."""
-    if isinstance(values, (list, tuple)):
-        return [_numbers(name, v) for v in values]
-    return _number(name, values)
-
-
-# A region is its closed-form distance oracle, whose ``.region`` is the
-# RegionSpec the samplers use, plus its closed-form GMF vector per order J.
-def _halfspace(u, dim=1):
-    u = _number("u", u)
-    return halfspace_oracle(u, _integer("dim", dim)), lambda J: gmf_halfspace(u, J)
-
-
-def _ball(radius, dim):
-    radius, dim = _number("radius", radius), _integer("dim", dim)
-    return ball_oracle(radius, dim), lambda J: gmf_ball(radius, dim, J)
-
-
-def _two_sided(a, dim=1):
-    a = _number("a", a)
-    return two_sided_oracle(a, _integer("dim", dim)), lambda J: gmf_two_sided(a, J)
-
-
-_REGIONS = {"halfspace": _halfspace, "ball": _ball, "two-sided": _two_sided}
-
-
-def _torus(lengths, grid):
-    length1, length2 = (_number("lengths", l) for l in lengths)
-    return ParamSpace.torus(length1, length2, _integer("grid", grid))
-
-
-_SPACES = {
-    "interval": lambda length, grid: ParamSpace.interval(
-        _number("length", length), _integer("grid", grid)
-    ),
-    "circle": lambda length, grid: ParamSpace.circle(
-        _number("length", length), _integer("grid", grid)
-    ),
-    "torus": _torus,
-}
-_COVS = {
-    "cosine": lambda frequency: SpatialCov.cosine(_number("frequency", frequency)),
-    "torus-pair": lambda frequency: SpatialCov.torus_pair(_number("frequency", frequency)),
-    "wave-sum": lambda frequencies, weights=None: SpatialCov.wave_sum(
-        _numbers("frequencies", frequencies),
-        None if weights is None else _numbers("weights", weights),
-    ),
-    "squared-exponential": lambda lambda2, n_waves=64, seed=0: SpatialCov.squared_exponential(
-        _number("lambda2", lambda2), _integer("n_waves", n_waves), rng=_integer("seed", seed)
-    ),
-}
-
-
-# Each runner maps (config, root SeedSequence) to (rows, counters).
-
-
-def _run_gmf(config: ExperimentConfig, root):
-    oracle, closed_factory = _from_spec("region", config.region, _REGIONS)
-    target = closed_factory(config.J)
-    est = gmf_surface_mc(
-        oracle.region, config.J, config.N, eps=config.eps, rng=root, workers=config.workers
-    )
+def _run_gmf(seed, workers, region, J, N, eps):
+    oracle, closed_factory = _from_spec("region", region, _REGIONS)
+    target = closed_factory(J)
+    est = gmf_surface_mc(oracle.region, J, N, eps=eps, rng=seed, workers=workers)
     rows = [
         {
             "quantity": f"M_{j}",
@@ -330,18 +307,17 @@ def _run_gmf(config: ExperimentConfig, root):
             "stderr": est.stderr[j],
             "target": target.values[j],
         }
-        for j in range(config.J + 1)
+        for j in range(J + 1)
     ]
     return rows, dict(est.meta)
 
 
-def _run_tube(config: ExperimentConfig, root):
-    oracle, closed_factory = _from_spec("region", config.region, _REGIONS)
-    if config.method == "projection":
+def _run_tube(seed, workers, region, J, N, rho_grid, method):
+    oracle, closed_factory = _from_spec("region", region, _REGIONS)
+    if method == "projection":
         oracle = projection_oracle(oracle.region)
     report_obj = validate_tube_series(
-        oracle, closed_factory(config.J), config.rho_grid, config.N, rng=root,
-        workers=config.workers,
+        oracle, closed_factory(J), rho_grid, N, rng=seed, workers=workers
     )
     counters = {
         "max_abs_residual": report_obj.max_abs_residual,
@@ -351,70 +327,58 @@ def _run_tube(config: ExperimentConfig, root):
     return report_obj.rows(), counters
 
 
-def _run_converge(config: ExperimentConfig, root):
-    potential = PotentialV.preset(config.potential)
+def _run_converge(seed, workers, potential, u, J, N, n_grid, eps):
+    potential = PotentialV.preset(potential)
     try:
-        for n in config.n_grid:
+        for n in n_grid:
             check_time_grid(n)
-        convergence_target(potential, config.u, config.J)  # rejects a level outside its domain
+        convergence_target(potential, u, J)  # rejects a level outside its domain
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    study = convergence_study(
-        potential,
-        config.u,
-        config.J,
-        config.n_grid,
-        config.N,
-        rng=root,
-        eps=config.eps,
-        workers=config.workers,
-    )
+    study = convergence_study(potential, u, J, n_grid, N, rng=seed, eps=eps, workers=workers)
     metas = [{"n": n, **g.meta} for n, g in zip(study.n_grid, study.estimates)]
     return study.rows(), {"gmf_meta": metas}
 
 
-def _run_kinematic(config: ExperimentConfig, root):
-    """``gkf`` (index 0, against the EC Monte Carlo) and ``crofton`` at ``index``."""
-    space = _from_spec("space", config.space, _SPACES)
-    cov = _from_spec("cov", config.cov, _COVS, tag="preset")
-    potential = PotentialV.preset(config.potential)
-    index = 0 if config.experiment == "gkf" else config.index
+def _run_crofton(seed, workers, space, cov, potential, u_levels, n, J, N, reps, index, eps):
+    """The kinematic identity at ``index``; index 0 also runs the EC Monte Carlo."""
+    space = _from_spec("space", space, _SPACES)
+    cov = _from_spec("cov", cov, _COVS, "preset")
+    potential = PotentialV.preset(potential)
     try:
         cov.compatible_with(space)
-        check_time_grid(config.n)
-        if config.J < space.dim:
-            raise ConfigError(f"J={config.J} must be >= space dimension {space.dim}")
-        weights = kinematic_weights(index, space, cov, config.J)
+        check_time_grid(n)
+        if J < space.dim:
+            raise ConfigError(f"J={J} must be >= space dimension {space.dim}")
+        weights = kinematic_weights(index, space, cov, J)
         if index in (0, space.dim):
             # these indices simulate fields: reject a coarse grid before any sampling
             check_resolution(space, cov)
         if index == 0:
             # the EC side runs reps replications; index dim runs max(100, reps // 4)
-            check_reps(config.reps)
+            check_reps(reps)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    validate_assumptions(cov, potential, rng=root.spawn(1)[0])
-    lhs_seed, rhs_seed, vol_seed = root.spawn(3)
+    validate_assumptions(cov, potential, rng=seed.spawn(1)[0])
+    lhs_seed, rhs_seed, vol_seed = seed.spawn(3)
     if index == 0:
         # only the Euler-characteristic index has an EC Monte Carlo side
         ec_means, ec_ses = ec_mc_levels(
-            space, cov, potential, config.u_levels, config.n, config.reps,
-            rng=lhs_seed, workers=config.workers,
+            space, cov, potential, u_levels, n, reps, rng=lhs_seed, workers=workers
         )
     # one sample set for every level, drawn from rhs_seed's first child
     gmf_levels = gmf_surface_mc_levels(
-        CylFunctional(config.n, potential).sampled(), "excursion",
-        [float(u) for u in config.u_levels], config.J, config.N, eps=config.eps,
-        rng=rhs_seed.spawn(1)[0], workers=config.workers,
+        CylFunctional(n, potential).sampled(), "excursion", [float(u) for u in u_levels], J, N,
+        eps=eps, rng=rhs_seed.spawn(1)[0], workers=workers,
     )
     if index == space.dim:
         # one field set for every level, drawn from vol_seed's first child
         vols, vol_ses = excursion_volumes_mc(
-            space, cov, potential, config.u_levels, config.n, max(100, config.reps // 4),
-            rng=vol_seed.spawn(1)[0], workers=config.workers,
+            space, cov, potential, u_levels, n, max(100, reps // 4),
+            rng=vol_seed.spawn(1)[0], workers=workers,
         )
     rows, gmf_meta = [], []
-    for i, (u, gmfs) in enumerate(zip(config.u_levels, gmf_levels)):
+    for i, (u, gmfs) in enumerate(zip(u_levels, gmf_levels)):
         gmf_meta.append({"u": float(u), **gmfs.meta})
         value, stderr = gmfs.dot(weights)
         row = {
@@ -438,46 +402,34 @@ def _run_kinematic(config: ExperimentConfig, root):
     return rows, {"lkc": [float(v) for v in lkc(space, cov)], "gmf_meta": gmf_meta}
 
 
-class Experiment(NamedTuple):
-    """One experiment kind: config keys beyond experiment/seed/workers, plot columns,
-    runner, and the fewest samples ``N`` it accepts."""
+def _run_gkf(seed, workers, space, cov, potential, u_levels, n, J, N, reps, eps):
+    """The expected Euler characteristic: ``crofton`` at index 0."""
+    return _run_crofton(seed, workers, space, cov, potential, u_levels, n, J, N, reps, 0, eps)
 
-    required: set
-    optional: set
+
+class Experiment(NamedTuple):
+    """One experiment kind: plot columns, runner, and the fewest samples ``N`` it accepts."""
+
     plot_columns: tuple
     run: Callable
     min_N: int = MIN_SURFACE_SAMPLES
 
 
-_FIELD_KEYS = {"space", "cov", "potential", "u_levels", "n", "J", "N", "reps"}
-
 #: The experiment registry; the CLI has one subcommand per entry.
 EXPERIMENTS = {
-    "gmf": Experiment(
-        {"region", "J", "N"}, {"eps"}, ("j", "estimate", "stderr", "target"), _run_gmf
-    ),
-    "tube": Experiment(
-        {"region", "J", "N", "rho_grid"}, {"method"}, ("rho", "residual", "stderr"), _run_tube,
-        min_N=1,
-    ),
-    "converge": Experiment(
-        {"potential", "u", "J", "N", "n_grid"}, {"eps"},
-        ("n", "j", "estimate", "stderr", "target"), _run_converge,
-    ),
-    "gkf": Experiment(
-        _FIELD_KEYS, {"eps"}, ("u", "ec_mean", "ec_stderr", "rhs", "rhs_stderr", "z"),
-        _run_kinematic,
-    ),
-    "crofton": Experiment(
-        _FIELD_KEYS | {"index"}, {"eps"}, ("u", "index", "rhs", "rhs_stderr"), _run_kinematic
-    ),
+    "gmf": Experiment(("j", "estimate", "stderr", "target"), _run_gmf),
+    "tube": Experiment(("rho", "residual", "stderr"), _run_tube, min_N=1),
+    "converge": Experiment(("n", "j", "estimate", "stderr", "target"), _run_converge),
+    "gkf": Experiment(("u", "ec_mean", "ec_stderr", "rhs", "rhs_stderr", "z"), _run_gkf),
+    "crofton": Experiment(("u", "index", "rhs", "rhs_stderr"), _run_crofton),
 }
 
 
 def run(config: ExperimentConfig) -> RunResult:
     """Dispatch an experiment to its registered runner."""
     t0 = time.perf_counter()
-    rows, counters = EXPERIMENTS[config.experiment].run(config, as_seed_sequence(config.seed))
+    keys = {**config.keys, "seed": as_seed_sequence(config.keys["seed"])}
+    rows, counters = EXPERIMENTS[config.experiment].run(**keys)
     return RunResult(
         config_hash=config.hash(),
         experiment=config.experiment,

@@ -57,6 +57,8 @@ class DistanceOracle:
 
 def halfspace_oracle(u: float, dim: int) -> DistanceOracle:
     """Distance to the excursion half-space {x₁ ≥ u}: (u − x₁)⁺."""
+    if dim < 1:
+        raise ValueError(f"dim must be >= 1, got {dim}")
     region = RegionSpec(coordinate(dim), u, "excursion")
     return DistanceOracle(
         region, "closed-form",

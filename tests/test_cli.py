@@ -202,8 +202,13 @@ class TestCli:
             ("gkf", {"cov": {"preset": "wave-sum", "frequencies": [[1]], "weights": [math.nan]}}),
             ("gkf", {"cov": {**sq_exp, "lambda2": -1}}),
             ("gkf", {"cov": {**sq_exp, "lambda2": math.nan}}),
+            ("gmf", {"region": {"kind": "halfspace", "u": 10**400}}),
+            ("converge", {"u": -(10**400)}),
             # a seed the generator cannot take
             ("gmf", {"seed": -1}),
+            # an experiment that is not a name
+            ("gmf", {"experiment": ["gmf"]}),
+            ("gmf", {"experiment": None}),
         ]
         capsys.readouterr()
         bases = {"gmf": GMF, "gkf": gkf, "crofton": CROFTON, "converge": CONVERGE, "tube": TUBE}
@@ -230,7 +235,8 @@ class TestCli:
 
     def test_config_validation_does_not_load_scipy(self):
         # a fresh interpreter: importing the package and checking configs
-        # must leave scipy and numpy.polynomial unloaded, which keeps start-up cheap
+        # must leave scipy and numpy.polynomial unloaded, which keeps start-up
+        # cheap; checking the presets' assumptions must not load numpy.polynomial
         code = (
             "import json, sys\n"
             "import gausstube\n"
@@ -239,6 +245,11 @@ class TestCli:
             "    ExperimentConfig.from_dict(data)\n"
             "print(sorted(m for m in sys.modules\n"
             "             if m.split('.')[0] == 'scipy' or m.startswith('numpy.polynomial')))\n"
+            "from gausstube.cylinder import _PRESETS, PotentialV\n"
+            "for name in _PRESETS:\n"
+            "    gausstube.validate_assumptions(gausstube.SpatialCov.cosine(1.0),\n"
+            "                                   PotentialV.preset(name))\n"
+            "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))\n"
         )
         configs = json.dumps([GMF, CROFTON, CONVERGE, TUBE])
         src = str(Path(gausstube.harness.__file__).parents[1])
@@ -247,7 +258,7 @@ class TestCli:
             capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        assert proc.stdout.split() == ["[]", "[]"]
 
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["gmf", "--config", str(tmp_path / "nope.json")]) == 2

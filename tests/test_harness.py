@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import json
 
 import numpy as np
@@ -8,7 +9,18 @@ import gausstube.harness
 from gausstube._mc import as_seed_sequence
 from gausstube.cylinder import CylFunctional
 from gausstube.errors import ConfigError
-from gausstube.harness import ExperimentConfig, RunResult, report, run
+from gausstube.harness import (
+    _COVS,
+    _DEFAULTS,
+    _KEYS,
+    _REGIONS,
+    _SPACES,
+    EXPERIMENTS,
+    ExperimentConfig,
+    RunResult,
+    report,
+    run,
+)
 from gausstube.series import gaussian_pdf, gaussian_tail
 
 
@@ -378,7 +390,10 @@ class TestRunGkf:
             ({"experiment": "tube", "region": {"kind": "two-sided", "a": 0}}, "threshold"),
             ({"experiment": "gmf", "region": {"kind": "ball", "radius": "x", "dim": 2}}, "bad"),
             ({"experiment": "gmf", "region": {"kind": "ball", "radus": 1, "dim": 2}}, "radus"),
-            ({"experiment": "gmf", "region": {"kind": "ball", "dim": 2}}, "missing key"),
+            (
+                {"experiment": "gmf", "region": {"kind": "ball", "dim": 2}},
+                "missing region keys for 'ball'",
+            ),
             ({"experiment": "gmf", "region": {"kind": "cube"}}, "unknown region kind"),
             ({"experiment": "tube", "method": "bisection"}, "distance method"),
             ({"cov": {"preset": "squared-exponential", "lambda2": 1, "n_wave": 256}}, "n_wave"),
@@ -392,6 +407,8 @@ class TestRunGkf:
             ),
             ({"cov": {"preset": "wave-sum", "frequencies": []}}, "frequencies"),
             ({"space": {"kind": "torus", "lengths": [6.0, 6.0, 6.0], "grid": 40}}, "bad space"),
+            ({"experiment": "gmf", "region": {"kind": "halfspace", "u": 1.0, "dim": 0}}, "dim"),
+            ({"experiment": "gmf", "region": {"kind": "halfspace", "u": 1.0, "dim": -2}}, "dim"),
         ],
     )
     def test_bad_keys_and_specs_fail_before_any_sampling(self, fault, match, monkeypatch):
@@ -430,10 +447,25 @@ class TestRunGkf:
             ({"experiment": "crofton", "index": None}, "index must be an integer"),
             ({"potential": "nope"}, "potential must be one of"),
             ({"potential": ["identity"]}, "potential must be one of"),
+            ({"space": {"kind": "interval", "lenght": 10.0, "grid": 200}}, "lenght"),
+            ({"space": {"kind": "interval", "length": 10.0, "grid": 200.7}}, "grid"),
+            ({"space": {"kind": "torus", "lengths": [6.0], "grid": 40}}, "bad space"),
+            ({"space": {"kind": "sphere"}}, "unknown space kind"),
+            ({"space": ["interval", 10.0]}, "dict"),
+            ({"cov": {"preset": "cosine", "frequency": True}}, "frequency"),
+            (
+                {"cov": {"preset": "wave-sum", "frequencies": [[1], [-1]], "weights": [True]}},
+                "weights",
+            ),
+            ({"cov": {"preset": "squared-exponential", "n_waves": 64}}, "missing cov keys"),
+            ({"experiment": "gmf", "region": {"kind": "ball", "radius": "x", "dim": 2}}, "radius"),
+            ({"experiment": "gmf", "region": {"kind": "halfspace", "u": 1.0, "dim": True}}, "dim"),
         ],
     )
     def test_from_dict_checks_every_scalar_key(self, fault, match):
-        # from_dict is the validation call of the CLI and the benchmark's set-up step
+        # from_dict is the validation call of the CLI and the benchmark's set-up
+        # step; it checks the keys and value types of nested specs too, and
+        # leaves a value a constructor rejects (a ball radius of -1) to run()
         data = {
             "experiment": "gkf",
             "seed": 17,
@@ -446,10 +478,21 @@ class TestRunGkf:
             "N": 30_000,
             "reps": 300,
         }
-        if fault.get("experiment") == "tube":
+        if fault.get("experiment") in ("gmf", "tube"):
             data = gmf_config()
         with pytest.raises(ConfigError, match=match):
             ExperimentConfig.from_dict({**data, **fault})
+
+    def test_every_key_has_one_value_test(self):
+        # a runner or spec parameter with no _KEYS entry would be a KeyError
+        # (exit 1) on the first config that sets it
+        builders = [entry.run for entry in EXPERIMENTS.values()] + [
+            build for table in (_REGIONS, _SPACES, _COVS) for build in table.values()
+        ]
+        params = {name for build in builders for name in inspect.signature(build).parameters}
+        assert params - _KEYS.keys() == set(), "parameters with no _KEYS entry"
+        assert _KEYS.keys() - params == set(), "_KEYS entries no builder takes"
+        assert _DEFAULTS.keys() <= _KEYS.keys()
 
     def test_low_order_fails_before_validation(self, monkeypatch):
         def not_reached(*args, **kwargs):
