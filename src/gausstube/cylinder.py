@@ -311,14 +311,16 @@ def _quadric_moments(
     H has eigenvalue h(n−1) along 1 and −h on the n−1 directions across
     it, so τ_m = hᵐ[(n−1)ᵐ + (n−1)(−1)ᵐ] and
     μ_k = hᵏ[v_∥²(n−1)ᵏ + v_⊥²(−1)ᵏ], where ``along2`` and ``across2`` (B,)
-    are v's squared lengths along 1 and across it.
+    are v's squared lengths along 1 and across it.  Column k−1 of each
+    (B, J) result is one contiguous row of a coefficient-major array.
     """
-    k = np.arange(1, order + 1)
-    hk = h**k
-    along, across = float(n - 1) ** k, (-1.0) ** k
-    tau = np.tile(hk * (along + (n - 1) * across), (along2.shape[0], 1))
-    mu = hk * (along2[:, None] * along + across2[:, None] * across)
-    return tau, mu
+    tau = np.empty((order, along2.shape[0]))
+    mu = np.empty_like(tau)
+    for k in range(1, order + 1):
+        hk, along, across = h**k, float(n - 1) ** k, (-1.0) ** k
+        tau[k - 1] = hk * (along + (n - 1) * across)
+        mu[k - 1] = hk * (along2 * along + across2 * across)
+    return tau.T, mu.T
 
 
 def limit_gmf_chisq(u: float, order: int) -> GmfVector:

@@ -32,7 +32,12 @@ import numpy as np
 
 from ._mc import as_seed_sequence, block_sizes, fsum_arrays, run_blocks
 from .errors import SurfaceDegeneracyError
-from .malliavin import DEFAULT_GRAD_FLOOR, SmoothFunctional, jacobian_coeffs
+from .malliavin import (
+    DEFAULT_GRAD_FLOOR,
+    SmoothFunctional,
+    grad_norms,
+    jacobian_coeffs_normed,
+)
 from .series import gaussian_pdf, gaussian_tail, hermite_all
 
 #: Fewest samples :func:`gmf_surface_mc_levels` accepts (10^4).
@@ -78,9 +83,9 @@ class GmfVector:
     """Minkowski functionals M₀..M_J with Monte Carlo standard errors.
 
     ``stderr`` is zero for closed forms.  ``cov`` (optional) is the full
-    covariance matrix of the estimator vector, used by :meth:`dot` to
-    propagate errors through linear combinations such as the kinematic
-    formula.
+    (J+1, J+1) covariance matrix of the estimator vector, used by
+    :meth:`dot` to propagate errors through linear combinations such as the
+    kinematic formula.  The arrays are read-only copies of those passed.
     """
 
     order: int
@@ -99,12 +104,18 @@ class GmfVector:
             )
         if not (-1e-9 <= v[0] <= 1 + 1e-9):
             raise ValueError(f"M_0 = {v[0]!r} is not a probability")
-        v = v.copy()
-        s = s.copy()
-        v.flags.writeable = False
-        s.flags.writeable = False
-        object.__setattr__(self, "values", v)
-        object.__setattr__(self, "stderr", s)
+        frozen = {"values": v, "stderr": s}
+        if self.cov is not None:
+            c = np.asarray(self.cov, dtype=float)
+            if c.shape != (self.order + 1, self.order + 1):
+                raise ValueError(
+                    f"cov must have shape ({self.order + 1}, {self.order + 1}), got {c.shape}"
+                )
+            frozen["cov"] = c
+        for name, a in frozen.items():
+            a = a.copy()
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
     def dot(self, weights) -> tuple[float, float]:
         """Linear combination w·M and its standard error √(wᵀ·cov·w)."""
@@ -269,27 +280,33 @@ def gmf_surface_mc_levels(
     chunk = max(256, min(32768, (1 << 22) // max(k * k, 1)))
 
     def surface_weights(x: np.ndarray, idx: np.ndarray):
-        """‖∇F‖, the degenerate mask and the Jacobian coefficients c_0..c_{J−1}
-        at the rows ``idx`` of x."""
+        """‖∇F‖, the degenerate mask and the Jacobian coefficients c_0..c_{J−1},
+        coefficient-major (J, m), at the rows ``idx`` of x."""
         m = idx.shape[0]
         gn = np.empty(m)
         degenerate = np.empty(m, dtype=bool)
-        coeffs = np.empty((m, order))
+        coeffs = np.empty((order, m))
         for start in range(0, m, chunk):
             rows = slice(start, start + chunk)
             xw = x[idx[rows]]
             grads = func.grads(xw)
-            gn[rows] = np.linalg.norm(grads, axis=1)
+            gn[rows] = grad_norms(grads)
             if order >= 2:
-                coeffs[rows], degenerate[rows] = jacobian_coeffs(
-                    xw, grads, lambda v: func.moments(xw, v, order - 1), orientation
+                c, degenerate[rows] = jacobian_coeffs_normed(
+                    xw, grads, gn[rows], lambda v: func.moments(xw, v, order - 1), orientation
                 )
+                coeffs[:, rows] = c.T
             else:
                 degenerate[rows] = gn[rows] < DEFAULT_GRAD_FLOOR
-                coeffs[rows] = np.where(degenerate[rows], 0.0, 1.0)[:, None]
+                coeffs[:, rows] = np.where(degenerate[rows], 0.0, 1.0)
         return gn, degenerate, coeffs
 
     def one_block(b: int):
+        """Per level: Σw, Σwwᵀ, the window size and the degenerate count, for
+        w = (1{x ∈ region}, 0!·c_0·base, …, (J−1)!·c_{J−1}·base) with
+        base = ‖∇F‖·κ_ε.  Past entry 0, w is zero outside the level's kernel
+        window, so the sums run over the window rows only; the entries that
+        only the indicator reaches are the region's exact sample count."""
         gen = np.random.default_rng(children[b + 1])
         x = func.sample(gen, sizes[b])
         fv = func.values(x)
@@ -300,18 +317,22 @@ def gmf_surface_mc_levels(
             gn, degenerate, coeffs = surface_weights(x, union)
         out = []
         for region, ti, window in zip(regions, t, in_window):
-            w = np.zeros((sizes[b], order + 1))
-            w[:, 0] = region.contains_values(fv)
+            inside = region.contains_values(fv)
             sel = window[union]  # this level's window rows among the union
             idx = union[sel]
+            w = np.empty((order + 1, idx.shape[0]))
+            w[0] = inside[idx]
             n_degenerate = 0
             if order >= 1 and idx.size:
                 kappa = kappa_norm * np.exp(-0.5 * ti[idx] ** 2)
                 base = gn[sel] * kappa
                 base[degenerate[sel]] = 0.0
                 n_degenerate = int(degenerate[sel].sum())
-                w[idx, 1:] = coeffs[sel] * base[:, None] * factorials[None, :order]
-            out.append((w.sum(axis=0), w.T @ w, idx.shape[0], n_degenerate))
+                w[1:] = coeffs[:, sel] * base * factorials[:order, None]
+            s1 = w.sum(axis=1)
+            s2 = w @ w.T
+            s1[0] = s2[0, 0] = np.count_nonzero(inside)
+            out.append((s1, s2, idx.shape[0], n_degenerate))
         return out
 
     results = run_blocks(one_block, len(sizes), workers)

@@ -213,7 +213,14 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data) -> "ExperimentConfig":
-        """Check every key, top-level and nested, and build nothing."""
+        """Check every key, top-level and nested, and build nothing.
+
+        Works on a deep copy of ``data``, so later changes to the caller's
+        dict cannot reach the checked keys, the hash or what ``run`` builds.
+        """
+        from copy import deepcopy
+
+        data = deepcopy(data)
         runners = {name: entry.run for name, entry in EXPERIMENTS.items()}
         _, keys = _check("config", data, runners, "experiment")
         experiment = data["experiment"]

@@ -94,10 +94,10 @@ def det2_series(a: np.ndarray, order: int) -> np.ndarray:
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
     tau, _ = hessian_moments(a[None], np.zeros((1, a.shape[0])), order)
-    m = np.arange(2, order + 1)
-    expo = np.zeros((1, order + 1))
-    expo[:, 2:] = (-1.0) ** (m + 1) * tau[:, 1:] / m
-    return exp_series(expo)[0]
+    expo = np.zeros((order + 1, 1))
+    for m in range(2, order + 1):
+        expo[m] = (1.0 if m % 2 else -1.0) * tau[0, m - 1] / m
+    return exp_series(expo)[:, 0]
 
 
 def hessian_moments(
@@ -146,26 +146,40 @@ def jacobian_coeffs_from_moments(
     with τ_m = tr(Hᵐ) and μ_k = vᵀHᵏv.  ``eta_x`` (B,) is η·x; ``tau`` and
     ``mu`` are (B, J) as :func:`hessian_moments` returns them.  Returns the
     (B, J+1) coefficients; coefficient 0 is 1.
+
+    The work is coefficient-major: every recursion step is one operation on
+    contiguous rows of B samples, the powers of ``scale`` are a running
+    product, and the result is the transpose of a (J+1, B) array.
     """
-    nb, order = tau.shape
-    m = np.arange(1, order + 1)
-    signed = (-1.0) ** (m + 1) * np.asarray(scale)[:, None] ** m
-    expo = np.zeros((nb, order + 1))
-    expo[:, 1:] = signed * tau / m
+    order = tau.shape[1]
+    tau_rows, mu_rows = tau.T, mu.T
+    scale = np.asarray(scale, dtype=float)
+    expo = np.empty((order + 1, scale.shape[0]))
     # log(1 + w) with w_k = −(−1)^{k−1} μ_k scaleᵏ, from (1 + w)·L′ = w′
-    w = -signed * mu
-    log_w = np.zeros((nb, order + 1))
+    w = np.empty((order, scale.shape[0]))
+    power = np.ones_like(scale)
+    for m in range(1, order + 1):
+        power = power * scale
+        signed = power if m % 2 else -power  # (−1)^{m+1} scaleᵐ
+        expo[m] = signed * tau_rows[m - 1] / m
+        w[m - 1] = -signed * mu_rows[m - 1]
+    log_w = np.empty_like(w)
     for k in range(1, order + 1):
-        acc = k * w[:, k - 1]
+        acc = k * w[k - 1]
         for i in range(1, k):
-            acc -= i * log_w[:, i] * w[:, k - i - 1]
-        log_w[:, k] = acc / k
-    expo += log_w
+            acc -= i * log_w[i - 1] * w[k - i - 1]
+        log_w[k - 1] = acc / k
+    expo[1:] += log_w
     if order >= 1:
-        expo[:, 1] -= eta_x
+        expo[1] -= eta_x
     if order >= 2:
-        expo[:, 2] -= 0.5
-    return exp_series(expo)
+        expo[2] -= 0.5
+    return exp_series(expo).T
+
+
+def grad_norms(grads: np.ndarray) -> np.ndarray:
+    """‖∇F‖ of each row of a (B, k) gradient stack."""
+    return np.sqrt(np.einsum("bi,bi->b", grads, grads))
 
 
 def jacobian_coeffs(
@@ -187,14 +201,28 @@ def jacobian_coeffs(
     marks rows whose gradient norm fell below ``DEFAULT_GRAD_FLOOR``; their
     coefficients are 0 and the caller must skip them.
     """
+    g = np.asarray(grads, dtype=float)
+    return jacobian_coeffs_normed(x, g, grad_norms(g), moments, orientation)
+
+
+def jacobian_coeffs_normed(
+    x: np.ndarray,
+    grads: np.ndarray,
+    gn: np.ndarray,
+    moments: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+    orientation: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`jacobian_coeffs` given the gradient norms ``gn`` = :func:`grad_norms`.
+
+    Each row depends on that row's inputs alone.  ``coeffs.T`` is
+    coefficient-major: (J+1, B) with contiguous rows.
+    """
     if orientation not in (+1, -1):
         raise ValueError(f"orientation must be +1 or -1, got {orientation}")
     x = np.asarray(x, dtype=float)
-    g = np.asarray(grads, dtype=float)
-    gn = np.linalg.norm(g, axis=1)
     degenerate = gn < DEFAULT_GRAD_FLOOR
     gn_safe = np.where(degenerate, 1.0, gn)
-    v = g / gn_safe[:, None]
+    v = grads / gn_safe[:, None]
     tau, mu = moments(v)
     s = float(orientation)
     eta_x = s * np.einsum("bi,bi->b", v, x)

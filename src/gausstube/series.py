@@ -5,9 +5,10 @@ formal power series in the tube radius ρ, truncated at a fixed order J:
 terms of degree > J are discarded, never wrapped around.  The coefficient
 convention is plain Taylor coefficients, i.e. ``coeffs[j]`` multiplies ρʲ
 (factorials are applied by the callers that convert coefficients into
-Minkowski functionals).  Series are (B, J+1) coefficient stacks, one row
-per sample point; they are built as exponents and exponentiated by
-:func:`exp_series`.
+Minkowski functionals).  Series are coefficient-major (J+1, B) stacks, one
+column per sample point, so each step of a recursion is one operation on a
+contiguous row of B samples; they are built as exponents and exponentiated
+by :func:`exp_series`.
 
 The Hermite polynomials here follow the probabilists' convention
 
@@ -23,24 +24,25 @@ import numpy as np
 
 
 def exp_series(expo: np.ndarray) -> np.ndarray:
-    """Coefficients of exp(a(ρ)) for each row of a (B, J+1) exponent stack.
+    """Coefficients of exp(a(ρ)) for each column of a (J+1, B) exponent stack.
 
-    Column 0 of ``expo`` is ignored, i.e. taken to be a₀ = 0.  Uses the
+    Row 0 of ``expo`` is ignored, i.e. taken to be a₀ = 0.  Uses the
     recursion obtained from E' = a'·E for E = exp(a):
 
         e₀ = 1,   eₙ = (1/n) Σ_{m=1..n} m·a_m·e_{n−m},
 
-    equivalent to assembling complete Bell polynomials.
+    equivalent to assembling complete Bell polynomials.  Returns the
+    (J+1, B) coefficients.
     """
-    nb, width = expo.shape
-    order = width - 1
-    coeffs = np.zeros((nb, order + 1))
-    coeffs[:, 0] = 1.0
-    for n in range(1, order + 1):
-        acc = np.zeros(nb)
-        for j in range(1, n + 1):
-            acc += j * expo[:, j] * coeffs[:, n - j]
-        coeffs[:, n] = acc / n
+    width = expo.shape[0]
+    coeffs = np.empty(expo.shape)
+    coeffs[0] = 1.0
+    scaled = expo[1:] * np.arange(1, width)[:, None]  # row m−1 holds m·a_m
+    for n in range(1, width):
+        acc = scaled[0] * coeffs[n - 1]
+        for j in range(2, n + 1):
+            acc += scaled[j - 1] * coeffs[n - j]
+        coeffs[n] = acc / n
     return coeffs
 
 

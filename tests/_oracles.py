@@ -9,11 +9,12 @@ from typing import Callable
 import numpy as np
 
 from gausstube import tube
-from gausstube._mc import as_seed_sequence
+from gausstube._mc import as_seed_sequence, block_sizes, fsum_arrays
 from gausstube.errors import GausstubeError, ProjectionError
 from gausstube.fields import FieldSample, ParamSpace
 from gausstube.functionals import quadratic
-from gausstube.malliavin import DEFAULT_GRAD_FLOOR, SmoothFunctional
+from gausstube.gmf import KERNEL_CUT, RegionSpec
+from gausstube.malliavin import DEFAULT_GRAD_FLOOR, SmoothFunctional, jacobian_coeffs
 from gausstube.series import exp_series, hermite_all
 from gausstube.tube import PROJECTION_TOL, distances
 
@@ -230,7 +231,57 @@ def reference_jacobian_coeffs(func, orientation, x, order, grad_floor=DEFAULT_GR
         expo[m] = (-1) ** (m + 1) * np.trace(p) / m
     if order >= 2:
         expo[2] -= 0.5
-    return exp_series(expo[None])[0]
+    return exp_series(expo[:, None])[:, 0]
+
+
+def dense_surface_sums(func, kind, levels, order, n_samples, eps, rng):
+    """The co-area estimator of ``gmf_surface_mc_levels`` with dense block sums.
+
+    Draws the estimator's samples (the same blocks and substreams of
+    ``rng``) and, at the given bandwidth ``eps``, builds each level's full
+    (block, J+1) weight array: column 0 the region indicator, columns 1..J
+    the weights j!·c_j·‖∇F‖·κ_ε on the kernel window and zero elsewhere.  Its
+    block sums are ``w.sum(axis=0)`` and ``w.T @ w`` over every row.  Returns,
+    per level, ``(values, cov, n_window, n_degenerate)``.
+    """
+    regions = [RegionSpec(func, float(u), kind) for u in levels]
+    sizes = block_sizes(n_samples)
+    children = as_seed_sequence(rng).spawn(len(sizes) + 1)
+    factorials = np.array([math.factorial(j) for j in range(order)], dtype=float)
+    parts = [[] for _ in regions]
+    for b, size in enumerate(sizes):
+        x = func.sample(np.random.default_rng(children[b + 1]), size)
+        fv = func.values(x)
+        for region, acc in zip(regions, parts):
+            t = (fv - region.level) / eps
+            idx = np.nonzero(np.abs(t) <= KERNEL_CUT)[0]
+            w = np.zeros((size, order + 1))
+            w[:, 0] = region.contains_values(fv)
+            n_degenerate = 0
+            if order >= 1 and idx.size:
+                xw = x[idx]
+                grads = func.grads(xw)
+                gn = np.linalg.norm(grads, axis=1)
+                if order >= 2:
+                    coeffs, degenerate = jacobian_coeffs(
+                        xw, grads, lambda v: func.moments(xw, v, order - 1), region.orientation
+                    )
+                else:
+                    degenerate = gn < DEFAULT_GRAD_FLOOR
+                    coeffs = np.where(degenerate, 0.0, 1.0)[:, None]
+                kappa = np.exp(-0.5 * t[idx] ** 2) / (eps * math.sqrt(2.0 * math.pi))
+                base = np.where(degenerate, 0.0, gn * kappa)
+                w[idx, 1:] = coeffs * base[:, None] * factorials
+                n_degenerate = int(degenerate.sum())
+            acc.append((w.sum(axis=0), w.T @ w, idx.size, n_degenerate))
+    n = float(n_samples)
+    out = []
+    for acc in parts:
+        mean = fsum_arrays([a[0] for a in acc]) / n
+        s2 = fsum_arrays([a[1] for a in acc])
+        cov = (s2 - n * np.outer(mean, mean)) / (n - 1.0) / n
+        out.append((mean, cov, sum(a[2] for a in acc), sum(a[3] for a in acc)))
+    return out
 
 
 def normal_field(

@@ -20,6 +20,8 @@ from gausstube.gmf import (
 from gausstube.malliavin import SmoothFunctional, jacobian_coeffs
 from gausstube.series import hermite_all
 
+from _oracles import dense_surface_sums
+
 PHI_1 = 0.24197072451914335
 PSI_1 = 0.15865525393145705
 
@@ -116,6 +118,23 @@ class TestGmfVector:
         assert stderr == pytest.approx(np.sqrt(4 * 0.04 - 4 * 0.01 + 0.09), rel=1e-15)
         with pytest.raises(ValueError, match="covariance"):
             gmf_halfspace(0.0, 1).dot([1.0, 1.0])
+
+    def test_cov_frozen(self):
+        g = gmf_surface_mc(RegionSpec(coordinate(2), 1.0, "excursion"), 2, 10_000, rng=3)
+        before = g.dot([1.0, 1.0, 1.0])
+        with pytest.raises(ValueError):
+            g.cov[:] = 0.0
+        assert g.dot([1.0, 1.0, 1.0]) == before
+        assert before[1] > 0.0
+        # a caller's matrix is copied, so writing to it later changes nothing
+        cov = np.array([[0.04, 0.01], [0.01, 0.09]])
+        h = GmfVector(1, np.array([0.25, 2.0]), np.sqrt(np.diag(cov)), cov=cov)
+        cov[:] = 0.0
+        assert h.dot([1.0, 1.0])[1] == pytest.approx(np.sqrt(0.15), rel=1e-15)
+
+    def test_cov_shape_checked(self):
+        with pytest.raises(ValueError, match="cov"):
+            GmfVector(1, np.array([0.5, 0.0]), np.zeros(2), cov=np.eye(3))
 
 
 class TestAssemble:
@@ -257,6 +276,16 @@ class TestSurfaceMonteCarlo:
         assert fine < 0.05
 
 
+# F = x₁ with its gradient zeroed where |x₂| > 2: about 4.6% of every kernel
+# window is degenerate, under the estimator's 10% limit.
+GRAD_HOLES = SmoothFunctional(
+    dim=2,
+    values=lambda x: x[:, 0].copy(),
+    grads=lambda x: np.where(np.abs(x[:, 1:]) > 2.0, 0.0, 1.0) * np.array([1.0, 0.0]),
+    hessians=lambda x: np.zeros((x.shape[0], 2, 2)),
+)
+
+
 class TestLevelsSampler:
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize(
@@ -286,6 +315,33 @@ class TestLevelsSampler:
             assert np.array_equal(got.stderr, one.stderr), f"u={u}"
             assert np.array_equal(got.cov, one.cov), f"u={u}"
             assert got.meta == one.meta, f"u={u}"
+
+    @pytest.mark.parametrize("order", [0, 1, 3])
+    @pytest.mark.parametrize(
+        "func, kind, levels",
+        [
+            (CylFunctional(64, PotentialV.preset("identity")).meridian(), "excursion",
+             [0.0, 0.5, 1.0]),
+            (CylFunctional(16, PotentialV.preset("sin")).functional(), "excursion",
+             [0.0, 0.3, 0.9]),
+            (quadratic(np.diag([2.0, 1.0])), "sub-level", [0.5, 1.0, 1.5]),
+            (GRAD_HOLES, "excursion", [-0.5, 0.0, 0.8]),
+        ],
+        ids=["meridian-identity", "F16-sin", "ellipse-dense", "grad-holes"],
+    )
+    def test_window_sums_match_dense_sums(self, func, kind, levels, order):
+        # the window-only sums and the exact M0 count against a full (block, J+1)
+        # weight array per level, on the same samples
+        got = gmf_surface_mc_levels(func, kind, levels, order, 40_000, eps=0.05, rng=149)
+        ref = dense_surface_sums(func, kind, levels, order, 40_000, 0.05, rng=149)
+        for u, g, (values, cov, n_window, n_degenerate) in zip(levels, got, ref):
+            assert np.max(np.abs(g.values - values)) <= 1e-12 * np.max(np.abs(values)), u
+            assert np.max(np.abs(g.cov - cov)) <= 1e-12 * np.max(np.abs(cov)), u
+            assert g.values[0] == values[0] and g.cov[0, 0] == cov[0, 0], u
+            assert g.meta["n_window"] == n_window > 0, u
+            assert g.meta["n_degenerate"] == n_degenerate, u
+            if func is GRAD_HOLES and order >= 1:
+                assert 0 < n_degenerate < 0.1 * n_window, u
 
     def test_empty_levels_rejected(self):
         with pytest.raises(ValueError, match="level"):

@@ -66,6 +66,28 @@ class TestConfig:
         b = ExperimentConfig.from_dict(shuffled)
         assert a.hash() == b.hash()
 
+    def test_checked_config_keeps_no_reference_to_its_input(self):
+        def tube_config():
+            return {
+                "experiment": "tube",
+                "region": {"kind": "ball", "radius": 2.0, "dim": 3},
+                "J": 4,
+                "N": 1000,
+                "rho_grid": [0.1],
+                "seed": 1,
+            }
+
+        data = tube_config()
+        cfg = ExperimentConfig.from_dict(data)
+        digest = cfg.hash()
+        data["region"]["radius"] = "x"
+        data["rho_grid"].append(-5.0)
+        data["J"] = "many"
+        del data["N"]
+        assert cfg == ExperimentConfig.from_dict(tube_config())
+        assert cfg.hash() == digest
+        assert run(cfg).payload() == run(ExperimentConfig.from_dict(tube_config())).payload()
+
 
 class TestRunGmf:
     def test_rows_contain_targets(self):

@@ -201,7 +201,7 @@ class TestJacobianSeries:
             geom[0, 2] = -0.5
             for m in range(1, 7):
                 geom[0, m] += (k - 1) * ((-1) ** (m + 1)) * r**-m / m  # log(1+rho/r)
-            oracle = exp_series(geom)
+            oracle = exp_series(geom.T).T
             assert np.max(np.abs(coeffs - oracle)) < 1e-13, (k, r)
 
     def test_sphere_shell_jacobian_value(self):
@@ -229,7 +229,7 @@ class TestJacobianSeries:
         expo = np.zeros((1, 5))
         expo[0, 1] = -delta
         expo[0, 2] = -0.5
-        expected = exp_series(expo)
+        expected = exp_series(expo.T).T
         coeffs, _ = jacobian_coeffs(x, f.grads(x), lambda v: f.moments(x, v, 4), -1)
         assert np.max(np.abs(coeffs - expected)) < 1e-14
 
@@ -267,6 +267,41 @@ class TestJacobianSeries:
         coeffs, degenerate = jacobian_coeffs_batch(x, f.grads(x), f.hessians(x), +1, 3)
         assert degenerate.tolist() == [True, False]
         assert np.allclose(coeffs[0], 0.0)
+
+    @pytest.mark.parametrize("route", ["dense", "moments-batch", "meridian"])
+    def test_rows_are_independent(self, route):
+        # a row's coefficients and flag depend on that row alone: the estimator
+        # chunks its window stacks, and a level's entry must not depend on
+        # which other levels share the chunk
+        rng = np.random.default_rng(43)
+        if route == "dense":
+            a = rng.standard_normal((4, 4))
+            f = affine_quadratic(a + a.T, np.zeros(4))
+            x = rng.standard_normal((300, 4))
+            x[[5, 150, 299]] = 0.0  # zero gradient: degenerate rows
+            order = 4
+        elif route == "moments-batch":
+            f = CylFunctional(16, PotentialV.preset("sin")).functional()
+            x = rng.standard_normal((300, 16))
+            order = 3
+        else:
+            f = CylFunctional(64, PotentialV.preset("identity")).meridian()
+            x = f.sample(rng, 300)
+            order = 3
+
+        def coeffs_of(x):
+            return jacobian_coeffs(x, f.grads(x), lambda v: f.moments(x, v, order), -1)
+
+        coeffs, degenerate = coeffs_of(x)
+        assert degenerate.any() == (route == "dense")
+        perm = rng.permutation(x.shape[0])
+        permuted, permuted_deg = coeffs_of(x[perm])
+        assert np.array_equal(permuted, coeffs[perm])
+        assert np.array_equal(permuted_deg, degenerate[perm])
+        head, head_deg = coeffs_of(x[:37])
+        tail, tail_deg = coeffs_of(x[37:])
+        assert np.array_equal(np.vstack([head, tail]), coeffs)
+        assert np.array_equal(np.concatenate([head_deg, tail_deg]), degenerate)
 
 
 class TestOracleChecks:

@@ -96,22 +96,22 @@ class TestSeriesOps:
 
 class TestSeriesExp:
     def test_exp_linear(self):
-        out = exp_series(np.array([[0.0, 1.0, 0.0]]))
-        assert np.allclose(out, [[1.0, 1.0, 0.5]])
+        out = exp_series(np.array([[0.0, 1.0, 0.0]]).T)
+        assert np.allclose(out.T, [[1.0, 1.0, 0.5]])
 
     def test_exp_gaussian_factor(self):
-        out = exp_series(np.array([[0.0, 0.0, -0.5]]))
-        assert np.allclose(out, [[1.0, 0.0, -0.5]])
+        out = exp_series(np.array([[0.0, 0.0, -0.5]]).T)
+        assert np.allclose(out.T, [[1.0, 0.0, -0.5]])
 
     def test_exp_mixed(self):
         # symbolic expansion of exp(rho + rho^2) at order 3
-        out = exp_series(np.array([[0.0, 1.0, 1.0, 0.0]]))
-        assert np.allclose(out, [[1.0, 1.0, 1.5, 7.0 / 6.0]], atol=1e-15)
+        out = exp_series(np.array([[0.0, 1.0, 1.0, 0.0]]).T)
+        assert np.allclose(out.T, [[1.0, 1.0, 1.5, 7.0 / 6.0]], atol=1e-15)
 
     def test_constant_term_is_ignored(self):
-        # column 0 is taken to be 0, so exp(a0) is left to the caller
-        out = exp_series(np.array([[0.1, 1.0], [0.0, 1.0]]))
-        assert np.array_equal(out[0], out[1])
+        # row 0 is taken to be 0, so exp(a0) is left to the caller
+        out = exp_series(np.array([[0.1, 1.0], [0.0, 1.0]]).T)
+        assert np.array_equal(out[:, 0], out[:, 1])
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -122,11 +122,11 @@ class TestSeriesExp:
         rng = np.random.default_rng(seed)
         a = np.concatenate([[0.0], rng.uniform(-1, 1, order)])
         b = np.concatenate([[0.0], rng.uniform(-1, 1, order)])
-        ea, eb, lhs = exp_series(np.stack([a, b, a + b]))
+        ea, eb, lhs = exp_series(np.stack([a, b, a + b], axis=1)).T
         assert np.max(np.abs(lhs - series_mul(ea, eb))) < 1e-12
 
     def test_evaluation(self):
-        coeffs = np.zeros((1, 13))
-        coeffs[0, 1] = 1.0
-        s = exp_series(coeffs)[0]
+        coeffs = np.zeros((13, 1))
+        coeffs[1, 0] = 1.0
+        s = exp_series(coeffs)[:, 0]
         assert np.polynomial.polynomial.polyval(0.3, s) == pytest.approx(np.exp(0.3), rel=1e-10)
