@@ -36,6 +36,9 @@ def as_seed_sequence(seed) -> np.random.SeedSequence:
 
 
 def block_sizes(n_total: int) -> list[int]:
+    """Sizes of the ``BLOCK_SIZE`` blocks that make up ``n_total`` >= 1 samples."""
+    if n_total < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_total}")
     full, rest = divmod(n_total, BLOCK_SIZE)
     return [BLOCK_SIZE] * full + ([rest] if rest else [])
 

@@ -201,10 +201,12 @@ class CylFunctional:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Curvature moments τ_m = tr(Hᵐ), μ_k = vᵀHᵏv without forming H.
 
+        Returns ``(tau, mu)``, both (order, B) like
+        :func:`~gausstube.malliavin.hessian_moments`.
         Hw = a∘cumsum(w) + suffix_excl(a∘w) − d1n∘w costs O(n) per
-        row, as do τ₁ = Σ tail2 and τ₂ = Σ_M 2M·a_M² + Σ tail2² (0-based M),
-        so orders ≤ 2 are O(n·order) per row.  τ_m for m ≥ 3 sums the
-        diagonal of Hᵐ column by column: O(n²·m) time per row but O(B·n)
+        sample, as do τ₁ = Σ tail2 and τ₂ = Σ_M 2M·a_M² + Σ tail2² (0-based
+        M), so orders ≤ 2 are O(n·order) per sample.  τ_m for m ≥ 3 sums the
+        diagonal of Hᵐ column by column: O(n²·m) time per sample but O(B·n)
         memory.
         """
         y = np.asarray(y, dtype=float)
@@ -216,29 +218,31 @@ class CylFunctional:
         def hv(w):
             return a * np.cumsum(w, axis=1) + _suffix_excl(a * w) - d1n * w
 
-        def power_products(w0, top):
-            """w_j·w_{m−j} with w_j = Hʲw0, j = ⌊m/2⌋: w0ᵀHᵐw0 for m = 1..top."""
+        def power_products(w0, out):
+            """Row m−1 of ``out`` = w0ᵀHᵐw0 = w_j·w_{m−j}, w_j = Hʲw0, j = ⌊m/2⌋."""
+            top = out.shape[0]
             ws = [w0]
             for _ in range((top + 1) // 2):
                 ws.append(hv(ws[-1]))
-            return [
-                np.einsum("bi,bi->b", ws[m // 2], ws[m - m // 2]) for m in range(1, top + 1)
-            ]
+            for m in range(1, top + 1):
+                out[m - 1] = np.einsum("bi,bi->b", ws[m // 2], ws[m - m // 2])
 
         m = np.arange(n)
         a2 = a * a
-        tau = np.zeros((nb, order))
-        mu = np.zeros((nb, order))
+        tau = np.zeros((order, nb))
+        mu = np.zeros((order, nb))
         if order >= 1:
-            tau[:, 0] = tail2.sum(axis=1)
-            mu[:] = np.stack(power_products(v, order), axis=1)
+            tau[0] = tail2.sum(axis=1)
+            power_products(v, mu)
         if order >= 2:
-            tau[:, 1] = 2.0 * np.einsum("bi,i->b", a2, m) + (tail2**2).sum(axis=1)
+            tau[1] = 2.0 * np.einsum("bi,i->b", a2, m) + (tail2**2).sum(axis=1)
         if order >= 3:
             e = np.zeros((nb, n))
+            products = np.empty((order, nb))
             for i in range(n):
                 e[:, i] = 1.0
-                tau[:, 2:] += np.stack(power_products(e, order)[2:], axis=1)
+                power_products(e, products)
+                tau[2:] += products[2:]
                 e[:, i] = 0.0
         return tau, mu
 
@@ -311,8 +315,7 @@ def _quadric_moments(
     H has eigenvalue h(n−1) along 1 and −h on the n−1 directions across
     it, so τ_m = hᵐ[(n−1)ᵐ + (n−1)(−1)ᵐ] and
     μ_k = hᵏ[v_∥²(n−1)ᵏ + v_⊥²(−1)ᵏ], where ``along2`` and ``across2`` (B,)
-    are v's squared lengths along 1 and across it.  Column k−1 of each
-    (B, J) result is one contiguous row of a coefficient-major array.
+    are v's squared lengths along 1 and across it.  Both results are (J, B).
     """
     tau = np.empty((order, along2.shape[0]))
     mu = np.empty_like(tau)
@@ -320,7 +323,7 @@ def _quadric_moments(
         hk, along, across = h**k, float(n - 1) ** k, (-1.0) ** k
         tau[k - 1] = hk * (along + (n - 1) * across)
         mu[k - 1] = hk * (along2 * along + across2 * across)
-    return tau.T, mu.T
+    return tau, mu
 
 
 def limit_gmf_chisq(u: float, order: int) -> GmfVector:

@@ -197,12 +197,12 @@ class SpatialCov:
         return self.frequencies.shape[1]
 
     def C(self, x, y) -> np.ndarray:
-        """Covariance of the time-one marginal between point arrays."""
+        """Covariance of the time-one marginal between the rows of two point
+        arrays, (B,); a single point is a one-row array."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         y = np.atleast_2d(np.asarray(y, dtype=float))
         phase = (x - y) @ self.frequencies.T
-        out = np.cos(phase) @ self.weights**2
-        return out if out.size > 1 else float(out[0])
+        return np.cos(phase) @ self.weights**2
 
     def basis(self, points: np.ndarray) -> np.ndarray:
         """Orthogonal wave basis e(x), shape (G, 2K): Σ e(x)e(y) = C(x,y)."""
@@ -368,11 +368,12 @@ def check_reps(reps: int) -> None:
 
 
 def _replicate(space, cov, potential, u_levels, time_n, reps, rng, workers, statistic):
-    """(reps, levels) array of ``statistic(sample, u)`` over independent fields.
+    """(levels, reps) array of ``statistic(sample, u)`` over independent fields.
 
     All levels share the same field realizations; each replication runs on
     its own substream of ``rng``, so results are reproducible for any
-    worker count.
+    worker count.  Each level is one contiguous row, so a reduction along
+    it is bit-identical to the same reduction of a one-level call.
     """
     check_reps(reps)
     u_levels = [float(u) for u in u_levels]
@@ -383,7 +384,7 @@ def _replicate(space, cov, potential, u_levels, time_n, reps, rng, workers, stat
         sample = simulate_field(space, cov, potential, time_n, rng=children[i])
         return np.array([statistic(sample, u) for u in u_levels], dtype=float)
 
-    return np.stack(run_blocks(one_rep, reps, workers))
+    return np.column_stack(run_blocks(one_rep, reps, workers))
 
 
 def ec_mc_levels(
@@ -399,10 +400,11 @@ def ec_mc_levels(
     """Euler-characteristic means over independent field samples, one per level.
 
     Returns ``(means, stderrs)``, like :func:`excursion_volumes_mc`; all
-    levels share one field set.
+    levels share one field set, and entry i is bit-identical to a call at
+    ``[u_levels[i]]`` with the same ``rng``.
     """
     chi = _replicate(space, cov, potential, u_levels, time_n, reps, rng, workers, euler_char)
-    return chi.mean(axis=0), chi.std(axis=0, ddof=1) / np.sqrt(reps)
+    return chi.mean(axis=1), chi.std(axis=1, ddof=1) / np.sqrt(reps)
 
 
 def excursion_volumes_mc(
@@ -419,15 +421,12 @@ def excursion_volumes_mc(
 
     Estimates the supra-threshold volume fraction on the grid and scales by
     the top Lipschitz–Killing curvature; returns ``(means, stderrs)``.  All
-    levels share one field set, and each level is reduced as a contiguous
-    row, so entry i is bit-identical to a call at ``[u_levels[i]]`` with the
-    same ``rng``.
+    levels share one field set, and entry i is bit-identical to a call at
+    ``[u_levels[i]]`` with the same ``rng``.
     """
-    fractions = np.ascontiguousarray(
-        _replicate(
-            space, cov, potential, u_levels, time_n, reps, rng, workers,
-            lambda sample, u: np.mean(sample.f_values >= u),
-        ).T
+    fractions = _replicate(
+        space, cov, potential, u_levels, time_n, reps, rng, workers,
+        lambda sample, u: np.mean(sample.f_values >= u),
     )
     top = lkc(space, cov)[-1]
     return top * fractions.mean(axis=1), top * (fractions.std(axis=1, ddof=1) / np.sqrt(reps))
@@ -517,7 +516,7 @@ def validate_assumptions(cov: SpatialCov, potential: PotentialV, rng=0) -> None:
     x = gen.uniform(-2.0, 2.0, size=(LIPSCHITZ_PAIRS, d))
     y = gen.uniform(-2.0, 2.0, size=(LIPSCHITZ_PAIRS, d))
     gap2 = np.sum((x - y) ** 2, axis=1)
-    incr = 2.0 * (1.0 - np.asarray(cov.C(x, y)))
+    incr = 2.0 * (1.0 - cov.C(x, y))
     if np.any(incr > cov.lambda2 * gap2 * (1.0 + 1e-9) + 1e-12):
         raise AssertionError("increment variance violates the Lipschitz bound lambda2*|x-y|^2")
     w2 = cov.weights**2

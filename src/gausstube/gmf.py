@@ -36,7 +36,7 @@ from .malliavin import (
     DEFAULT_GRAD_FLOOR,
     SmoothFunctional,
     grad_norms,
-    jacobian_coeffs_normed,
+    jacobian_coeffs,
 )
 from .series import gaussian_pdf, gaussian_tail, hermite_all
 
@@ -128,13 +128,16 @@ class GmfVector:
 
 def assemble_tube_series(gmfs: GmfVector, rho: float) -> float:
     """Evaluate M₀ + Σ_{j=1..J} ρʲ/j! · M_j."""
-    from scipy import special
-
     if rho < 0:
         raise ValueError(f"rho must be >= 0, got {rho}")
     j = np.arange(gmfs.order + 1)
-    weights = rho**j / special.factorial(j)
+    weights = rho**j / _factorials(gmfs.order + 1)
     return float(np.dot(weights, gmfs.values))
+
+
+def _factorials(count: int) -> np.ndarray:
+    """0!, 1!, …, (count−1)! as floats."""
+    return np.array([math.factorial(j) for j in range(count)], dtype=float)
 
 
 def gmf_halfspace(u: float, order: int) -> GmfVector:
@@ -250,8 +253,6 @@ def gmf_surface_mc_levels(
     The sample stream is split into fixed-size blocks with independent
     substreams of ``rng``, so results are bit-identical for any ``workers``.
     """
-    from scipy import special
-
     regions = [RegionSpec(func, float(u), kind) for u in levels]
     if not regions:
         raise ValueError("levels must hold at least one level")
@@ -271,7 +272,7 @@ def gmf_surface_mc_levels(
     eps = float(eps)
 
     orientation = regions[0].orientation
-    factorials = special.factorial(np.arange(max(order, 1)))
+    factorials = _factorials(max(order, 1))
     kappa_norm = 1.0 / (eps * math.sqrt(2.0 * math.pi))
 
     # A functional without a moment oracle falls back to a dense Hessian
@@ -292,10 +293,9 @@ def gmf_surface_mc_levels(
             grads = func.grads(xw)
             gn[rows] = grad_norms(grads)
             if order >= 2:
-                c, degenerate[rows] = jacobian_coeffs_normed(
+                coeffs[:, rows], degenerate[rows] = jacobian_coeffs(
                     xw, grads, gn[rows], lambda v: func.moments(xw, v, order - 1), orientation
                 )
-                coeffs[:, rows] = c.T
             else:
                 degenerate[rows] = gn[rows] < DEFAULT_GRAD_FLOOR
                 coeffs[:, rows] = np.where(degenerate[rows], 0.0, 1.0)

@@ -36,11 +36,11 @@ class SmoothFunctional:
 
     ``values``, ``grads`` and ``hessians`` act on (B, k) stacks and return
     (B,), (B, k) and (B, k, k) arrays; a single point is a one-row stack.
-    ``moments_batch(x, v, order)`` returns the curvature moments (τ, μ) of
-    :func:`hessian_moments` without a dense Hessian stack, for functionals
-    whose Hessian has structure.  A functional needs at least one of the
-    two: the moments are taken from ``moments_batch`` when it is set and
-    from the Hessian stack otherwise.
+    ``moments_batch(x, v, order)`` returns the (order, B) curvature moments
+    (τ, μ) of :func:`hessian_moments` without a dense Hessian stack, for
+    functionals whose Hessian has structure.  A functional needs at least
+    one of the two: the moments are taken from ``moments_batch`` when it is
+    set and from the Hessian stack otherwise.
 
     The Monte Carlo estimators average over canonical Gaussian points of
     ℝᵏ, drawn by :meth:`sample`.  The optional ``draw(gen, size)`` replaces
@@ -72,9 +72,9 @@ class SmoothFunctional:
     def moments(
         self, x: np.ndarray, v: np.ndarray, order: int
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Curvature moments (τ, μ) of :func:`hessian_moments` at the rows of
-        x, from ``moments_batch`` when the functional has one and from its
-        Hessian stack otherwise."""
+        """Curvature moments (τ, μ), each (order, B), of :func:`hessian_moments`
+        at the rows of x, from ``moments_batch`` when the functional has one
+        and from its Hessian stack otherwise."""
         x = np.asarray(x, dtype=float)
         if self.moments_batch is not None:
             return self.moments_batch(x, v, order)
@@ -96,7 +96,7 @@ def det2_series(a: np.ndarray, order: int) -> np.ndarray:
     tau, _ = hessian_moments(a[None], np.zeros((1, a.shape[0])), order)
     expo = np.zeros((order + 1, 1))
     for m in range(2, order + 1):
-        expo[m] = (1.0 if m % 2 else -1.0) * tau[0, m - 1] / m
+        expo[m] = (1.0 if m % 2 else -1.0) * tau[m - 1, 0] / m
     return exp_series(expo)[:, 0]
 
 
@@ -105,28 +105,28 @@ def hessian_moments(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Curvature moments of a dense Hessian stack.
 
-    Returns ``(tau, mu)``, both (B, order): ``tau[:, m−1] = tr(Hᵐ)`` and
-    ``mu[:, k−1] = vᵀHᵏv`` for each row's Hessian H and direction v.  This
-    is the reference for, and the fallback of, the structured
-    ``SmoothFunctional.moments_batch`` oracles.
+    Returns ``(tau, mu)``, both (order, B): ``tau[m−1] = tr(Hᵐ)`` and
+    ``mu[k−1] = vᵀHᵏv`` for each sample's Hessian H and direction v, one
+    contiguous row per moment.  This is the reference for, and the fallback
+    of, the structured ``SmoothFunctional.moments_batch`` oracles.
     """
     h = np.asarray(hessians, dtype=float)
     nb = h.shape[0]
-    tau = np.empty((nb, order))
-    mu = np.empty((nb, order))
+    tau = np.empty((order, nb))
+    mu = np.empty((order, nb))
     if order >= 1:
-        tau[:, 0] = np.einsum("bii->b", h)
+        tau[0] = np.einsum("bii->b", h)
     if order >= 2:
-        tau[:, 1] = np.einsum("bij,bji->b", h, h)
+        tau[1] = np.einsum("bij,bji->b", h, h)
     if order >= 3:
         p = np.matmul(h, h)
         for m in range(3, order + 1):
             p = np.matmul(p, h)
-            tau[:, m - 1] = np.einsum("bii->b", p)
+            tau[m - 1] = np.einsum("bii->b", p)
     w = v
     for k in range(1, order + 1):
         w = np.einsum("bij,bj->bi", h, w)
-        mu[:, k - 1] = np.einsum("bi,bi->b", v, w)
+        mu[k - 1] = np.einsum("bi,bi->b", v, w)
     return tau, mu
 
 
@@ -144,15 +144,13 @@ def jacobian_coeffs_from_moments(
                            + log(1 − Σ_{k≥1} (−1)^{k−1} μ_k tᵏ),
 
     with τ_m = tr(Hᵐ) and μ_k = vᵀHᵏv.  ``eta_x`` (B,) is η·x; ``tau`` and
-    ``mu`` are (B, J) as :func:`hessian_moments` returns them.  Returns the
-    (B, J+1) coefficients; coefficient 0 is 1.
+    ``mu`` are (J, B) as :func:`hessian_moments` returns them.  Returns the
+    (J+1, B) coefficients; row 0 is 1.
 
-    The work is coefficient-major: every recursion step is one operation on
-    contiguous rows of B samples, the powers of ``scale`` are a running
-    product, and the result is the transpose of a (J+1, B) array.
+    Every recursion step is one operation on contiguous rows of B samples,
+    and the powers of ``scale`` are a running product.
     """
-    order = tau.shape[1]
-    tau_rows, mu_rows = tau.T, mu.T
+    order = tau.shape[0]
     scale = np.asarray(scale, dtype=float)
     expo = np.empty((order + 1, scale.shape[0]))
     # log(1 + w) with w_k = −(−1)^{k−1} μ_k scaleᵏ, from (1 + w)·L′ = w′
@@ -161,8 +159,8 @@ def jacobian_coeffs_from_moments(
     for m in range(1, order + 1):
         power = power * scale
         signed = power if m % 2 else -power  # (−1)^{m+1} scaleᵐ
-        expo[m] = signed * tau_rows[m - 1] / m
-        w[m - 1] = -signed * mu_rows[m - 1]
+        expo[m] = signed * tau[m - 1] / m
+        w[m - 1] = -signed * mu[m - 1]
     log_w = np.empty_like(w)
     for k in range(1, order + 1):
         acc = k * w[k - 1]
@@ -174,7 +172,7 @@ def jacobian_coeffs_from_moments(
         expo[1] -= eta_x
     if order >= 2:
         expo[2] -= 0.5
-    return exp_series(expo).T
+    return exp_series(expo)
 
 
 def grad_norms(grads: np.ndarray) -> np.ndarray:
@@ -185,6 +183,7 @@ def grad_norms(grads: np.ndarray) -> np.ndarray:
 def jacobian_coeffs(
     x: np.ndarray,
     grads: np.ndarray,
+    gn: np.ndarray,
     moments: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     orientation: int,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -192,30 +191,16 @@ def jacobian_coeffs(
 
     η is the outward unit normal s·∇F/‖∇F‖ of the region cut out by F at
     the ``orientation`` s (+1 for sub-level regions {F ≤ u}, −1 for
-    excursion regions {F ≥ u}).  Unit normals v come from ``grads``;
-    ``moments(v)`` returns the (B, J) moments (τ, μ) of
+    excursion regions {F ≥ u}).  ``grads`` is the (B, k) gradient stack and
+    ``gn`` its norms, :func:`grad_norms`; unit normals v come from them, and
+    ``moments(v)`` returns the (J, B) moments (τ, μ) of
     :func:`hessian_moments`, for instance ``lambda v: func.moments(x, v, J)``.
-    Returns ``(coeffs, degenerate)``: ``coeffs`` is (B, J+1) with
-    coefficient 0 equal to 1, and integrating j!·coefficient_j against the
-    Gaussian surface measure of the boundary gives M_{j+1}.  ``degenerate``
-    marks rows whose gradient norm fell below ``DEFAULT_GRAD_FLOOR``; their
-    coefficients are 0 and the caller must skip them.
-    """
-    g = np.asarray(grads, dtype=float)
-    return jacobian_coeffs_normed(x, g, grad_norms(g), moments, orientation)
-
-
-def jacobian_coeffs_normed(
-    x: np.ndarray,
-    grads: np.ndarray,
-    gn: np.ndarray,
-    moments: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
-    orientation: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`jacobian_coeffs` given the gradient norms ``gn`` = :func:`grad_norms`.
-
-    Each row depends on that row's inputs alone.  ``coeffs.T`` is
-    coefficient-major: (J+1, B) with contiguous rows.
+    Returns ``(coeffs, degenerate)``: ``coeffs`` is (J+1, B) with row 0
+    equal to 1, and integrating j!·coefficient_j against the Gaussian
+    surface measure of the boundary gives M_{j+1}.  ``degenerate`` marks
+    samples whose gradient norm fell below ``DEFAULT_GRAD_FLOOR``; their
+    coefficients are 0 and the caller must skip them.  Each sample's column
+    depends on that sample's inputs alone.
     """
     if orientation not in (+1, -1):
         raise ValueError(f"orientation must be +1 or -1, got {orientation}")
@@ -227,7 +212,7 @@ def jacobian_coeffs_normed(
     s = float(orientation)
     eta_x = s * np.einsum("bi,bi->b", v, x)
     coeffs = jacobian_coeffs_from_moments(eta_x, s / gn_safe, tau, mu)
-    coeffs[degenerate] = 0.0
+    coeffs[:, degenerate] = 0.0
     return coeffs, degenerate
 
 
@@ -244,5 +229,8 @@ def jacobian_coeffs_batch(
     (B,k,k).  This is the dense route: moments from
     :func:`hessian_moments`, then :func:`jacobian_coeffs_from_moments`.
     """
+    g = np.asarray(grads, dtype=float)
     h = np.asarray(hessians, dtype=float)
-    return jacobian_coeffs(x, grads, lambda v: hessian_moments(h, v, order), orientation)
+    return jacobian_coeffs(
+        x, g, grad_norms(g), lambda v: hessian_moments(h, v, order), orientation
+    )

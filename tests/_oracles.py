@@ -14,7 +14,7 @@ from gausstube.errors import GausstubeError, ProjectionError
 from gausstube.fields import FieldSample, ParamSpace
 from gausstube.functionals import quadratic
 from gausstube.gmf import KERNEL_CUT, RegionSpec
-from gausstube.malliavin import DEFAULT_GRAD_FLOOR, SmoothFunctional, jacobian_coeffs
+from gausstube.malliavin import DEFAULT_GRAD_FLOOR, SmoothFunctional, grad_norms, jacobian_coeffs
 from gausstube.series import exp_series, hermite_all
 from gausstube.tube import PROJECTION_TOL, distances
 
@@ -47,7 +47,7 @@ def lambda2_fd(cov, step=1e-4):
             eb[b] = step
             out[a, b] = (
                 cov.C(ea, eb) - cov.C(ea, -eb) - cov.C(-ea, eb) + cov.C(-ea, -eb)
-            ) / (4.0 * step * step)
+            )[0] / (4.0 * step * step)
     return out
 
 
@@ -212,6 +212,15 @@ def unit_normal(
     return eta, eta_jac
 
 
+def jacobian_series(func, x, order, orientation):
+    """``jacobian_coeffs`` at the rows of x with ``func``'s gradients and moments:
+    ``(coeffs, degenerate)``, coeffs (order+1, B)."""
+    grads = func.grads(x)
+    return jacobian_coeffs(
+        x, grads, grad_norms(grads), lambda v: func.moments(x, v, order), orientation
+    )
+
+
 def reference_jacobian_coeffs(func, orientation, x, order, grad_floor=DEFAULT_GRAD_FLOOR):
     """The Jacobian series at one point, (order+1,), from the dense normal Jacobian ∇η.
 
@@ -264,14 +273,15 @@ def dense_surface_sums(func, kind, levels, order, n_samples, eps, rng):
                 gn = np.linalg.norm(grads, axis=1)
                 if order >= 2:
                     coeffs, degenerate = jacobian_coeffs(
-                        xw, grads, lambda v: func.moments(xw, v, order - 1), region.orientation
+                        xw, grads, grad_norms(grads), lambda v: func.moments(xw, v, order - 1),
+                        region.orientation,
                     )
                 else:
                     degenerate = gn < DEFAULT_GRAD_FLOOR
-                    coeffs = np.where(degenerate, 0.0, 1.0)[:, None]
+                    coeffs = np.where(degenerate, 0.0, 1.0)[None, :]
                 kappa = np.exp(-0.5 * t[idx] ** 2) / (eps * math.sqrt(2.0 * math.pi))
                 base = np.where(degenerate, 0.0, gn * kappa)
-                w[idx, 1:] = coeffs * base[:, None] * factorials
+                w[idx, 1:] = (coeffs * base * factorials[:, None]).T
                 n_degenerate = int(degenerate.sum())
             acc.append((w.sum(axis=0), w.T @ w, idx.size, n_degenerate))
     n = float(n_samples)

@@ -1,15 +1,19 @@
 """Every public name and method has a caller, and every defaulted parameter a setter.
 
-A name exported in ``gausstube.__all__`` must be used by the library itself
-(outside its own definition and the package ``__init__``), by the
-benchmark in ``perfbench/``, or be one of the few documented entry points
-listed below.  Every public method of an exported class must be used there
-too.  A parameter with a default must be passed by some call in the
-library or the benchmark, or be on its own short allowlist.  A new option
-or function lands with the code that calls it.
+A name exported in ``gausstube.__all__``, and every public module-level
+function or class of ``src/``, must be used by the library itself (outside
+its own definition and the package ``__init__``), by the benchmark in
+``perfbench/`` (code, or a target of its span tracer), or be one of the
+few documented entry points listed below.  Every public method of an
+exported class must be used there too.  A parameter with a default must be
+passed by some call in the library or the benchmark, or be on its own
+short allowlist.  A new option or function lands with the code that
+calls it.
 """
 
 import ast
+import importlib.util
+import sys
 from pathlib import Path
 
 import gausstube
@@ -57,9 +61,34 @@ def _used_names() -> set:
     return used
 
 
+def _traced_names() -> set:
+    """The names in the attribute paths of ``perfbench/tracing.py`` ``TARGETS``."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", ROOT / "perfbench" / "tracing.py"
+    )
+    tracing = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = tracing  # its dataclasses look their module up
+    try:
+        spec.loader.exec_module(tracing)
+    finally:
+        del sys.modules[spec.name]
+    return {part for _, attr_path, _, _ in tracing.TARGETS for part in attr_path.split(".")}
+
+
+def _module_level_public_names() -> set:
+    """Public functions and classes defined at the top level of src/gausstube."""
+    return {
+        stmt.name
+        for path in sorted(SRC.glob("*.py"))
+        for stmt in ast.parse(path.read_text()).body
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and not stmt.name.startswith("_")
+    }
+
+
 def test_every_public_name_has_a_caller():
-    used = _used_names() | ENTRY_POINTS
-    unused = [name for name in sorted(gausstube.__all__) if name not in used]
+    used = _used_names() | _traced_names() | ENTRY_POINTS
+    public = set(gausstube.__all__) | _module_level_public_names()
+    unused = [name for name in sorted(public) if name not in used]
     assert not unused, f"public names with no caller in src/ or perfbench/: {unused}"
 
 

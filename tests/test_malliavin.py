@@ -8,7 +8,6 @@ from gausstube.functionals import coordinate, norm
 from gausstube.malliavin import (
     SmoothFunctional,
     det2_series,
-    jacobian_coeffs,
     jacobian_coeffs_batch,
 )
 from gausstube.series import exp_series, hermite_all
@@ -23,6 +22,7 @@ from _oracles import (
     divergence,
     eigen_product_series,
     half_norm_squared,
+    jacobian_series,
     normal_field,
     ramer_density,
     reference_jacobian_coeffs,
@@ -80,7 +80,7 @@ class TestUnitNormal:
         with pytest.raises(ValueError, match="below floor"):
             unit_normal(f, +1, np.zeros(3))
         x = np.zeros((1, 3))
-        coeffs, degenerate = jacobian_coeffs(x, f.grads(x), lambda v: f.moments(x, v, 3), +1)
+        coeffs, degenerate = jacobian_series(f, x, 3, +1)
         assert degenerate.tolist() == [True]
         assert np.all(coeffs == 0.0)
 
@@ -89,7 +89,7 @@ class TestUnitNormal:
         with pytest.raises(ValueError):
             unit_normal(f, 0, x[0])
         with pytest.raises(ValueError, match="orientation"):
-            jacobian_coeffs(x, f.grads(x), lambda v: f.moments(x, v, 2), 0)
+            jacobian_series(f, x, 2, 0)
 
 
 class TestDet2Series:
@@ -174,9 +174,9 @@ class TestJacobianSeries:
         f = coordinate(4)
         u = np.array([-1.0, 0.0, 0.7, 2.0])
         x = np.column_stack([u, np.tile([0.3, -0.5, 2.0], (4, 1))])
-        coeffs, _ = jacobian_coeffs(x, f.grads(x), lambda v: f.moments(x, v, 6), -1)
+        coeffs, _ = jacobian_series(f, x, 6, -1)
         factorials = np.array([math.factorial(j) for j in range(7)])
-        expected = hermite_all(6, u).T / factorials
+        expected = hermite_all(6, u) / factorials[:, None]
         assert np.max(np.abs(coeffs - expected)) < 1e-12
 
     def test_leading_coefficient_is_one(self):
@@ -184,7 +184,7 @@ class TestJacobianSeries:
         a = rng.standard_normal((3, 3))
         f = affine_quadratic(a @ a.T + np.eye(3), rng.standard_normal(3))
         x = rng.standard_normal((1, 3))
-        coeffs, _ = jacobian_coeffs(x, f.grads(x), lambda v: f.moments(x, v, 4), +1)
+        coeffs, _ = jacobian_series(f, x, 4, +1)
         assert coeffs[0, 0] == 1.0
 
     def test_sphere_case(self):
@@ -195,13 +195,13 @@ class TestJacobianSeries:
             f = norm(k)
             x = np.zeros((1, k))
             x[0, 0] = r
-            coeffs, _ = jacobian_coeffs(x, f.grads(x), lambda v: f.moments(x, v, 6), +1)
-            geom = np.zeros((1, 7))
-            geom[0, 1] = -r
-            geom[0, 2] = -0.5
+            coeffs, _ = jacobian_series(f, x, 6, +1)
+            geom = np.zeros((7, 1))
+            geom[1, 0] = -r
+            geom[2, 0] = -0.5
             for m in range(1, 7):
-                geom[0, m] += (k - 1) * ((-1) ** (m + 1)) * r**-m / m  # log(1+rho/r)
-            oracle = exp_series(geom.T).T
+                geom[m, 0] += (k - 1) * ((-1) ** (m + 1)) * r**-m / m  # log(1+rho/r)
+            oracle = exp_series(geom)
             assert np.max(np.abs(coeffs - oracle)) < 1e-13, (k, r)
 
     def test_sphere_shell_jacobian_value(self):
@@ -209,9 +209,9 @@ class TestJacobianSeries:
         r, rho, k = 2.0, 0.15, 3
         f = norm(k)
         x = np.array([[r, 0.0, 0.0]])
-        coeffs, _ = jacobian_coeffs(x, f.grads(x), lambda v: f.moments(x, v, 30), +1)
+        coeffs, _ = jacobian_series(f, x, 30, +1)
         truth = (1 + rho / r) ** (k - 1) * np.exp(-rho * r - rho**2 / 2)
-        summed = np.polynomial.polynomial.polyval(rho, coeffs[0])
+        summed = np.polynomial.polynomial.polyval(rho, coeffs[:, 0])
         assert summed == pytest.approx(truth, rel=1e-12)
 
     def test_zero_curvature_reduces_to_exp(self):
@@ -226,11 +226,11 @@ class TestJacobianSeries:
         x = np.array([[0.4, 1.0, -0.2]])
         eta = -a / np.linalg.norm(a)
         delta = float(eta @ x[0])
-        expo = np.zeros((1, 5))
-        expo[0, 1] = -delta
-        expo[0, 2] = -0.5
-        expected = exp_series(expo.T).T
-        coeffs, _ = jacobian_coeffs(x, f.grads(x), lambda v: f.moments(x, v, 4), -1)
+        expo = np.zeros((5, 1))
+        expo[1, 0] = -delta
+        expo[2, 0] = -0.5
+        expected = exp_series(expo)
+        coeffs, _ = jacobian_series(f, x, 4, -1)
         assert np.max(np.abs(coeffs - expected)) < 1e-14
 
     def test_batch_matches_pointwise(self):
@@ -245,20 +245,18 @@ class TestJacobianSeries:
         assert not degenerate.any()
         for i in range(x.shape[0]):
             s = reference_jacobian_coeffs(f, -1, x[i], 5)
-            assert np.max(np.abs(coeffs[i] - s)) < 1e-11
+            assert np.max(np.abs(coeffs[:, i] - s)) < 1e-11
         for name in ("sin", "cubic", "identity"):
             f = CylFunctional(8, PotentialV.preset(name)).functional()
             y = rng.standard_normal((160, 8))
             y = y[np.linalg.norm(f.grads(y), axis=1) >= 0.3][:40]
             assert y.shape[0] == 40
             for orientation in (+1, -1):
-                coeffs, degenerate = jacobian_coeffs(
-                    y, f.grads(y), lambda v: f.moments(y, v, 5), orientation
-                )
+                coeffs, degenerate = jacobian_series(f, y, 5, orientation)
                 assert not degenerate.any()
                 for i in range(y.shape[0]):
                     ref = reference_jacobian_coeffs(f, orientation, y[i], 5)
-                    rel = np.max(np.abs(coeffs[i] - ref)) / np.max(np.abs(ref))
+                    rel = np.max(np.abs(coeffs[:, i] - ref)) / np.max(np.abs(ref))
                     assert rel <= 1e-11, (name, orientation, i, rel)
 
     def test_batch_flags_degenerate_rows(self):
@@ -266,7 +264,7 @@ class TestJacobianSeries:
         x = np.vstack([np.zeros(3), np.ones(3)])
         coeffs, degenerate = jacobian_coeffs_batch(x, f.grads(x), f.hessians(x), +1, 3)
         assert degenerate.tolist() == [True, False]
-        assert np.allclose(coeffs[0], 0.0)
+        assert np.allclose(coeffs[:, 0], 0.0)
 
     @pytest.mark.parametrize("route", ["dense", "moments-batch", "meridian"])
     def test_rows_are_independent(self, route):
@@ -290,17 +288,17 @@ class TestJacobianSeries:
             order = 3
 
         def coeffs_of(x):
-            return jacobian_coeffs(x, f.grads(x), lambda v: f.moments(x, v, order), -1)
+            return jacobian_series(f, x, order, -1)
 
         coeffs, degenerate = coeffs_of(x)
         assert degenerate.any() == (route == "dense")
         perm = rng.permutation(x.shape[0])
         permuted, permuted_deg = coeffs_of(x[perm])
-        assert np.array_equal(permuted, coeffs[perm])
+        assert np.array_equal(permuted, coeffs[:, perm])
         assert np.array_equal(permuted_deg, degenerate[perm])
         head, head_deg = coeffs_of(x[:37])
         tail, tail_deg = coeffs_of(x[37:])
-        assert np.array_equal(np.vstack([head, tail]), coeffs)
+        assert np.array_equal(np.hstack([head, tail]), coeffs)
         assert np.array_equal(np.concatenate([head_deg, tail_deg]), degenerate)
 
 
@@ -311,7 +309,7 @@ class TestOracleChecks:
             SmoothFunctional(dim=2, values=values, grads=grads)
         flat = SmoothFunctional(
             dim=2, values=values, grads=grads,
-            moments_batch=lambda x, v, order: (np.zeros((len(x), order)),) * 2,
+            moments_batch=lambda x, v, order: (np.zeros((order, len(x))),) * 2,
         )
         assert flat.hessians is None
         assert np.all(flat.moments(np.zeros((3, 2)), np.ones((3, 2)), 2)[1] == 0.0)

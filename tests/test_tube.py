@@ -240,6 +240,11 @@ class TestTubeVolume:
         ref = hits / x.shape[0]
         assert abs(est - ref) <= 4.0 * np.hypot(se, np.sqrt(ref * (1.0 - ref) / x.shape[0]))
 
+    @pytest.mark.parametrize("n_samples", [0, -5])
+    def test_sample_count_below_one_rejected(self, n_samples):
+        with pytest.raises(ValueError, match="n_samples"):
+            tube_volumes_mc(ball_oracle(1.0, 2), [0.1], n_samples)
+
     def test_worker_independence(self):
         projection = projection_oracle(RegionSpec(norm(2), 1.0, "sub-level"))
         for oracle in (two_sided_oracle(1.0, 2), projection):
