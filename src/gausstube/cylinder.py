@@ -388,15 +388,14 @@ def convergence_study(
         raise ValueError(f"n_grid must be strictly increasing, got {n_grid}")
     # built first, so a level outside the target's domain fails before any sampling
     target = convergence_target(potential, u, order)
-    root = as_seed_sequence(rng)
-    children = root.spawn(len(n_grid))
-    estimates = []
-    for child, n in zip(children, n_grid):
-        region = CylFunctional(n, potential).excursion(u)
-        estimates.append(
-            gmf_surface_mc(region, order, n_samples, eps=eps, rng=child, workers=workers)
-        )
-    return ConvergenceReport(u=u, n_grid=n_grid, estimates=tuple(estimates), target=target)
+    # every n is checked before the first estimate samples
+    regions = [CylFunctional(n, potential).excursion(u) for n in n_grid]
+    children = as_seed_sequence(rng).spawn(len(n_grid))
+    estimates = tuple(
+        gmf_surface_mc(region, order, n_samples, eps=eps, rng=child, workers=workers)
+        for region, child in zip(regions, children)
+    )
+    return ConvergenceReport(u=u, n_grid=n_grid, estimates=estimates, target=target)
 
 
 def derivative_sup_moments(potential: PotentialV, rng) -> np.ndarray:

@@ -129,8 +129,6 @@ class SpatialCov:
     frequencies: np.ndarray  # (K, dim)
     weights: np.ndarray  # (K,)
     lambda2: float = field(init=False)
-    # wave basis per grid, filled by wave_basis; lives as long as this object
-    _basis_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         freq = np.atleast_2d(np.asarray(self.frequencies, dtype=float))
@@ -205,24 +203,15 @@ class SpatialCov:
         return np.cos(phase) @ self.weights**2
 
     def basis(self, points: np.ndarray) -> np.ndarray:
-        """Orthogonal wave basis e(x), shape (G, 2K): Σ e(x)e(y) = C(x,y)."""
+        """Orthogonal wave basis e(x), shape (G, 2K): Σ e(x)e(y) = C(x,y).
+
+        The replication loops build it once per field set, after
+        :func:`check_resolution`, and share it read-only.
+        """
         phase = np.asarray(points, dtype=float) @ self.frequencies.T
         return np.concatenate(
             [self.weights * np.cos(phase), self.weights * np.sin(phase)], axis=1
         )
-
-    def wave_basis(self, space: ParamSpace) -> np.ndarray:
-        """Read-only :meth:`basis` on the grid of ``space``, built once per space.
-
-        Threads racing the first lookup may each build it; all of them get
-        the first one stored.
-        """
-        basis = self._basis_memo.get(space)
-        if basis is None:
-            basis = self.basis(space.points())
-            basis.flags.writeable = False
-            basis = self._basis_memo.setdefault(space, basis)
-        return basis
 
     def compatible_with(self, space: ParamSpace) -> None:
         """Reject frequencies that break periodicity on wrapped spaces."""
@@ -272,7 +261,7 @@ def check_resolution(space: ParamSpace, cov: SpatialCov) -> None:
 
 def simulate_field(
     space: ParamSpace,
-    cov: SpatialCov,
+    basis: np.ndarray,
     potential: PotentialV,
     time_n: int,
     rng=0,
@@ -280,10 +269,11 @@ def simulate_field(
     """Draw one field realization f(x) = Σᵢ V(B^x(tᵢ))·(B^x(tᵢ₊₁) − B^x(tᵢ)).
 
     The Brownian motions B^x are generated on the shared uniform time grid
-    through the wave basis, with i.i.d. Gaussian increments of variance
-    1/time_n, and the Itô sum uses the left endpoint — the same
-    discretization as the cylindrical functional F_n.  A resolution guard
-    rejects grids with 4·spacing·√λ₂ ≥ 1.
+    through ``basis``, the (G, 2K) :meth:`SpatialCov.basis` on the grid's
+    points, with i.i.d. Gaussian increments of variance 1/time_n, and the
+    Itô sum uses the left endpoint — the same discretization as the
+    cylindrical functional F_n.  The grid is the caller's to check: the
+    replication loops run :func:`check_resolution` once, before any field.
 
     With e = e(x) the basis row, dᵢ the increments and cᵢ = Σ_{j<i} dⱼ, an
     affine V = a₀ + a₁·b gives f = a₀·e·c_n + a₁·eᵀMe with M = Σᵢ cᵢdᵢᵀ:
@@ -292,9 +282,7 @@ def simulate_field(
     """
     if time_n < 2:
         raise ValueError(f"time_n must be >= 2, got {time_n}")
-    check_resolution(space, cov)
     gen = np.random.default_rng(as_seed_sequence(rng))
-    basis = cov.wave_basis(space)  # (G, 2K)
     width = basis.shape[1]
     increments = gen.standard_normal((time_n, width)) / np.sqrt(time_n)
     affine = potential.affine
@@ -370,6 +358,8 @@ def check_reps(reps: int) -> None:
 def _replicate(space, cov, potential, u_levels, time_n, reps, rng, workers, statistic):
     """(levels, reps) array of ``statistic(sample, u)`` over independent fields.
 
+    The resolution guard runs and the wave basis is built once, before any
+    field is drawn; the worker threads share only that read-only basis.
     All levels share the same field realizations; each replication runs on
     its own substream of ``rng``, so results are reproducible for any
     worker count.  Each level is one contiguous row, so a reduction along
@@ -377,11 +367,13 @@ def _replicate(space, cov, potential, u_levels, time_n, reps, rng, workers, stat
     """
     check_reps(reps)
     u_levels = [float(u) for u in u_levels]
-    cov.compatible_with(space)
+    check_resolution(space, cov)
+    basis = cov.basis(space.points())
+    basis.flags.writeable = False
     children = as_seed_sequence(rng).spawn(reps)
 
     def one_rep(i: int) -> np.ndarray:
-        sample = simulate_field(space, cov, potential, time_n, rng=children[i])
+        sample = simulate_field(space, basis, potential, time_n, rng=children[i])
         return np.array([statistic(sample, u) for u in u_levels], dtype=float)
 
     return np.column_stack(run_blocks(one_rep, reps, workers))
@@ -401,7 +393,8 @@ def ec_mc_levels(
 
     Returns ``(means, stderrs)``, like :func:`excursion_volumes_mc`; all
     levels share one field set, and entry i is bit-identical to a call at
-    ``[u_levels[i]]`` with the same ``rng``.
+    ``[u_levels[i]]`` with the same ``rng``.  A grid too coarse for the
+    covariance (:func:`check_resolution`) raises before any field is drawn.
     """
     chi = _replicate(space, cov, potential, u_levels, time_n, reps, rng, workers, euler_char)
     return chi.mean(axis=1), chi.std(axis=1, ddof=1) / np.sqrt(reps)
@@ -422,7 +415,8 @@ def excursion_volumes_mc(
     Estimates the supra-threshold volume fraction on the grid and scales by
     the top Lipschitz–Killing curvature; returns ``(means, stderrs)``.  All
     levels share one field set, and entry i is bit-identical to a call at
-    ``[u_levels[i]]`` with the same ``rng``.
+    ``[u_levels[i]]`` with the same ``rng``.  A grid too coarse for the
+    covariance (:func:`check_resolution`) raises before any field is drawn.
     """
     fractions = _replicate(
         space, cov, potential, u_levels, time_n, reps, rng, workers,
@@ -453,7 +447,7 @@ def kinematic_weights(index: int, space: ParamSpace, cov: SpatialCov, order: int
         raise ValueError(f"index must lie in [0, {m}], got {index}")
     if order < m - index:
         raise ValueError(
-            f"series order {order} must be >= space dimension {m} minus index {index}"
+            f"series order J={order} must be >= space dimension {m} minus index {index}"
         )
     curvatures = lkc(space, cov)
     weights = np.zeros(order + 1)

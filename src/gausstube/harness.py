@@ -355,8 +355,6 @@ def _run_crofton(seed, workers, space, cov, potential, u_levels, n, J, N, reps, 
     try:
         cov.compatible_with(space)
         check_time_grid(n)
-        if J < space.dim:
-            raise ConfigError(f"J={J} must be >= space dimension {space.dim}")
         weights = kinematic_weights(index, space, cov, J)
         if index in (0, space.dim):
             # these indices simulate fields: reject a coarse grid before any sampling

@@ -51,9 +51,14 @@ def lambda2_fd(cov, step=1e-4):
     return out
 
 
+def grid_basis(space, cov):
+    """The (G, 2K) wave basis of ``cov`` on the grid of ``space``, as ``simulate_field`` takes it."""
+    return cov.basis(space.points())
+
+
 def _wave_increments(space, cov, time_n, seed):
     """The wave basis and the (time_n, 2K) increments ``simulate_field`` draws from ``seed``."""
-    basis = cov.wave_basis(space)
+    basis = grid_basis(space, cov)
     gen = np.random.default_rng(as_seed_sequence(seed))
     return basis, gen.standard_normal((time_n, basis.shape[1])) / np.sqrt(time_n)
 

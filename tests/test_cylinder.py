@@ -419,6 +419,15 @@ class TestConvergenceStudy:
         with pytest.raises(ValueError, match="-1/2"):
             convergence_study(PotentialV.preset("identity"), -0.7, 1, [4, 8], 10_000)
 
+    def test_every_n_checked_before_sampling(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            gausstube.cylinder, "gmf_surface_mc", lambda *args, **kwargs: calls.append(1)
+        )
+        with pytest.raises(ValueError, match="time-grid size"):
+            convergence_study(PotentialV.preset("identity"), 0.5, 1, [8, 512], 10_000)
+        assert calls == []
+
     def test_target_follows_the_coefficients(self):
         # chosen by (a₀, a₁), whatever the potential is called
         chisq = PotentialV.polynomial("x", (0.0, 1.0))

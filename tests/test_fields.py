@@ -1,7 +1,4 @@
 import dataclasses
-import sys
-import threading
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -29,6 +26,7 @@ from gausstube.series import gaussian_pdf, gaussian_tail
 
 from _oracles import (
     driving_paths,
+    grid_basis,
     ito_loop_field,
     lambda2_fd,
     load_field,
@@ -117,17 +115,18 @@ class TestSimulateField:
     def test_deterministic(self):
         space = ParamSpace.interval(5.0, 64)
         cov = SpatialCov.cosine(1.0)
-        a = simulate_field(space, cov, IDENTITY, 16, rng=11)
-        b = simulate_field(space, cov, IDENTITY, 16, rng=11)
+        basis = grid_basis(space, cov)
+        a = simulate_field(space, basis, IDENTITY, 16, rng=11)
+        b = simulate_field(space, basis, IDENTITY, 16, rng=11)
         assert np.array_equal(a.f_values, b.f_values)
 
     def test_constant_potential_gives_time_one_marginal(self):
         # V = 1 telescopes: f(x) = B^x(1) = W(1)·e(x) exactly
         space = ParamSpace.interval(5.0, 32)
         cov = SpatialCov.cosine(1.0)
-        s = simulate_field(space, cov, ONE, 8, rng=13)
+        basis = grid_basis(space, cov)
+        s = simulate_field(space, basis, ONE, 8, rng=13)
         w1 = driving_paths(space, cov, 8, 13)[-1]
-        basis = cov.basis(space.points())
         assert np.allclose(s.f_values, basis @ w1, atol=1e-12)
 
     def test_covariance_calibration(self):
@@ -135,9 +134,10 @@ class TestSimulateField:
         space = ParamSpace.interval(4.0, 40)
         cov = SpatialCov.cosine(1.0)
         reps = 10_000
+        basis = grid_basis(space, cov)
         vals = np.empty((reps, 40))
         for i in range(reps):
-            vals[i] = simulate_field(space, cov, ONE, 4, rng=(17, i)).f_values
+            vals[i] = simulate_field(space, basis, ONE, 4, rng=(17, i)).f_values
         rng = np.random.default_rng(19)
         pts = space.points()
         for _ in range(10):
@@ -163,66 +163,44 @@ class TestSimulateField:
             se = t * np.sqrt(2.0 / reps)
             assert abs(var - t) <= 4 * se
 
-    def test_wave_basis_is_read_only_and_exact(self):
-        space = ParamSpace.torus(2 * np.pi, 2 * np.pi, 16)
-        cov = SpatialCov.torus_pair(2.0)
-        memo = cov.wave_basis(space)
-        assert not memo.flags.writeable
-        assert np.array_equal(memo, cov.basis(space.points()))
-        assert cov.wave_basis(space) is memo
-
-    def test_warm_and_fresh_cov_give_identical_fields(self):
-        space = ParamSpace.circle(2 * np.pi, 128)
-        warm = SpatialCov.cosine(2.0)
-        simulate_field(space, warm, IDENTITY, 8, rng=30)
-        a = simulate_field(space, warm, IDENTITY, 8, rng=31)
-        b = simulate_field(space, SpatialCov.cosine(2.0), IDENTITY, 8, rng=31)
-        assert np.array_equal(a.f_values, b.f_values)
-
-    def test_basis_built_once_per_ec_run(self, monkeypatch):
-        calls = []
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "estimate", [ec_mc_levels, excursion_volumes_mc], ids=["ec", "volume"]
+    )
+    def test_basis_built_once_per_ec_run(self, monkeypatch, estimate, workers):
+        # one read-only basis per call, shared by every replication thread
+        built = []
         original = SpatialCov.basis
 
         def counting(self, points):
-            calls.append(len(points))
-            return original(self, points)
+            built.append(original(self, points))
+            return built[-1]
 
         monkeypatch.setattr(SpatialCov, "basis", counting)
         space = ParamSpace.interval(5.0, 64)
-        ec_mc_levels(space, SpatialCov.cosine(1.0), ONE, [0.0], 4, 100, rng=32)
-        assert calls == [64]
+        estimate(space, SpatialCov.cosine(1.0), ONE, [0.0, 1.0], 4, 100, rng=32, workers=workers)
+        assert [len(b) for b in built] == [64]
+        assert not built[0].flags.writeable
 
-    def test_threads_share_one_basis(self):
-        # threads racing the first lookup must all get the one stored basis
-        space = ParamSpace.torus(2 * np.pi, 2 * np.pi, 128)
-        cov = SpatialCov.torus_pair(2.0)
-        start = threading.Barrier(8)
+    def test_resolution_guard(self, monkeypatch):
+        # a coarse grid fails in the replication set-up, before any field is drawn
+        def not_reached(*args, **kwargs):
+            raise AssertionError("simulate_field ran before the resolution guard")
 
-        def lookup(_):
-            start.wait(timeout=60)
-            return cov.wave_basis(space)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=8) as pool:
-                futures = [pool.submit(lookup, i) for i in range(8)]
-                bases = [f.result(timeout=60) for f in futures]
-        finally:
-            sys.setswitchinterval(interval)
-        assert all(b is cov.wave_basis(space) for b in bases)
-
-    def test_resolution_guard(self):
+        monkeypatch.setattr(gausstube.fields, "simulate_field", not_reached)
         space = ParamSpace.interval(100.0, 10)
-        with pytest.raises(ValueError, match="too coarse"):
-            simulate_field(space, SpatialCov.cosine(1.0), ONE, 4, rng=1)
+        for estimate in (ec_mc_levels, excursion_volumes_mc):
+            with pytest.raises(ValueError, match="too coarse"):
+                estimate(space, SpatialCov.cosine(1.0), ONE, [0.0], 4, 100, rng=1, workers=2)
 
     def test_time_grid_guard(self):
+        space = ParamSpace.interval(5.0, 64)
         with pytest.raises(ValueError, match="time_n"):
-            simulate_field(ParamSpace.interval(5.0, 64), SpatialCov.cosine(1.0), ONE, 1, rng=1)
+            simulate_field(space, grid_basis(space, SpatialCov.cosine(1.0)), ONE, 1, rng=1)
 
     def test_field_values_finite_invariant(self):
-        s = simulate_field(ParamSpace.circle(2 * np.pi, 128), SpatialCov.cosine(2.0), IDENTITY, 8, rng=29)
+        space = ParamSpace.circle(2 * np.pi, 128)
+        s = simulate_field(space, grid_basis(space, SpatialCov.cosine(2.0)), IDENTITY, 8, rng=29)
         assert np.all(np.isfinite(s.f_values))
 
 
@@ -248,8 +226,9 @@ class TestAffineClosedForm:
     )
     @pytest.mark.parametrize("space,cov", AFFINE_CASES, ids=["interval", "circle", "torus"])
     def test_matches_time_loop(self, space, cov, potential):
-        closed = simulate_field(space, cov, potential, 16, rng=101)
-        loop = simulate_field(space, cov, dataclasses.replace(potential, coeffs=None), 16, rng=101)
+        basis = grid_basis(space, cov)
+        closed = simulate_field(space, basis, potential, 16, rng=101)
+        loop = simulate_field(space, basis, dataclasses.replace(potential, coeffs=None), 16, rng=101)
         scale = np.max(np.abs(loop.f_values))
         assert np.max(np.abs(closed.f_values - loop.f_values)) <= 1e-12 * scale
 
@@ -259,7 +238,7 @@ class TestAffineClosedForm:
     def test_torus_workload_never_evaluates_v(self, potential):
         space = ParamSpace.torus(2 * np.pi, 2 * np.pi, 400)
         cov = SpatialCov.torus_pair(2.0)
-        closed = simulate_field(space, cov, _no_value(potential), 16, rng=103)
+        closed = simulate_field(space, grid_basis(space, cov), _no_value(potential), 16, rng=103)
         loop = ito_loop_field(space, cov, potential, 16, 103)
         scale = np.max(np.abs(loop))
         assert np.max(np.abs(closed.f_values.ravel() - loop)) <= 1e-12 * scale
@@ -268,8 +247,9 @@ class TestAffineClosedForm:
         # 2K = 128 waves against a time grid of 64 steps: still the closed form
         space = ParamSpace.interval(10.0, 400)
         cov = SpatialCov.squared_exponential(1.0, n_waves=64, rng=5)
-        closed = simulate_field(space, cov, _no_value(IDENTITY), 64, rng=107)
-        loop = simulate_field(space, cov, dataclasses.replace(IDENTITY, coeffs=None), 64, rng=107)
+        basis = grid_basis(space, cov)
+        closed = simulate_field(space, basis, _no_value(IDENTITY), 64, rng=107)
+        loop = simulate_field(space, basis, dataclasses.replace(IDENTITY, coeffs=None), 64, rng=107)
         scale = np.max(np.abs(loop.f_values))
         assert np.max(np.abs(closed.f_values - loop.f_values)) <= 1e-12 * scale
 
@@ -277,7 +257,7 @@ class TestAffineClosedForm:
     @pytest.mark.parametrize("space,cov", AFFINE_CASES, ids=["interval", "circle", "torus"])
     def test_non_affine_keeps_time_loop(self, space, cov, name):
         potential = PotentialV.preset(name)
-        sample = simulate_field(space, cov, potential, 16, rng=109)
+        sample = simulate_field(space, grid_basis(space, cov), potential, 16, rng=109)
         loop = ito_loop_field(space, cov, potential, 16, 109)
         assert np.array_equal(sample.f_values.ravel(), loop)
 
@@ -295,7 +275,7 @@ class TestFieldExport:
     def test_round_trip(self, tmp_path):
         space = ParamSpace.torus(2 * np.pi, 2 * np.pi, 32)
         cov = SpatialCov.torus_pair(1.0)
-        s = simulate_field(space, cov, IDENTITY, 8, rng=31)
+        s = simulate_field(space, grid_basis(space, cov), IDENTITY, 8, rng=31)
         path = tmp_path / "sample.gtfs"
         save_field(s, path, u_levels=[0.5, 1.0])
         loaded, header = load_field(path)
@@ -569,9 +549,10 @@ class TestCroftonBoundaryLength:
         cov = SpatialCov.torus_pair(2.0)
         u, reps = 1.0, 400
         root = np.random.SeedSequence(20_240_777)
+        basis = grid_basis(space, cov)
         lengths = np.empty(reps)
         for i, child in enumerate(root.spawn(reps)):
-            sample = simulate_field(space, cov, ONE, 4, rng=child)
+            sample = simulate_field(space, basis, ONE, 4, rng=child)
             above = sample.f_values >= u
             crossings = int(np.count_nonzero(above != np.roll(above, -1, axis=0)))
             crossings += int(np.count_nonzero(above != np.roll(above, -1, axis=1)))

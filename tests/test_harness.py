@@ -9,6 +9,7 @@ import gausstube.harness
 from gausstube._mc import as_seed_sequence
 from gausstube.cylinder import CylFunctional
 from gausstube.errors import ConfigError
+from gausstube.fields import ParamSpace, SpatialCov, kinematic_weights
 from gausstube.harness import (
     _COVS,
     _DEFAULTS,
@@ -537,6 +538,35 @@ class TestRunGkf:
         )
         with pytest.raises(ConfigError, match="J=1"):
             run(cfg)
+
+    @pytest.mark.parametrize("index,J", [(1, 1), (2, 0)])
+    def test_crofton_order_needs_only_dim_minus_index(self, index, J):
+        # the series order covers the weights j ≤ dim − index, not the whole dimension
+        space = ParamSpace.torus(2 * np.pi, 2 * np.pi, 64)
+        cov = SpatialCov.torus_pair(2.0)
+        cfg = ExperimentConfig.from_dict(
+            {
+                "experiment": "crofton",
+                "seed": 23,
+                "space": {"kind": "torus", "lengths": [2 * np.pi, 2 * np.pi], "grid": 64},
+                "cov": {"preset": "torus-pair", "frequency": 2.0},
+                "potential": "one",
+                "u_levels": [0.5],
+                "n": 8,
+                "J": J,
+                "N": 30_000,
+                "reps": 400,
+                "index": index,
+            }
+        )
+        (row,) = run(cfg).rows
+        if index == 1:
+            # V = 1 makes F_n a standard normal: M_1 of {z ≥ u} is φ(u)
+            target = kinematic_weights(1, space, cov, 1)[1] * gaussian_pdf(0.5)
+            assert abs(row["rhs"] - target) <= 4 * row["rhs_stderr"]
+        else:
+            combined = np.hypot(row["rhs_stderr"], row["volume_stderr"])
+            assert abs(row["rhs"] - row["volume_mc"]) <= 4 * combined
 
 
 class TestReport:
