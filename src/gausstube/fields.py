@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _mc
 from ._mc import as_seed_sequence, run_blocks
 from .cylinder import PotentialV, derivative_sup_moments
 
@@ -43,20 +44,21 @@ LIPSCHITZ_PAIRS = 64
 #: Flat parameter spaces as products of axes: kind → (number of axes, whether they wrap).
 _KINDS = {"interval": (1, False), "circle": (1, True), "torus": (2, True)}
 
-# Slices that drop the last or the first point along each axis, for unwrapped grids.
+# Slices that drop the last or the first point along each grid axis of a
+# (levels, R, *grid) mask.
 _AXES = range(max(dim for dim, _ in _KINDS.values()))
-_HEAD = tuple((slice(None),) * axis + (slice(None, -1),) for axis in _AXES)
-_TAIL = tuple((slice(None),) * axis + (slice(1, None),) for axis in _AXES)
+_HEAD = tuple((slice(None),) * (axis + 2) + (slice(None, -1),) for axis in _AXES)
+_TAIL = tuple((slice(None),) * (axis + 2) + (slice(1, None),) for axis in _AXES)
 
 
 @dataclass(frozen=True)
 class ParamSpace:
     """A flat parameter space: interval, circle, or flat torus.
 
-    Each kind is a product of ``dim`` axes of the given ``lengths`` that
-    all wrap or all do not.  ``grid`` is the number of sample points per
-    axis; circle and torus grids wrap (periodic adjacency), the interval
-    grid does not.
+    Each kind is a product of ``dim`` axes of the given finite, positive
+    ``lengths`` that all wrap or all do not.  ``grid`` is the integer number
+    of sample points per axis, at least 4; circle and torus grids wrap
+    (periodic adjacency), the interval grid does not.
     """
 
     kind: str
@@ -68,11 +70,15 @@ class ParamSpace:
             raise ValueError(f"unknown parameter space kind {self.kind!r}")
         if len(self.lengths) != self.dim:
             raise ValueError(f"{self.kind} needs {self.dim} length(s), got {self.lengths}")
-        if any(l <= 0 for l in self.lengths):
-            raise ValueError(f"lengths must be positive, got {self.lengths}")
+        lengths = tuple(float(l) for l in self.lengths)
+        if not all(math.isfinite(l) and l > 0 for l in lengths):
+            raise ValueError(f"lengths must be finite and positive, got {self.lengths}")
+        if not isinstance(self.grid, (int, np.integer)):
+            raise ValueError(f"grid must be an integer, got {self.grid!r}")
         if self.grid < 4:
             raise ValueError(f"grid must have at least 4 points, got {self.grid}")
-        object.__setattr__(self, "lengths", tuple(float(l) for l in self.lengths))
+        object.__setattr__(self, "lengths", lengths)
+        object.__setattr__(self, "grid", int(self.grid))
 
     @classmethod
     def interval(cls, length: float, grid: int) -> "ParamSpace":
@@ -203,15 +209,15 @@ class SpatialCov:
         return np.cos(phase) @ self.weights**2
 
     def basis(self, points: np.ndarray) -> np.ndarray:
-        """Orthogonal wave basis e(x), shape (G, 2K): Σ e(x)e(y) = C(x,y).
+        """Orthogonal wave basis e(x), wave-major: shape (2K, G), one
+        contiguous row per wave, with Σ_k e_k(x)e_k(y) = C(x,y).
 
         The replication loops build it once per field set, after
         :func:`check_resolution`, and share it read-only.
         """
         phase = np.asarray(points, dtype=float) @ self.frequencies.T
-        return np.concatenate(
-            [self.weights * np.cos(phase), self.weights * np.sin(phase)], axis=1
-        )
+        waves = np.concatenate([self.weights * np.cos(phase), self.weights * np.sin(phase)], axis=1)
+        return np.ascontiguousarray(waves.T)
 
     def compatible_with(self, space: ParamSpace) -> None:
         """Reject frequencies that break periodicity on wrapped spaces."""
@@ -232,27 +238,28 @@ class SpatialCov:
 
 @dataclass(frozen=True)
 class FieldSample:
-    """One realization of the field on the grid."""
+    """A block of R field realizations on the grid, one per leading row.
+
+    ``f_values`` has shape (R, *grid); one field is a block with R = 1.
+    The sample holds a read-only view of the values.
+    """
 
     space: ParamSpace
-    f_values: np.ndarray  # grid-shaped
+    f_values: np.ndarray  # (R, *grid)
 
     def __post_init__(self):
-        f = np.asarray(self.f_values, dtype=float)
-        if f.shape != self.space.grid_shape:
-            raise ValueError(f"f_values shape {f.shape} != grid shape {self.space.grid_shape}")
-        if not np.all(np.isfinite(f)):
-            raise ValueError("field values must be finite")
-        f = f.copy()
+        f = np.asarray(self.f_values, dtype=float).view()
+        if f.shape[1:] != self.space.grid_shape:
+            raise ValueError(f"f_values shape {f.shape} is not (R, *{self.space.grid_shape})")
         f.flags.writeable = False
         object.__setattr__(self, "f_values", f)
 
 
 def check_resolution(space: ParamSpace, cov: SpatialCov) -> None:
-    """Reject a grid too coarse to resolve the field: 4·spacing·√λ₂ ≥ 1."""
+    """Reject a grid too coarse to resolve the field: 4·spacing·√λ₂ ≥ 1 (or NaN)."""
     cov.compatible_with(space)
     guard = 4.0 * space.spacing * np.sqrt(cov.lambda2)
-    if guard >= 1.0:
+    if not guard < 1.0:
         raise ValueError(
             f"spatial grid too coarse for lambda2={cov.lambda2:.3g}: "
             f"4*spacing*sqrt(lambda2) = {guard:.3g} >= 1"
@@ -264,67 +271,98 @@ def simulate_field(
     basis: np.ndarray,
     potential: PotentialV,
     time_n: int,
-    rng=0,
+    seeds,
 ) -> FieldSample:
-    """Draw one field realization f(x) = Σᵢ V(B^x(tᵢ))·(B^x(tᵢ₊₁) − B^x(tᵢ)).
+    """Draw a block of fields f(x) = Σᵢ V(B^x(tᵢ))·(B^x(tᵢ₊₁) − B^x(tᵢ)), one per seed.
 
     The Brownian motions B^x are generated on the shared uniform time grid
-    through ``basis``, the (G, 2K) :meth:`SpatialCov.basis` on the grid's
-    points, with i.i.d. Gaussian increments of variance 1/time_n, and the
-    Itô sum uses the left endpoint — the same discretization as the
-    cylindrical functional F_n.  The grid is the caller's to check: the
-    replication loops run :func:`check_resolution` once, before any field.
+    through ``basis``, the wave-major (2K, G) :meth:`SpatialCov.basis` on the
+    grid's points.  Row r of the block draws its (time_n, 2K) Gaussian
+    increments, of variance 1/time_n, from ``seeds[r]`` alone.  Every
+    product is a stacked matmul over the block, one BLAS call per row with
+    the same shapes whatever R is, so row r is bit-identical to a call with
+    ``[seeds[r]]`` (a 2-D product of the whole block would switch from GEMV
+    at R = 1 to GEMM at R > 1, and move the last bits).  The Itô sum uses the
+    left endpoint — the same discretization as the cylindrical functional
+    F_n.  The grid is the caller's to check: the replication loops run
+    :func:`check_resolution` once, before any field.
 
-    With e = e(x) the basis row, dᵢ the increments and cᵢ = Σ_{j<i} dⱼ, an
-    affine V = a₀ + a₁·b gives f = a₀·e·c_n + a₁·eᵀMe with M = Σᵢ cᵢdᵢᵀ:
+    With e = e(x) the basis column, dᵢ the increments and cᵢ = Σ_{j<i} dⱼ,
+    an affine V = a₀ + a₁·b gives f = a₀·e·c_n + a₁·eᵀMe with M = Σᵢ cᵢdᵢᵀ:
     one pass over the grid whatever ``time_n`` is.  Every other V takes the
-    left-point time loop.
+    left-point time loop, one step for the whole block at a time.
     """
     if time_n < 2:
         raise ValueError(f"time_n must be >= 2, got {time_n}")
-    gen = np.random.default_rng(as_seed_sequence(rng))
-    width = basis.shape[1]
-    increments = gen.standard_normal((time_n, width)) / np.sqrt(time_n)
+    increments = np.empty((len(seeds), time_n, basis.shape[0]))
+    for row, seed in zip(increments, seeds):
+        np.random.default_rng(as_seed_sequence(seed)).standard_normal(out=row)
+    increments /= np.sqrt(time_n)
     affine = potential.affine
     if affine is not None:
         a0, a1 = affine
-        paths = np.vstack([np.zeros((1, width)), np.cumsum(increments, axis=0)])
-        f = basis @ (a0 * paths[-1])
+        paths = np.cumsum(increments, axis=1)  # c₁ … c_n
+        f = (a0 * paths[:, -1:]) @ basis  # (R, 1, G)
         if a1:
-            m = paths[:-1].T @ increments  # Σᵢ cᵢdᵢᵀ
-            f += a1 * np.einsum("gk,gk->g", basis @ m, basis)
+            m = paths[:, :-1].transpose(0, 2, 1) @ increments[:, 1:]  # c₀ = 0 adds nothing
+            f += a1 * np.einsum("rkg,kg->rg", m @ basis, basis)[:, None]
     else:
-        b = np.zeros(basis.shape[0])
-        f = np.zeros(basis.shape[0])
+        b = np.zeros((len(seeds), 1, basis.shape[1]))
+        f = np.zeros_like(b)
         for i in range(time_n):
-            db = basis @ increments[i]
+            db = increments[:, i : i + 1] @ basis
             f += potential.value(b) * db
             b += db
-    return FieldSample(space=space, f_values=f.reshape(space.grid_shape))
+    return FieldSample(space=space, f_values=f.reshape((-1,) + space.grid_shape))
 
 
-def euler_char(sample: FieldSample, u: float) -> int:
-    """Euler characteristic of {f ≥ u} on the vertex-thresholded complex.
+def _levels(u_levels, f: np.ndarray) -> np.ndarray:
+    """The levels as a column that broadcasts against ``f`` to (levels, *f.shape)."""
+    return np.asarray(u_levels, dtype=float).reshape((-1,) + (1,) * f.ndim)
+
+
+def _counts(mask: np.ndarray) -> np.ndarray:
+    """(levels, R) number of kept cells in each (level, replication) slice of ``mask``.
+
+    Each slice is counted flat: ``np.count_nonzero`` along grid axes is
+    several times slower on long rows.
+    """
+    slices = mask.reshape((-1,) + mask.shape[2:])
+    counts = np.fromiter(map(np.count_nonzero, slices), dtype=np.int64, count=len(slices))
+    return counts.reshape(mask.shape[:2])
+
+
+def euler_char(sample: FieldSample, u_levels) -> np.ndarray:
+    """(levels, R) Euler characteristics of {f ≥ u} on the vertex-thresholded complex.
 
     The grid complex is the product of one chain of vertices and edges per
     axis (a cycle on wrapped axes).  A cell is kept iff all its vertices
     are above the level, so gluing each kept cell to its neighbour along
     the next axis gives the kept cells one dimension up; χ sums their
-    counts with sign (−1)^dimension.  A fully supra-threshold interval
-    gives 1, a full circle or torus gives 0.
+    counts with sign (−1)^dimension.  Every level and every field of the
+    block is thresholded in one (levels, R, *grid) mask.  On wrapped
+    spaces the mask carries each axis's first slice again at its end, so
+    that the edge closing the cycle is one more neighbour pair.  A fully
+    supra-threshold interval gives 1, a full circle or torus gives 0.
     """
-    space = sample.space
-    cells = [(sample.f_values >= u, 1)]  # (mask, (−1)^dimension)
+    space, f = sample.space, sample.f_values
+    levels = _levels(u_levels, f)
+    if space.wraps:
+        above = np.empty(levels.shape[:1] + f.shape[:1] + (space.grid + 1,) * space.dim, bool)
+        np.greater_equal(f, levels, out=above[(Ellipsis,) + (slice(None, -1),) * space.dim])
+        for axis in range(space.dim):
+            lead = (slice(None),) * (axis + 2)
+            above[lead + (-1,)] = above[lead + (0,)]
+    else:
+        above = f >= levels
+    cells = [(above, 1)]  # (mask, (−1)^dimension)
     for axis in range(space.dim):
+        head, tail = _HEAD[axis], _TAIL[axis]
+        glued = [(c[head] & c[tail], -sign) for c, sign in cells]
         if space.wraps:
-            cells += [(c & np.roll(c, -1, axis), -sign) for c, sign in cells]
-        else:
-            head, tail = _HEAD[axis], _TAIL[axis]
-            cells += [(c[head] & c[tail], -sign) for c, sign in cells]
-    chi = 0
-    for c, sign in cells:
-        chi += sign * np.count_nonzero(c)
-    return int(chi)
+            cells = [(c[head], sign) for c, sign in cells]  # drop the periodic copy
+        cells += glued
+    return sum(sign * _counts(c) for c, sign in cells)
 
 
 def lkc(space: ParamSpace, cov: SpatialCov) -> np.ndarray:
@@ -356,14 +394,17 @@ def check_reps(reps: int) -> None:
 
 
 def _replicate(space, cov, potential, u_levels, time_n, reps, rng, workers, statistic):
-    """(levels, reps) array of ``statistic(sample, u)`` over independent fields.
+    """(levels, reps) array of ``statistic(sample, u_levels)`` over independent fields.
 
     The resolution guard runs and the wave basis is built once, before any
     field is drawn; the worker threads share only that read-only basis.
-    All levels share the same field realizations; each replication runs on
-    its own substream of ``rng``, so results are reproducible for any
-    worker count.  Each level is one contiguous row, so a reduction along
-    it is bit-identical to the same reduction of a one-level call.
+    Replications run in fixed blocks of ``max(1, BLOCK_SIZE // G)``, one
+    :func:`simulate_field` stack and one (levels, R) statistic per block,
+    and each replication draws from its own substream of ``rng``, so
+    results are reproducible for any worker count and any block size.  All
+    levels share the same field realizations, and each level is one
+    contiguous row, so a reduction along it is bit-identical to the same
+    reduction of a one-level call.
     """
     check_reps(reps)
     u_levels = [float(u) for u in u_levels]
@@ -371,12 +412,14 @@ def _replicate(space, cov, potential, u_levels, time_n, reps, rng, workers, stat
     basis = cov.basis(space.points())
     basis.flags.writeable = False
     children = as_seed_sequence(rng).spawn(reps)
+    size = max(1, _mc.BLOCK_SIZE // basis.shape[1])
 
-    def one_rep(i: int) -> np.ndarray:
-        sample = simulate_field(space, basis, potential, time_n, rng=children[i])
-        return np.array([statistic(sample, u) for u in u_levels], dtype=float)
+    def one_block(i: int) -> np.ndarray:
+        seeds = children[i * size : (i + 1) * size]
+        return statistic(simulate_field(space, basis, potential, time_n, seeds), u_levels)
 
-    return np.column_stack(run_blocks(one_rep, reps, workers))
+    blocks = run_blocks(one_block, -(-reps // size), workers)
+    return np.concatenate(blocks, axis=1, dtype=float)
 
 
 def ec_mc_levels(
@@ -400,6 +443,12 @@ def ec_mc_levels(
     return chi.mean(axis=1), chi.std(axis=1, ddof=1) / np.sqrt(reps)
 
 
+def _volume_fractions(sample: FieldSample, u_levels) -> np.ndarray:
+    """(levels, R) fraction of grid points with f ≥ u."""
+    f = sample.f_values
+    return _counts(f >= _levels(u_levels, f)) / f[0].size
+
+
 def excursion_volumes_mc(
     space: ParamSpace,
     cov: SpatialCov,
@@ -419,8 +468,7 @@ def excursion_volumes_mc(
     covariance (:func:`check_resolution`) raises before any field is drawn.
     """
     fractions = _replicate(
-        space, cov, potential, u_levels, time_n, reps, rng, workers,
-        lambda sample, u: np.mean(sample.f_values >= u),
+        space, cov, potential, u_levels, time_n, reps, rng, workers, _volume_fractions
     )
     top = lkc(space, cov)[-1]
     return top * fractions.mean(axis=1), top * (fractions.std(axis=1, ddof=1) / np.sqrt(reps))

@@ -52,7 +52,7 @@ def lambda2_fd(cov, step=1e-4):
 
 
 def grid_basis(space, cov):
-    """The (G, 2K) wave basis of ``cov`` on the grid of ``space``, as ``simulate_field`` takes it."""
+    """The wave-major (2K, G) basis of ``cov`` on the grid of ``space``, for ``simulate_field``."""
     return cov.basis(space.points())
 
 
@@ -60,29 +60,32 @@ def _wave_increments(space, cov, time_n, seed):
     """The wave basis and the (time_n, 2K) increments ``simulate_field`` draws from ``seed``."""
     basis = grid_basis(space, cov)
     gen = np.random.default_rng(as_seed_sequence(seed))
-    return basis, gen.standard_normal((time_n, basis.shape[1])) / np.sqrt(time_n)
+    return basis, gen.standard_normal((time_n, basis.shape[0])) / np.sqrt(time_n)
 
 
 def ito_loop_field(space, cov, potential, time_n, seed):
-    """Flat field values of ``simulate_field`` by the left-point time loop.
+    """Flat field values of ``simulate_field(..., [seed])`` by the left-point time loop.
 
     Draws the increments from ``seed`` exactly as ``simulate_field`` does and
-    sums V(b)·db one time step at a time, whatever V is.
+    sums V(b)·db one time step at a time, whatever V is.  Each step's db is
+    the product the library's loop computes for one row of its block, the
+    (1, 1, 2K) increment stack times the basis, so the two loops agree bit
+    for bit.
     """
     basis, increments = _wave_increments(space, cov, time_n, seed)
-    b = np.zeros(basis.shape[0])
-    f = np.zeros(basis.shape[0])
+    b = np.zeros(basis.shape[1])
+    f = np.zeros(basis.shape[1])
     for i in range(time_n):
-        db = basis @ increments[i]
+        db = (increments[None, i : i + 1] @ basis)[0, 0]
         f += potential.value(b) * db
         b += db
     return f
 
 
 def driving_paths(space, cov, time_n, seed):
-    """The (time_n + 1, 2K) Brownian wave paths behind ``simulate_field(..., rng=seed)``.
+    """The (time_n + 1, 2K) Brownian wave paths behind ``simulate_field(..., [seed])``.
 
-    B^x(i/time_n) is row i times the wave-basis row of x.
+    B^x(i/time_n) is row i times the wave-basis column of x.
     """
     _, increments = _wave_increments(space, cov, time_n, seed)
     return np.vstack([np.zeros((1, increments.shape[1])), np.cumsum(increments, axis=0)])
@@ -484,28 +487,30 @@ def reference_distances(oracle, x):
     return out, failed
 
 
-def reference_euler_char(sample: FieldSample, u: float) -> int:
-    """χ of {f ≥ u} counted kind by kind: #V − #E (+ #squares on the torus).
+def reference_euler_char(sample: FieldSample, u: float) -> np.ndarray:
+    """(R,) χ of {f ≥ u}, one field of the block at a time, counted kind by
+    kind: #V − #E (+ #squares on the torus).
 
     The library counts the same vertex-thresholded complex as a product of
-    axes; this hand-written count per kind is its oracle.
+    axes, for every level and field at once; this hand-written count per
+    kind and per field is its oracle.
     """
-    above = sample.f_values >= u
     kind = sample.space.kind
-    if kind == "interval":
+    out = []
+    for values in sample.f_values:
+        above = values >= u
         v = int(above.sum())
-        e = int(np.count_nonzero(above[:-1] & above[1:]))
-        return v - e
-    if kind == "circle":
-        v = int(above.sum())
-        e = int(np.count_nonzero(above & np.roll(above, -1)))
-        return v - e
-    v = int(above.sum())
-    right = np.roll(above, -1, axis=0)
-    up = np.roll(above, -1, axis=1)
-    e = int(np.count_nonzero(above & right)) + int(np.count_nonzero(above & up))
-    f = int(np.count_nonzero(above & right & up & np.roll(right, -1, axis=1)))
-    return v - e + f
+        if kind == "interval":
+            out.append(v - int(np.count_nonzero(above[:-1] & above[1:])))
+        elif kind == "circle":
+            out.append(v - int(np.count_nonzero(above & np.roll(above, -1))))
+        else:
+            right = np.roll(above, -1, axis=0)
+            up = np.roll(above, -1, axis=1)
+            e = int(np.count_nonzero(above & right)) + int(np.count_nonzero(above & up))
+            f = int(np.count_nonzero(above & right & up & np.roll(right, -1, axis=1)))
+            out.append(v - e + f)
+    return np.array(out)
 
 
 _EXPORT_MAGIC = b"GTFS"
@@ -516,7 +521,8 @@ def save_field(sample: FieldSample, path, u_levels=()) -> None:
     """Write a field sample as magic + version + JSON header + raw float64.
 
     Layout (little endian): 4-byte magic ``GTFS``, uint32 version, uint32
-    header length, UTF-8 JSON header, then the C-order float64 grid values.
+    header length, UTF-8 JSON header, then the C-order float64 values of the
+    (R, *grid) block.
     The header records kind, lengths, grid and any threshold levels of
     interest.
     """

@@ -7,11 +7,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import gausstube.fields
+from gausstube import _mc
 from gausstube.cylinder import CylFunctional, PotentialV
 from gausstube.fields import (
     FieldSample,
     ParamSpace,
     SpatialCov,
+    check_resolution,
     ec_mc_levels,
     euler_char,
     excursion_volumes_mc,
@@ -40,6 +42,17 @@ IDENTITY = PotentialV.preset("identity")
 AFFINE = PotentialV.polynomial("affine", (0.3, 2.0))  # a degree-1 potential that is no preset
 
 
+AFFINE_CASES = [
+    (ParamSpace.interval(10.0, 400), SpatialCov.cosine(1.0)),
+    (ParamSpace.circle(2 * np.pi, 128), SpatialCov.cosine(2.0)),
+    (ParamSpace.torus(2 * np.pi, 2 * np.pi, 64), SpatialCov.torus_pair(2.0)),
+]
+# the three spaces, and a wide squared-exponential basis (2K = 128) on the interval
+ROW_CASES = AFFINE_CASES + [
+    (ParamSpace.interval(10.0, 400), SpatialCov.squared_exponential(1.0, n_waves=64, rng=5)),
+]
+
+
 class TestParamSpace:
     def test_kinds_and_dims(self):
         assert ParamSpace.interval(10.0, 50).dim == 1
@@ -65,6 +78,29 @@ class TestParamSpace:
             ParamSpace.interval(-1.0, 50)
         with pytest.raises(ValueError):
             ParamSpace.interval(1.0, 2)
+
+    @pytest.mark.parametrize("length", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_length_rejected(self, length):
+        with pytest.raises(ValueError, match="finite"):
+            ParamSpace("interval", (length,), 64)
+        with pytest.raises(ValueError, match="finite"):
+            ParamSpace.torus(2 * np.pi, length, 64)
+
+    @pytest.mark.parametrize("grid", [400.5, 400.0, "400"], ids=repr)
+    def test_non_integer_grid_rejected(self, grid):
+        with pytest.raises(ValueError, match="integer"):
+            ParamSpace.interval(10.0, grid)
+
+    def test_integer_grid_is_a_python_int(self):
+        space = ParamSpace.interval(10.0, np.int64(64))
+        assert type(space.grid) is int and space == ParamSpace.interval(10.0, 64)
+
+    def test_resolution_guard_fails_on_nan(self):
+        # a NaN spacing must not slip through the guard as "not >= 1"
+        space = ParamSpace.interval(10.0, 64)
+        object.__setattr__(space, "lengths", (np.nan,))
+        with pytest.raises(ValueError, match="too coarse"):
+            check_resolution(space, SpatialCov.cosine(1.0))
 
 
 class TestSpatialCov:
@@ -116,8 +152,8 @@ class TestSimulateField:
         space = ParamSpace.interval(5.0, 64)
         cov = SpatialCov.cosine(1.0)
         basis = grid_basis(space, cov)
-        a = simulate_field(space, basis, IDENTITY, 16, rng=11)
-        b = simulate_field(space, basis, IDENTITY, 16, rng=11)
+        a = simulate_field(space, basis, IDENTITY, 16, [11])
+        b = simulate_field(space, basis, IDENTITY, 16, [11])
         assert np.array_equal(a.f_values, b.f_values)
 
     def test_constant_potential_gives_time_one_marginal(self):
@@ -125,19 +161,17 @@ class TestSimulateField:
         space = ParamSpace.interval(5.0, 32)
         cov = SpatialCov.cosine(1.0)
         basis = grid_basis(space, cov)
-        s = simulate_field(space, basis, ONE, 8, rng=13)
+        s = simulate_field(space, basis, ONE, 8, [13])
         w1 = driving_paths(space, cov, 8, 13)[-1]
-        assert np.allclose(s.f_values, basis @ w1, atol=1e-12)
+        assert np.allclose(s.f_values[0], w1 @ basis, atol=1e-12)
 
     def test_covariance_calibration(self):
         # empirical Cov(B^x(1), B^y(1)) over 10^4 reps matches C at random pairs
         space = ParamSpace.interval(4.0, 40)
         cov = SpatialCov.cosine(1.0)
         reps = 10_000
-        basis = grid_basis(space, cov)
-        vals = np.empty((reps, 40))
-        for i in range(reps):
-            vals[i] = simulate_field(space, basis, ONE, 4, rng=(17, i)).f_values
+        seeds = [(17, i) for i in range(reps)]
+        vals = simulate_field(space, grid_basis(space, cov), ONE, 4, seeds).f_values
         rng = np.random.default_rng(19)
         pts = space.points()
         for _ in range(10):
@@ -152,7 +186,7 @@ class TestSimulateField:
         space = ParamSpace.interval(4.0, 64)
         cov = SpatialCov.cosine(1.0)
         reps = 4000
-        x_basis = cov.basis(space.points()[3:4])[0]
+        x_basis = cov.basis(space.points()[3:4])[:, 0]
         samples = {0.25: [], 0.5: [], 1.0: []}
         for i in range(reps):
             paths = driving_paths(space, cov, 8, (23, i))
@@ -168,7 +202,7 @@ class TestSimulateField:
         "estimate", [ec_mc_levels, excursion_volumes_mc], ids=["ec", "volume"]
     )
     def test_basis_built_once_per_ec_run(self, monkeypatch, estimate, workers):
-        # one read-only basis per call, shared by every replication thread
+        # one read-only wave-major (2K, G) basis per call, shared by every block
         built = []
         original = SpatialCov.basis
 
@@ -179,7 +213,7 @@ class TestSimulateField:
         monkeypatch.setattr(SpatialCov, "basis", counting)
         space = ParamSpace.interval(5.0, 64)
         estimate(space, SpatialCov.cosine(1.0), ONE, [0.0, 1.0], 4, 100, rng=32, workers=workers)
-        assert [len(b) for b in built] == [64]
+        assert [b.shape for b in built] == [(2, 64)]
         assert not built[0].flags.writeable
 
     def test_resolution_guard(self, monkeypatch):
@@ -196,12 +230,42 @@ class TestSimulateField:
     def test_time_grid_guard(self):
         space = ParamSpace.interval(5.0, 64)
         with pytest.raises(ValueError, match="time_n"):
-            simulate_field(space, grid_basis(space, SpatialCov.cosine(1.0)), ONE, 1, rng=1)
+            simulate_field(space, grid_basis(space, SpatialCov.cosine(1.0)), ONE, 1, [1])
 
     def test_field_values_finite_invariant(self):
         space = ParamSpace.circle(2 * np.pi, 128)
-        s = simulate_field(space, grid_basis(space, SpatialCov.cosine(2.0)), IDENTITY, 8, rng=29)
+        s = simulate_field(space, grid_basis(space, SpatialCov.cosine(2.0)), IDENTITY, 8, [29])
         assert np.all(np.isfinite(s.f_values))
+
+    @pytest.mark.parametrize("name", ["one", "identity", "sin", "cubic"])
+    @pytest.mark.parametrize("space,cov", ROW_CASES, ids=["interval", "circle", "torus", "wide"])
+    def test_block_rows_are_one_seed_calls(self, space, cov, name):
+        # each row draws from its own seed alone, and every block product sums
+        # an entry in the same order whatever the block size
+        potential = PotentialV.preset(name)
+        basis = grid_basis(space, cov)
+        seeds = [np.random.SeedSequence((127, i)) for i in range(5)]
+        block = simulate_field(space, basis, potential, 8, seeds)
+        assert block.f_values.shape == (5,) + space.grid_shape
+        for row, seed in zip(block.f_values, seeds):
+            (alone,) = simulate_field(space, basis, potential, 8, [seed]).f_values
+            assert np.array_equal(row, alone)
+
+    @pytest.mark.parametrize(
+        "estimate", [ec_mc_levels, excursion_volumes_mc], ids=["ec", "volume"]
+    )
+    def test_block_size_and_workers_do_not_move_results(self, monkeypatch, estimate):
+        space, cov = ParamSpace.interval(10.0, 400), SpatialCov.cosine(1.0)
+        levels = [1.0, -0.5, 0.0]
+        # blocks of 81 + 69 replications at the default size, then one per
+        # block, then one block of all 150
+        results = []
+        for block_size in (_mc.BLOCK_SIZE, 1, 400 * 150):
+            monkeypatch.setattr(_mc, "BLOCK_SIZE", block_size)
+            for workers in (1, 2):
+                results.append(estimate(space, cov, IDENTITY, levels, 8, 150, 131, workers))
+        for other in results[1:]:
+            assert np.array_equal(np.asarray(other), np.asarray(results[0]))
 
 
 def _no_value(potential):
@@ -213,13 +277,6 @@ def _no_value(potential):
     return dataclasses.replace(potential, value=value)
 
 
-AFFINE_CASES = [
-    (ParamSpace.interval(10.0, 400), SpatialCov.cosine(1.0)),
-    (ParamSpace.circle(2 * np.pi, 128), SpatialCov.cosine(2.0)),
-    (ParamSpace.torus(2 * np.pi, 2 * np.pi, 64), SpatialCov.torus_pair(2.0)),
-]
-
-
 class TestAffineClosedForm:
     @pytest.mark.parametrize(
         "potential", [ONE, IDENTITY, AFFINE], ids=["one", "identity", "affine"]
@@ -227,8 +284,8 @@ class TestAffineClosedForm:
     @pytest.mark.parametrize("space,cov", AFFINE_CASES, ids=["interval", "circle", "torus"])
     def test_matches_time_loop(self, space, cov, potential):
         basis = grid_basis(space, cov)
-        closed = simulate_field(space, basis, potential, 16, rng=101)
-        loop = simulate_field(space, basis, dataclasses.replace(potential, coeffs=None), 16, rng=101)
+        closed = simulate_field(space, basis, potential, 16, [101])
+        loop = simulate_field(space, basis, dataclasses.replace(potential, coeffs=None), 16, [101])
         scale = np.max(np.abs(loop.f_values))
         assert np.max(np.abs(closed.f_values - loop.f_values)) <= 1e-12 * scale
 
@@ -238,7 +295,7 @@ class TestAffineClosedForm:
     def test_torus_workload_never_evaluates_v(self, potential):
         space = ParamSpace.torus(2 * np.pi, 2 * np.pi, 400)
         cov = SpatialCov.torus_pair(2.0)
-        closed = simulate_field(space, grid_basis(space, cov), _no_value(potential), 16, rng=103)
+        closed = simulate_field(space, grid_basis(space, cov), _no_value(potential), 16, [103])
         loop = ito_loop_field(space, cov, potential, 16, 103)
         scale = np.max(np.abs(loop))
         assert np.max(np.abs(closed.f_values.ravel() - loop)) <= 1e-12 * scale
@@ -248,8 +305,8 @@ class TestAffineClosedForm:
         space = ParamSpace.interval(10.0, 400)
         cov = SpatialCov.squared_exponential(1.0, n_waves=64, rng=5)
         basis = grid_basis(space, cov)
-        closed = simulate_field(space, basis, _no_value(IDENTITY), 64, rng=107)
-        loop = simulate_field(space, basis, dataclasses.replace(IDENTITY, coeffs=None), 64, rng=107)
+        closed = simulate_field(space, basis, _no_value(IDENTITY), 64, [107])
+        loop = simulate_field(space, basis, dataclasses.replace(IDENTITY, coeffs=None), 64, [107])
         scale = np.max(np.abs(loop.f_values))
         assert np.max(np.abs(closed.f_values - loop.f_values)) <= 1e-12 * scale
 
@@ -257,7 +314,7 @@ class TestAffineClosedForm:
     @pytest.mark.parametrize("space,cov", AFFINE_CASES, ids=["interval", "circle", "torus"])
     def test_non_affine_keeps_time_loop(self, space, cov, name):
         potential = PotentialV.preset(name)
-        sample = simulate_field(space, grid_basis(space, cov), potential, 16, rng=109)
+        sample = simulate_field(space, grid_basis(space, cov), potential, 16, [109])
         loop = ito_loop_field(space, cov, potential, 16, 109)
         assert np.array_equal(sample.f_values.ravel(), loop)
 
@@ -275,7 +332,7 @@ class TestFieldExport:
     def test_round_trip(self, tmp_path):
         space = ParamSpace.torus(2 * np.pi, 2 * np.pi, 32)
         cov = SpatialCov.torus_pair(1.0)
-        s = simulate_field(space, grid_basis(space, cov), IDENTITY, 8, rng=31)
+        s = simulate_field(space, grid_basis(space, cov), IDENTITY, 8, [31, 37])
         path = tmp_path / "sample.gtfs"
         save_field(s, path, u_levels=[0.5, 1.0])
         loaded, header = load_field(path)
@@ -292,76 +349,95 @@ class TestFieldExport:
 
 
 def _grid_sample(values, kind="interval", length=1.0):
+    """A one-field block of grid-shaped ``values``."""
     values = np.asarray(values, dtype=float)
     space = ParamSpace(kind, (length,) * values.ndim, values.shape[0])
-    return FieldSample(space=space, f_values=values)
+    return FieldSample(space=space, f_values=values[None])
+
+
+TIED = [0.0, 1.0, 2.0, 3.0]
 
 
 @st.composite
 def _grid_fields(draw):
-    """A field on a 4–12 point grid of any kind, with values tied in {0, 1, 2, 3}."""
+    """A block of 1–3 fields on a 4–12 point grid of any kind, with values tied in TIED."""
     kind = draw(st.sampled_from(sorted(DIMS)))
     n = draw(st.integers(4, 12))
-    levels = st.sampled_from([0.0, 1.0, 2.0, 3.0])
-    values = draw(arrays(np.float64, (n,) * DIMS[kind], elements=levels))
-    return _grid_sample(values, kind)
+    reps = draw(st.integers(1, 3))
+    values = draw(arrays(np.float64, (reps,) + (n,) * DIMS[kind], elements=st.sampled_from(TIED)))
+    space = ParamSpace(kind, (1.0,) * DIMS[kind], n)
+    return FieldSample(space=space, f_values=values)
 
 
 class TestEulerChar:
     @settings(max_examples=300, deadline=None)
     @given(
         sample=_grid_fields(),
-        u=st.sampled_from([0.0, 1.0, 2.0, 3.0]) | st.floats(-1.0, 4.0, allow_nan=False),
+        u_levels=st.lists(
+            st.sampled_from(TIED) | st.floats(-1.0, 4.0, allow_nan=False), min_size=1, max_size=4
+        ),
     )
-    def test_matches_reference_count(self, sample, u):
-        assert euler_char(sample, u) == reference_euler_char(sample, u)
+    def test_matches_reference_count(self, sample, u_levels):
+        # unsorted levels, and levels equal to vertex values (the tie under >=)
+        chi = euler_char(sample, u_levels)
+        assert chi.shape == (len(u_levels), len(sample.f_values))
+        for row, u in zip(chi, u_levels):
+            assert np.array_equal(row, reference_euler_char(sample, u))
 
     @pytest.mark.parametrize("kind, full", [("interval", 1), ("circle", 0), ("torus", 0)])
     @pytest.mark.parametrize("n", [4, 12])
     def test_all_above_and_all_below(self, kind, full, n):
-        values = np.random.default_rng(n).standard_normal((n,) * DIMS[kind])
-        sample = _grid_sample(values, kind)
-        for u, chi in ((values.min(), full), (np.nextafter(values.max(), np.inf), 0)):
-            assert euler_char(sample, u) == reference_euler_char(sample, u) == chi
+        # each row of a three-field block, at the block's lowest value and above its highest
+        values = np.random.default_rng(n).standard_normal((3,) + (n,) * DIMS[kind])
+        sample = FieldSample(space=ParamSpace(kind, (1.0,) * DIMS[kind], n), f_values=values)
+        for row in range(3):
+            one = _grid_sample(values[row], kind)
+            low, high = values[row].min(), np.nextafter(values[row].max(), np.inf)
+            assert euler_char(one, [low, high]).tolist() == [[full], [0]]
+        low, high = values.min(), np.nextafter(values.max(), np.inf)
+        chi = euler_char(sample, [high, low])
+        assert chi.tolist() == [[0] * 3, [full] * 3]
+        for row, u in zip(chi, [high, low]):
+            assert np.array_equal(row, reference_euler_char(sample, u))
 
     def test_interval_all_below(self):
         s = _grid_sample(np.zeros(10))
-        assert euler_char(s, 1.0) == 0
+        assert euler_char(s, [1.0]).tolist() == [[0]]
 
     def test_interval_all_above(self):
         s = _grid_sample(np.ones(10))
-        assert euler_char(s, 0.5) == 1
+        assert euler_char(s, [0.5]).tolist() == [[1]]
 
     def test_interval_components(self):
         s = _grid_sample([1, 0, 1, 1, 0, 1, 1, 1, 0, 0])
-        assert euler_char(s, 0.5) == 3
+        assert euler_char(s, [0.5]).tolist() == [[3]]
 
     def test_circle_all_above_is_zero(self):
         s = _grid_sample(np.ones(12), kind="circle")
-        assert euler_char(s, 0.5) == 0
+        assert euler_char(s, [0.5]).tolist() == [[0]]
 
     def test_circle_wrapping_run(self):
         # one component that wraps through the seam
         s = _grid_sample([1, 0, 0, 0, 0, 1], kind="circle")
-        assert euler_char(s, 0.5) == 1
+        assert euler_char(s, [0.5]).tolist() == [[1]]
 
     def test_torus_all_above_is_zero(self):
         vals = np.ones((8, 8))
         s = _grid_sample(vals, kind="torus")
-        assert euler_char(s, 0.5) == 0
+        assert euler_char(s, [0.5]).tolist() == [[0]]
 
     def test_torus_single_blob(self):
         vals = np.zeros((8, 8))
         vals[2:5, 3:6] = 1.0
         s = _grid_sample(vals, kind="torus")
-        assert euler_char(s, 0.5) == 1
+        assert euler_char(s, [0.5]).tolist() == [[1]]
 
     def test_torus_ring_has_zero_ec(self):
         # a band around one handle: chi = 0
         vals = np.zeros((8, 8))
         vals[:, 2:5] = 1.0
         s = _grid_sample(vals, kind="torus")
-        assert euler_char(s, 0.5) == 0
+        assert euler_char(s, [0.5]).tolist() == [[0]]
 
 
 class TestLkc:
@@ -515,18 +591,19 @@ class TestKinematicRhs:
 
     def test_volume_levels_share_one_field_set(self, monkeypatch):
         # every level reads the same fields, and entry i is the one-level call at u_levels[i]
-        calls = []
+        drawn = []
         simulate = gausstube.fields.simulate_field
 
         def counted(*args, **kwargs):
-            calls.append(1)
-            return simulate(*args, **kwargs)
+            sample = simulate(*args, **kwargs)
+            drawn.append(len(sample.f_values))
+            return sample
 
         space, cov = ParamSpace.interval(10.0, 200), SpatialCov.cosine(1.0)
         levels = [1.0, 0.0, 0.5]
         monkeypatch.setattr(gausstube.fields, "simulate_field", counted)
         vols, ses = excursion_volumes_mc(space, cov, ONE, levels, 4, 120, rng=83, workers=2)
-        assert len(calls) == 120
+        assert sum(drawn) == 120
         for i, u in enumerate(levels):
             (vol,), (se,) = excursion_volumes_mc(space, cov, ONE, [u], 4, 120, rng=83)
             assert (vols[i], ses[i]) == (vol, se)
@@ -552,8 +629,7 @@ class TestCroftonBoundaryLength:
         basis = grid_basis(space, cov)
         lengths = np.empty(reps)
         for i, child in enumerate(root.spawn(reps)):
-            sample = simulate_field(space, basis, ONE, 4, rng=child)
-            above = sample.f_values >= u
+            above = simulate_field(space, basis, ONE, 4, [child]).f_values[0] >= u
             crossings = int(np.count_nonzero(above != np.roll(above, -1, axis=0)))
             crossings += int(np.count_nonzero(above != np.roll(above, -1, axis=1)))
             taxicab = crossings * space.spacing

@@ -3,14 +3,23 @@
 The curvature moments, the Jacobian series and the field replications are
 each reduced one quantity at a time, so every route hands them over as one
 contiguous row per quantity, with no transpose between the oracle and the
-reduction.
+reduction.  The field side keeps the same layout throughout: the wave basis
+is one row per wave, a block of fields one row per replication, and the
+Euler characteristics one row per level.
 """
 
 import numpy as np
 import pytest
 
 from gausstube.cylinder import CylFunctional, PotentialV
-from gausstube.fields import ParamSpace, SpatialCov, ec_mc_levels
+from gausstube.fields import (
+    FieldSample,
+    ParamSpace,
+    SpatialCov,
+    ec_mc_levels,
+    euler_char,
+    simulate_field,
+)
 from gausstube.functionals import quadratic
 from gausstube.malliavin import grad_norms, jacobian_coeffs, jacobian_coeffs_batch
 
@@ -58,3 +67,19 @@ def test_multi_level_ec_is_one_level_calls():
     for i, u in enumerate(levels):
         (mean,), (stderr,) = ec_mc_levels(space, cov, identity, [u], 64, 1000, rng=7)
         assert means[i] == mean and stderrs[i] == stderr, u
+
+
+def test_basis_is_wave_major():
+    space = ParamSpace.torus(2 * np.pi, 2 * np.pi, 16)
+    basis = SpatialCov.torus_pair(2.0).basis(space.points())
+    assert basis.shape == (4, 256) and basis.flags.c_contiguous
+
+
+def test_field_block_and_counts():
+    space = ParamSpace.torus(2 * np.pi, 2 * np.pi, 16)
+    basis = SpatialCov.torus_pair(2.0).basis(space.points())
+    sample = simulate_field(space, basis, PotentialV.preset("one"), 4, [1, 2, 3])
+    assert sample.f_values.shape == (3, 16, 16)
+    with pytest.raises(ValueError, match="R"):
+        FieldSample(space=space, f_values=sample.f_values[0])  # one field is a block of one
+    assert euler_char(sample, [0.0, 1.0]).shape == (2, 3)
