@@ -35,6 +35,14 @@ def as_seed_sequence(seed) -> np.random.SeedSequence:
     raise TypeError(f"cannot interpret {type(seed).__name__} as a seed")
 
 
+def check_levels(levels) -> list[float]:
+    """The levels as floats; an empty list or a NaN level raises ValueError."""
+    levels = [float(u) for u in levels]
+    if not levels or any(math.isnan(u) for u in levels):
+        raise ValueError(f"levels must hold at least one level and no NaN, got {levels}")
+    return levels
+
+
 def block_sizes(n_total: int) -> list[int]:
     """Sizes of the ``BLOCK_SIZE`` blocks that make up ``n_total`` >= 1 samples."""
     if n_total < 1:

@@ -351,7 +351,6 @@ def convergence_target(potential: PotentialV, u: float, order: int) -> Optional[
 class ConvergenceReport:
     """Minkowski estimates of F_n excursions along a grid of time resolutions."""
 
-    u: float
     n_grid: tuple[int, ...]
     estimates: tuple[GmfVector, ...]
     target: Optional[GmfVector]
@@ -384,6 +383,8 @@ def convergence_study(
 ) -> ConvergenceReport:
     """Estimate M_j(F_n⁻¹[u,∞)) along an increasing grid of n; attach its limit if known."""
     n_grid = tuple(int(n) for n in n_grid)
+    if not n_grid:
+        raise ValueError("n_grid must hold at least one n")
     if any(b <= a for a, b in zip(n_grid, n_grid[1:])):
         raise ValueError(f"n_grid must be strictly increasing, got {n_grid}")
     # built first, so a level outside the target's domain fails before any sampling
@@ -395,7 +396,7 @@ def convergence_study(
         gmf_surface_mc(region, order, n_samples, eps=eps, rng=child, workers=workers)
         for region, child in zip(regions, children)
     )
-    return ConvergenceReport(u=u, n_grid=n_grid, estimates=estimates, target=target)
+    return ConvergenceReport(n_grid=n_grid, estimates=estimates, target=target)
 
 
 def derivative_sup_moments(potential: PotentialV, rng) -> np.ndarray:

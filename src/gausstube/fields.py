@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _mc
-from ._mc import as_seed_sequence, run_blocks
+from ._mc import as_seed_sequence, check_levels, run_blocks
 from .cylinder import PotentialV, derivative_sup_moments
 
 #: Relative error allowed between V's derivatives and their finite differences.
@@ -340,28 +340,25 @@ def euler_char(sample: FieldSample, u_levels) -> np.ndarray:
     are above the level, so gluing each kept cell to its neighbour along
     the next axis gives the kept cells one dimension up; χ sums their
     counts with sign (−1)^dimension.  Every level and every field of the
-    block is thresholded in one (levels, R, *grid) mask.  On wrapped
-    spaces the mask carries each axis's first slice again at its end, so
-    that the edge closing the cycle is one more neighbour pair.  A fully
-    supra-threshold interval gives 1, a full circle or torus gives 0.
+    block is thresholded in one (levels, R, *grid) mask with one more slice
+    per axis, which the un-glued cells drop: a copy of the axis's first
+    slice on a wrapped space, so the edge closing the cycle is one more
+    neighbour pair, and False otherwise.  A fully supra-threshold interval
+    gives 1, a full circle or torus gives 0.
     """
     space, f = sample.space, sample.f_values
     levels = _levels(u_levels, f)
-    if space.wraps:
-        above = np.empty(levels.shape[:1] + f.shape[:1] + (space.grid + 1,) * space.dim, bool)
-        np.greater_equal(f, levels, out=above[(Ellipsis,) + (slice(None, -1),) * space.dim])
-        for axis in range(space.dim):
-            lead = (slice(None),) * (axis + 2)
-            above[lead + (-1,)] = above[lead + (0,)]
-    else:
-        above = f >= levels
+    above = np.empty(levels.shape[:1] + f.shape[:1] + (space.grid + 1,) * space.dim, bool)
+    np.greater_equal(f, levels, out=above[(Ellipsis,) + (slice(None, -1),) * space.dim])
+    for axis in range(space.dim):
+        lead = (slice(None),) * (axis + 2)
+        np.logical_and(above[lead + (0,)], space.wraps, out=above[lead + (-1,)])
     cells = [(above, 1)]  # (mask, (−1)^dimension)
     for axis in range(space.dim):
         head, tail = _HEAD[axis], _TAIL[axis]
-        glued = [(c[head] & c[tail], -sign) for c, sign in cells]
-        if space.wraps:
-            cells = [(c[head], sign) for c, sign in cells]  # drop the periodic copy
-        cells += glued
+        cells = [(c[head], sign) for c, sign in cells] + [
+            (c[head] & c[tail], -sign) for c, sign in cells
+        ]
     return sum(sign * _counts(c) for c, sign in cells)
 
 
@@ -407,7 +404,7 @@ def _replicate(space, cov, potential, u_levels, time_n, reps, rng, workers, stat
     reduction of a one-level call.
     """
     check_reps(reps)
-    u_levels = [float(u) for u in u_levels]
+    u_levels = check_levels(u_levels)
     check_resolution(space, cov)
     basis = cov.basis(space.points())
     basis.flags.writeable = False

@@ -25,12 +25,12 @@ Monte Carlo average over canonical Gaussian samples.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from ._mc import as_seed_sequence, block_sizes, fsum_arrays, run_blocks
+from ._mc import as_seed_sequence, block_sizes, check_levels, fsum_arrays, run_blocks
 from .errors import SurfaceDegeneracyError
 from .malliavin import (
     DEFAULT_GRAD_FLOOR,
@@ -80,47 +80,43 @@ class RegionSpec:
 
 @dataclass(frozen=True)
 class GmfVector:
-    """Minkowski functionals M₀..M_J with Monte Carlo standard errors.
+    """Minkowski functionals M₀..M_J and the covariance of their estimator.
 
-    ``stderr`` is zero for closed forms.  ``cov`` (optional) is the full
-    (J+1, J+1) covariance matrix of the estimator vector, used by
-    :meth:`dot` to propagate errors through linear combinations such as the
-    kinematic formula.  The arrays are read-only copies of those passed.
+    ``cov`` is the (J+1, J+1) covariance matrix of the estimator vector;
+    None means the values are exact (a closed form), which reads as a zero
+    matrix.  ``order`` and ``stderr`` = √diag(cov) are derived from these.
+    Every linear functional of M — the tube series, the kinematic formula —
+    is one :meth:`dot`.  The arrays are read-only copies of those passed.
     """
 
-    order: int
     values: np.ndarray
-    stderr: np.ndarray
     cov: Optional[np.ndarray] = None
-    meta: Optional[dict] = None
+    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
-        s = np.asarray(self.stderr, dtype=float)
-        if v.shape != (self.order + 1,) or s.shape != (self.order + 1,):
-            raise ValueError(
-                f"values/stderr must have shape ({self.order + 1},), "
-                f"got {v.shape} and {s.shape}"
-            )
+        if v.ndim != 1 or v.size == 0:
+            raise ValueError(f"values must be a non-empty vector, got shape {v.shape}")
         if not (-1e-9 <= v[0] <= 1 + 1e-9):
             raise ValueError(f"M_0 = {v[0]!r} is not a probability")
-        frozen = {"values": v, "stderr": s}
-        if self.cov is not None:
-            c = np.asarray(self.cov, dtype=float)
-            if c.shape != (self.order + 1, self.order + 1):
-                raise ValueError(
-                    f"cov must have shape ({self.order + 1}, {self.order + 1}), got {c.shape}"
-                )
-            frozen["cov"] = c
-        for name, a in frozen.items():
+        c = np.zeros((v.size, v.size)) if self.cov is None else np.asarray(self.cov, dtype=float)
+        if c.shape != (v.size, v.size):
+            raise ValueError(f"cov must have shape ({v.size}, {v.size}), got {c.shape}")
+        for name, a in (("values", v), ("cov", c)):
             a = a.copy()
             a.flags.writeable = False
             object.__setattr__(self, name, a)
 
+    @property
+    def order(self) -> int:
+        return self.values.size - 1
+
+    @property
+    def stderr(self) -> np.ndarray:
+        return np.sqrt(np.clip(np.diag(self.cov), 0.0, None))
+
     def dot(self, weights) -> tuple[float, float]:
         """Linear combination w·M and its standard error √(wᵀ·cov·w)."""
-        if self.cov is None:
-            raise ValueError("a linear combination needs the estimator covariance")
         w = np.asarray(weights, dtype=float)
         var = float(w @ self.cov @ w)
         return float(np.dot(w, self.values)), float(np.sqrt(max(var, 0.0)))
@@ -128,11 +124,10 @@ class GmfVector:
 
 def assemble_tube_series(gmfs: GmfVector, rho: float) -> float:
     """Evaluate M₀ + Σ_{j=1..J} ρʲ/j! · M_j."""
-    if rho < 0:
-        raise ValueError(f"rho must be >= 0, got {rho}")
+    if not 0 <= rho < math.inf:
+        raise ValueError(f"rho must be finite and >= 0, got {rho}")
     j = np.arange(gmfs.order + 1)
-    weights = rho**j / _factorials(gmfs.order + 1)
-    return float(np.dot(weights, gmfs.values))
+    return gmfs.dot(rho**j / _factorials(gmfs.order + 1))[0]
 
 
 def _factorials(count: int) -> np.ndarray:
@@ -151,7 +146,7 @@ def gmf_halfspace(u: float, order: int) -> GmfVector:
     values[0] = gaussian_tail(u)
     if order >= 1:
         values[1:] = hermite_all(order - 1, u) * gaussian_pdf(u)
-    return GmfVector(order, values, np.zeros(order + 1))
+    return GmfVector(values)
 
 
 def gmf_two_sided(a: float, order: int) -> GmfVector:
@@ -163,8 +158,7 @@ def gmf_two_sided(a: float, order: int) -> GmfVector:
     """
     if a <= 0:
         raise ValueError(f"threshold must be positive, got {a}")
-    half = gmf_halfspace(a, order)
-    return GmfVector(order, 2.0 * half.values, np.zeros(order + 1))
+    return GmfVector(2.0 * gmf_halfspace(a, order).values)
 
 
 def gmf_ball(radius: float, dim: int, order: int) -> GmfVector:
@@ -191,7 +185,7 @@ def gmf_ball(radius: float, dim: int, order: int) -> GmfVector:
         for m in range(order):
             values[m + 1] = weight * float(np.polyval(p[::-1], radius))
             p = np.append(p[1:] * np.arange(1, p.size), [0.0, 0.0]) - np.append(0.0, p)
-    return GmfVector(order, values, np.zeros(order + 1))
+    return GmfVector(values)
 
 
 def silverman_bandwidth(f_sample: np.ndarray, n_samples: int) -> float:
@@ -253,13 +247,11 @@ def gmf_surface_mc_levels(
     The sample stream is split into fixed-size blocks with independent
     substreams of ``rng``, so results are bit-identical for any ``workers``.
     """
-    regions = [RegionSpec(func, float(u), kind) for u in levels]
-    if not regions:
-        raise ValueError("levels must hold at least one level")
+    regions = [RegionSpec(func, u, kind) for u in check_levels(levels)]
     if n_samples < MIN_SURFACE_SAMPLES:
         raise ValueError(f"n_samples must be >= 10^4, got {n_samples}")
-    if eps is not None and eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    if eps is not None and not 0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     k = func.dim
     root = as_seed_sequence(rng)
     sizes = block_sizes(n_samples)
@@ -354,7 +346,6 @@ def gmf_surface_mc_levels(
 
         mean = s1 / n
         cov = (s2 - n * np.outer(mean, mean)) / (n - 1.0) / n
-        stderr = np.sqrt(np.clip(np.diag(cov), 0.0, None))
         meta = {
             "eps": eps,
             "n_samples": n_samples,
@@ -362,5 +353,5 @@ def gmf_surface_mc_levels(
             "n_degenerate": n_degenerate,
             "skip_fraction": skip_fraction,
         }
-        estimates.append(GmfVector(order, mean, stderr, cov=cov, meta=meta))
+        estimates.append(GmfVector(mean, cov, meta))
     return estimates

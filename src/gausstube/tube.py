@@ -11,6 +11,7 @@ convex sub-level regions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -37,22 +38,21 @@ RETRACTION_MAXITER = 60
 class DistanceOracle:
     """Euclidean distance to a region, d(x) = inf{‖x−y‖ : y ∈ A}.
 
-    ``method`` is ``'closed-form'`` (a vectorized ``formula`` is supplied)
-    or ``'projection'`` (projected-gradient descent on the boundary level
-    set with Armijo backtracking, KKT residual below ``PROJECTION_TOL``
-    within ``PROJECTION_MAXITER`` iterations).
+    ``formula`` maps a (B, k) stack to its B distances, NaN where a solve
+    failed.  ``method`` labels how: ``'closed-form'`` (a vectorized
+    expression) or ``'projection'`` (projected-gradient descent on the
+    boundary level set with Armijo backtracking, KKT residual below
+    ``PROJECTION_TOL`` within ``PROJECTION_MAXITER`` iterations).
     d(x) = 0 exactly when x lies in the region; d is 1-Lipschitz.
     """
 
     region: RegionSpec
     method: str
-    formula: Optional[Callable[[np.ndarray], np.ndarray]] = field(default=None, repr=False)
+    formula: Callable[[np.ndarray], np.ndarray] = field(repr=False)
 
     def __post_init__(self):
         if self.method not in ("closed-form", "projection"):
             raise ValueError(f"unknown distance method {self.method!r}")
-        if self.method == "closed-form" and self.formula is None:
-            raise ValueError("closed-form oracle requires a formula")
 
 
 def halfspace_oracle(u: float, dim: int) -> DistanceOracle:
@@ -115,7 +115,7 @@ def projection_oracle(region: RegionSpec) -> DistanceOracle:
             f"functional fails the sampled convexity check (min Hessian "
             f"eigenvalue {min_eig:.3e}); projection distances need a convex level structure"
         )
-    return DistanceOracle(region, "projection")
+    return DistanceOracle(region, "projection", formula=partial(_projection_distances, region))
 
 
 def _sq_norms(v: np.ndarray) -> np.ndarray:
@@ -147,7 +147,7 @@ def _retract_to_level(func, y: np.ndarray, u: float, tol_f: float):
     return y, ok
 
 
-def _project_exterior(oracle: DistanceOracle, x: np.ndarray) -> np.ndarray:
+def _project_exterior(region: RegionSpec, x: np.ndarray) -> np.ndarray:
     """Distances from a (m, k) stack of exterior points to the region's boundary.
 
     Projected gradient on the level set, all rows at once: a row stays
@@ -156,8 +156,8 @@ def _project_exterior(oracle: DistanceOracle, x: np.ndarray) -> np.ndarray:
     converge, 40 Armijo halvings find no sufficient decrease, or
     ``PROJECTION_MAXITER`` iterations pass.
     """
-    func = oracle.region.functional
-    u = oracle.region.level
+    func = region.functional
+    u = region.level
     tol_f = PROJECTION_TOL * (1.0 + abs(u))
 
     out = np.full(x.shape[0], np.nan)
@@ -204,19 +204,21 @@ def _project_exterior(oracle: DistanceOracle, x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _projection_distances(region: RegionSpec, x: np.ndarray) -> np.ndarray:
+    """0 inside the region, the projection distance of each exterior point outside."""
+    out = np.zeros(x.shape[0])
+    exterior = np.nonzero(~region.contains_values(region.functional.values(x)))[0]
+    out[exterior] = _project_exterior(region, x[exterior])
+    return out
+
+
 def distances(oracle: DistanceOracle, x: np.ndarray) -> tuple[np.ndarray, int]:
     """Distances for a (B,k) stack; returns (values, solver_failures).
 
     Failed projections are reported as NaN and counted.
     """
-    x = np.asarray(x, dtype=float)
-    if oracle.method == "closed-form":
-        return np.asarray(oracle.formula(x), dtype=float), 0
-    region = oracle.region
-    out = np.zeros(x.shape[0])
-    exterior = np.nonzero(~region.contains_values(region.functional.values(x)))[0]
-    out[exterior] = _project_exterior(oracle, x[exterior])
-    return out, int(np.count_nonzero(np.isnan(out[exterior])))
+    d = np.asarray(oracle.formula(np.asarray(x, dtype=float)), dtype=float)
+    return d, int(np.count_nonzero(np.isnan(d)))
 
 
 def tube_volumes_mc(
@@ -237,8 +239,8 @@ def tube_volumes_mc(
     rho_grid = np.asarray(rho_grid, dtype=float)
     if rho_grid.ndim != 1 or rho_grid.size == 0:
         raise ValueError("rho_grid must be a non-empty list of radii")
-    if np.any(rho_grid < 0):
-        raise ValueError(f"rho must be >= 0, got {rho_grid.min()}")
+    if not np.all(rho_grid >= 0):
+        raise ValueError(f"every rho must be >= 0, got {rho_grid.tolist()}")
     root = as_seed_sequence(rng)
     sizes = block_sizes(n_samples)
     children = root.spawn(len(sizes))

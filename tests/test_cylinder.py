@@ -411,6 +411,15 @@ class TestConvergenceStudy:
         with pytest.raises(ValueError, match="increasing"):
             convergence_study(PotentialV.preset("identity"), 0.0, 2, [8, 8], 10_000)
 
+    def test_empty_grid_rejected_before_sampling(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            gausstube.cylinder, "gmf_surface_mc", lambda *args, **kwargs: calls.append(1)
+        )
+        with pytest.raises(ValueError, match="n_grid"):
+            convergence_study(PotentialV.preset("identity"), 0.5, 1, [], 10_000)
+        assert calls == []
+
     def test_domain_error_before_sampling(self, monkeypatch):
         def no_sampling(*args, **kwargs):
             raise AssertionError("sampled before checking the limit target")

@@ -227,6 +227,18 @@ class TestSimulateField:
             with pytest.raises(ValueError, match="too coarse"):
                 estimate(space, SpatialCov.cosine(1.0), ONE, [0.0], 4, 100, rng=1, workers=2)
 
+    @pytest.mark.parametrize("levels", [[], [0.0, float("nan")]], ids=["empty", "nan"])
+    def test_levels_guard(self, monkeypatch, levels):
+        # no level, or a NaN one, fails before any field is drawn
+        def not_reached(*args, **kwargs):
+            raise AssertionError("simulate_field ran before the level check")
+
+        monkeypatch.setattr(gausstube.fields, "simulate_field", not_reached)
+        space = ParamSpace.interval(5.0, 64)
+        for estimate in (ec_mc_levels, excursion_volumes_mc):
+            with pytest.raises(ValueError, match="level"):
+                estimate(space, SpatialCov.cosine(1.0), ONE, levels, 4, 100, rng=1)
+
     def test_time_grid_guard(self):
         space = ParamSpace.interval(5.0, 64)
         with pytest.raises(ValueError, match="time_n"):

@@ -99,11 +99,11 @@ class TestClosedForms:
 class TestGmfVector:
     def test_mass_must_be_probability(self):
         with pytest.raises(ValueError, match="probability"):
-            GmfVector(1, np.array([1.5, 0.0]), np.zeros(2))
+            GmfVector(np.array([1.5, 0.0]))
 
     def test_shape_checked(self):
         with pytest.raises(ValueError):
-            GmfVector(2, np.array([0.5, 0.0]), np.zeros(2))
+            GmfVector(np.array([[0.5, 0.0]]))
 
     def test_values_frozen(self):
         g = gmf_halfspace(0.0, 2)
@@ -112,12 +112,22 @@ class TestGmfVector:
 
     def test_dot_propagates_covariance(self):
         cov = np.array([[0.04, 0.01], [0.01, 0.09]])
-        g = GmfVector(1, np.array([0.25, 2.0]), np.sqrt(np.diag(cov)), cov=cov)
+        g = GmfVector(np.array([0.25, 2.0]), cov)
+        assert g.order == 1
+        assert np.array_equal(g.stderr, np.sqrt(np.diag(cov)))
         value, stderr = g.dot([2.0, -1.0])
         assert value == pytest.approx(-1.5, rel=1e-15)
         assert stderr == pytest.approx(np.sqrt(4 * 0.04 - 4 * 0.01 + 0.09), rel=1e-15)
-        with pytest.raises(ValueError, match="covariance"):
-            gmf_halfspace(0.0, 1).dot([1.0, 1.0])
+        # a closed form is exact: its combination carries no error
+        exact = gmf_halfspace(0.0, 1)
+        assert exact.dot([1.0, 1.0]) == (float(np.dot([1.0, 1.0], exact.values)), 0.0)
+
+    def test_closed_forms_are_exact(self):
+        for g in (gmf_halfspace(0.5, 3), gmf_two_sided(1.0, 3), gmf_ball(1.0, 2, 3)):
+            assert g.order == 3
+            assert np.array_equal(g.cov, np.zeros((4, 4)))
+            assert np.array_equal(g.stderr, np.zeros(4))
+            assert g.meta == {}
 
     def test_cov_frozen(self):
         g = gmf_surface_mc(RegionSpec(coordinate(2), 1.0, "excursion"), 2, 10_000, rng=3)
@@ -128,13 +138,13 @@ class TestGmfVector:
         assert before[1] > 0.0
         # a caller's matrix is copied, so writing to it later changes nothing
         cov = np.array([[0.04, 0.01], [0.01, 0.09]])
-        h = GmfVector(1, np.array([0.25, 2.0]), np.sqrt(np.diag(cov)), cov=cov)
+        h = GmfVector(np.array([0.25, 2.0]), cov)
         cov[:] = 0.0
         assert h.dot([1.0, 1.0])[1] == pytest.approx(np.sqrt(0.15), rel=1e-15)
 
     def test_cov_shape_checked(self):
         with pytest.raises(ValueError, match="cov"):
-            GmfVector(1, np.array([0.5, 0.0]), np.zeros(2), cov=np.eye(3))
+            GmfVector(np.array([0.5, 0.0]), np.eye(3))
 
 
 class TestAssemble:
@@ -158,6 +168,12 @@ class TestAssemble:
     def test_negative_radius_rejected(self):
         with pytest.raises(ValueError):
             assemble_tube_series(gmf_halfspace(0.0, 2), -0.1)
+
+    @pytest.mark.parametrize("rho", [float("nan"), float("inf")])
+    def test_non_finite_radius_rejected(self, rho):
+        # either would make the series NaN
+        with pytest.raises(ValueError, match="rho"):
+            assemble_tube_series(gmf_halfspace(0.0, 2), rho)
 
 
 class TestRegionSpec:
@@ -240,6 +256,13 @@ class TestSurfaceMonteCarlo:
         region = RegionSpec(coordinate(2), 0.0, "excursion")
         with pytest.raises(ValueError, match="10\\^4"):
             gmf_surface_mc(region, 1, 5_000, rng=1)
+
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf")])
+    def test_non_finite_eps_rejected(self, eps):
+        # NaN or infinite bandwidths would zero every surface functional
+        region = RegionSpec(coordinate(2), 0.0, "excursion")
+        with pytest.raises(ValueError, match="eps"):
+            gmf_surface_mc(region, 2, 10_000, eps=eps, rng=1)
 
     def test_degenerate_surface_raises(self):
         flat = SmoothFunctional(
@@ -346,6 +369,12 @@ class TestLevelsSampler:
     def test_empty_levels_rejected(self):
         with pytest.raises(ValueError, match="level"):
             gmf_surface_mc_levels(coordinate(2), "excursion", [], 1, 10_000, rng=1)
+
+    def test_nan_level_rejected(self):
+        with pytest.raises(ValueError, match="level"):
+            gmf_surface_mc_levels(
+                coordinate(2), "excursion", [0.0, float("nan")], 1, 10_000, rng=1
+            )
 
     def test_degenerate_level_raises(self):
         # a level on a flat stretch of F fails even when the other levels are fine

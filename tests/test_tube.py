@@ -272,6 +272,11 @@ class TestTubeGrid:
         with pytest.raises(ValueError, match="rho"):
             tube_volumes_mc(oracle, [0.1, -0.2], 10_000, rng=1)
 
+    def test_nan_radius_rejected(self):
+        # d <= NaN is False for every sample, which read as an empty tube
+        with pytest.raises(ValueError, match="rho"):
+            tube_volumes_mc(ball_oracle(1.0, 2), [float("nan")], 4096)
+
     def test_abort_counts_each_failure_once(self, monkeypatch):
         # one solve per sample, however many radii share it
         monkeypatch.setattr(tube, "PROJECTION_MAXITER", 2)
