@@ -51,10 +51,11 @@ def _load_config(path: str, command: str, seed, workers) -> ExperimentConfig:
         raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
-    if seed is not None:
-        raw["seed"] = seed
-    if workers is not None:
-        raw["workers"] = workers
+    if isinstance(raw, dict):  # from_dict rejects any other JSON value
+        if seed is not None:
+            raw["seed"] = seed
+        if workers is not None:
+            raw["workers"] = workers
     config = ExperimentConfig.from_dict(raw)
     if config.experiment != command:
         raise ConfigError(
@@ -89,7 +90,7 @@ def main(argv=None) -> int:
     except (FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except (GausstubeError, AssertionError, ValueError) as exc:
+    except (GausstubeError, ValueError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

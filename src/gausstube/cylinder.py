@@ -50,15 +50,10 @@ from .malliavin import SmoothFunctional
 #: a dense Hessian stack is O(n²) memory.
 MAX_TIME_GRID = 256
 
-#: Brownian paths, time-grid size and moment order of :func:`derivative_sup_moments`.
-SUP_MOMENT_PATHS = 512
-SUP_MOMENT_TIME_N = 32
-SUP_MOMENT_P = 8
-
 
 @dataclass(frozen=True)
 class PotentialV:
-    """An integrand V: ℝ → ℝ with derivatives up to fourth order.
+    """An integrand V: ℝ → ℝ with its first two derivatives.
 
     All callables must accept numpy arrays elementwise.  ``coeffs``, when
     set, are V's polynomial coefficients, lowest degree first;
@@ -71,19 +66,17 @@ class PotentialV:
     value: Callable
     d1: Callable
     d2: Callable
-    d3: Callable
-    d4: Callable
     name: Optional[str] = None
     coeffs: Optional[tuple[float, ...]] = None
 
     @classmethod
     def polynomial(cls, name: str, coeffs) -> "PotentialV":
-        """V(b) = Σᵢ coeffs[i]·bⁱ, lowest degree first, and V′…V⁗: each derivative's
+        """V(b) = Σᵢ coeffs[i]·bⁱ, lowest degree first, and V′, V″: each derivative's
         coefficients are c[1:]·(1, 2, …), and ``np.polyval`` (Horner's rule,
         highest degree first) evaluates each tuple."""
         c = np.asarray(coeffs, dtype=float)
         ladder = []
-        for _ in range(5):
+        for _ in range(3):
             ladder.append(tuple(c.tolist()) or (0.0,))
             c = c[1:] * np.arange(1, c.size)
         return cls(*(partial(np.polyval, d[::-1]) for d in ladder), name=name, coeffs=ladder[0])
@@ -96,9 +89,6 @@ class PotentialV:
             raise ValueError(
                 f"unknown potential preset {name!r}; choose from {sorted(_PRESETS)}"
             ) from None
-
-    def derivative(self, k: int) -> Callable:
-        return (self.value, self.d1, self.d2, self.d3, self.d4)[k]
 
     @property
     def affine(self) -> Optional[tuple[float, float]]:
@@ -116,7 +106,7 @@ class PotentialV:
 _PRESETS = {
     "one": PotentialV.polynomial("one", (1.0,)),
     "identity": PotentialV.polynomial("identity", (0.0, 1.0)),
-    "sin": PotentialV(np.sin, np.cos, lambda b: -np.sin(b), lambda b: -np.cos(b), np.sin, "sin"),
+    "sin": PotentialV(np.sin, np.cos, lambda b: -np.sin(b), "sin"),
     "cubic": PotentialV.polynomial("cubic", (0.0, 0.0, 0.0, 1.0)),
 }
 
@@ -398,21 +388,3 @@ def convergence_study(
     )
     return ConvergenceReport(n_grid=n_grid, estimates=estimates, target=target)
 
-
-def derivative_sup_moments(potential: PotentialV, rng) -> np.ndarray:
-    """Empirical p-th moments of sup_t |V⁽ᵏ⁾(B_t)|, k = 0..4, p = ``SUP_MOMENT_P``.
-
-    Smoke check that the potential's derivatives have finite moments along
-    ``SUP_MOMENT_PATHS`` Brownian paths on a ``SUP_MOMENT_TIME_N``-point
-    grid (they do whenever V has polynomial growth); returns the p-th root
-    of the k-indexed moment estimates.
-    """
-    gen = np.random.default_rng(as_seed_sequence(rng))
-    shape = (SUP_MOMENT_PATHS, SUP_MOMENT_TIME_N)
-    increments = gen.standard_normal(shape) / np.sqrt(SUP_MOMENT_TIME_N)
-    b = np.cumsum(increments, axis=1)
-    out = np.empty(5)
-    for k in range(5):
-        sup = np.max(np.abs(potential.derivative(k)(b)), axis=1)
-        out[k] = float(np.mean(sup**SUP_MOMENT_P)) ** (1.0 / SUP_MOMENT_P)
-    return out

@@ -135,6 +135,12 @@ def _factorials(count: int) -> np.ndarray:
     return np.array([math.factorial(j) for j in range(count)], dtype=float)
 
 
+def _check_order(order: int) -> None:
+    """Reject a negative series order J."""
+    if order < 0:
+        raise ValueError(f"order must be >= 0, got {order}")
+
+
 def gmf_halfspace(u: float, order: int) -> GmfVector:
     """Closed-form functionals of the excursion half-space {x₁ ≥ u}.
 
@@ -142,6 +148,7 @@ def gmf_halfspace(u: float, order: int) -> GmfVector:
     half-space is again a half-space, γ(Tube) = Ψ(u−ρ), so these are just
     the Taylor coefficients of Ψ(u−ρ) in ρ.
     """
+    _check_order(order)
     values = np.empty(order + 1)
     values[0] = gaussian_tail(u)
     if order >= 1:
@@ -176,6 +183,7 @@ def gmf_ball(radius: float, dim: int, order: int) -> GmfVector:
         raise ValueError(f"radius must be positive, got {radius}")
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
+    _check_order(order)
     values = np.empty(order + 1)
     values[0] = special.gammainc(dim / 2.0, radius**2 / 2.0)
     if order >= 1:
@@ -248,6 +256,7 @@ def gmf_surface_mc_levels(
     substreams of ``rng``, so results are bit-identical for any ``workers``.
     """
     regions = [RegionSpec(func, u, kind) for u in check_levels(levels)]
+    _check_order(order)
     if n_samples < MIN_SURFACE_SAMPLES:
         raise ValueError(f"n_samples must be >= 10^4, got {n_samples}")
     if eps is not None and not 0 < eps < math.inf:

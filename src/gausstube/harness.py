@@ -40,7 +40,6 @@ from .fields import (
     excursion_volumes_mc,
     kinematic_weights,
     lkc,
-    validate_assumptions,
 )
 from .gmf import (
     MIN_SURFACE_SAMPLES,
@@ -364,8 +363,8 @@ def _run_crofton(seed, workers, space, cov, potential, u_levels, n, J, N, reps, 
             check_reps(reps)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    validate_assumptions(cov, potential, rng=seed.spawn(1)[0])
-    lhs_seed, rhs_seed, vol_seed = seed.spawn(3)
+    # child 0 stays unused, so each side keeps the seed its saved results were drawn from
+    _, lhs_seed, rhs_seed, vol_seed = seed.spawn(4)
     if index == 0:
         # only the Euler-characteristic index has an EC Monte Carlo side
         ec_means, ec_ses = ec_mc_levels(

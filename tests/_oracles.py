@@ -35,6 +35,14 @@ def eigen_product_series(lams, order):
     return out
 
 
+def wave_cov(cov, x, y):
+    """C(x, y) = Σ_k w_k² cos⟨ω_k, x−y⟩ of ``cov`` between the rows of two point
+    arrays, (B,); a single point is a one-row array."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    y = np.atleast_2d(np.asarray(y, dtype=float))
+    return np.cos((x - y) @ cov.frequencies.T) @ cov.weights**2
+
+
 def lambda2_fd(cov, step=1e-4):
     """Mixed-partial finite difference ∂²C/∂x_a∂y_b of ``cov`` at the diagonal."""
     d = cov.dim
@@ -46,7 +54,10 @@ def lambda2_fd(cov, step=1e-4):
             ea[a] = step
             eb[b] = step
             out[a, b] = (
-                cov.C(ea, eb) - cov.C(ea, -eb) - cov.C(-ea, eb) + cov.C(-ea, -eb)
+                wave_cov(cov, ea, eb)
+                - wave_cov(cov, ea, -eb)
+                - wave_cov(cov, -ea, eb)
+                + wave_cov(cov, -ea, -eb)
             )[0] / (4.0 * step * step)
     return out
 

@@ -108,8 +108,8 @@ class TestCli:
 
         # a bad config must exit 2 before any Monte Carlo runs
         for name in (
-            "validate_assumptions", "ec_mc_levels", "gmf_surface_mc", "gmf_surface_mc_levels",
-            "convergence_study", "validate_tube_series",
+            "ec_mc_levels", "gmf_surface_mc", "gmf_surface_mc_levels", "convergence_study",
+            "validate_tube_series",
         ):
             monkeypatch.setattr(gausstube.harness, name, sampling)
         cfg = write_config(tmp_path, {**GMF, "bogus_key": 1})
@@ -247,8 +247,7 @@ class TestCli:
             "             if m.split('.')[0] == 'scipy' or m.startswith('numpy.polynomial')))\n"
             "from gausstube.cylinder import _PRESETS, PotentialV\n"
             "for name in _PRESETS:\n"
-            "    gausstube.validate_assumptions(gausstube.SpatialCov.cosine(1.0),\n"
-            "                                   PotentialV.preset(name))\n"
+            "    gausstube.validate_assumptions(PotentialV.preset(name))\n"
             "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))\n"
         )
         configs = json.dumps([GMF, CROFTON, CONVERGE, TUBE])
@@ -262,6 +261,14 @@ class TestCli:
 
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["gmf", "--config", str(tmp_path / "nope.json")]) == 2
+
+    @pytest.mark.parametrize("data", [[1, 2], "gmf"])
+    @pytest.mark.parametrize("override", [["--seed", "3"], ["--workers", "2"]])
+    def test_non_object_config_exits_2(self, tmp_path, capsys, data, override):
+        # an override must not write into a config that is not a JSON object
+        cfg = write_config(tmp_path, data)
+        assert main(["gmf", "--config", cfg, *override, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
 
     def test_subcommand_mismatch_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, GMF)

@@ -10,7 +10,6 @@ from gausstube.cylinder import (
     PotentialV,
     convergence_study,
     convergence_target,
-    derivative_sup_moments,
     limit_gmf_chisq,
 )
 from gausstube.gmf import (
@@ -37,18 +36,16 @@ class TestPotential:
             PotentialV.preset("tan")
 
     def test_polynomial_and_its_derivatives(self):
-        # V = 0.5 − b + 2b³, V′ = −1 + 6b², V″ = 12b, V‴ = 12, V⁗ = 0
+        # V = 0.5 − b + 2b³, V′ = −1 + 6b², V″ = 12b
         v = PotentialV.polynomial("p", (0.5, -1.0, 0.0, 2.0))
         b = np.array([-1.5, 0.0, 0.5, 2.0])
         expected = [
             [-4.75, 0.5, 0.25, 14.5],
             [12.5, -1.0, 0.5, 23.0],
             [-18.0, 0.0, 6.0, 24.0],
-            [12.0] * 4,
-            [0.0] * 4,
         ]
-        for k, want in enumerate(expected):
-            assert np.allclose(v.derivative(k)(b), want, rtol=1e-15, atol=0.0), k
+        for k, (fk, want) in enumerate(zip((v.value, v.d1, v.d2), expected)):
+            assert np.allclose(fk(b), want, rtol=1e-15, atol=0.0), k
         assert v.coeffs == (0.5, -1.0, 0.0, 2.0) and v.affine is None
         assert hash(CylFunctional(8, v)) == hash(CylFunctional(8, v))
 
@@ -57,15 +54,15 @@ class TestPotential:
         for name, coeffs in (("one", (1.0,)), ("identity", (0.0, 1.0)), ("cubic", (0, 0, 0, 1))):
             preset, built = PotentialV.preset(name), PotentialV.polynomial(name, coeffs)
             assert preset.coeffs == built.coeffs
-            for k in range(5):
-                assert np.array_equal(preset.derivative(k)(b), built.derivative(k)(b))
+            for k in ("value", "d1", "d2"):
+                assert np.array_equal(getattr(preset, k)(b), getattr(built, k)(b)), k
 
     @pytest.mark.parametrize("name", ["one", "identity", "sin", "cubic"])
     def test_derivative_ladder(self, name):
-        # d1..d4 match finite differences of the previous order on [-6, 6]
-        from gausstube.fields import check_potential_derivatives
+        # coefficients reproduce V, and d1, d2 match finite differences on [-6, 6]
+        from gausstube.fields import validate_assumptions
 
-        check_potential_derivatives(PotentialV.preset(name))
+        validate_assumptions(PotentialV.preset(name))
 
 
 class TestEvaluation:
@@ -392,18 +389,6 @@ class TestDistribution:
     def test_ks_distance_below_two_percent_at_n64(self):
         d = stats.kstest(self._sample_Fn(64, 100_000, 89), self._limit_cdf).statistic
         assert d < 0.02
-
-
-class TestMoments:
-    def test_sup_moments_finite_and_stable(self, monkeypatch):
-        v = PotentialV.preset("cubic")
-        monkeypatch.setattr(gausstube.cylinder, "SUP_MOMENT_PATHS", 1000)
-        small = derivative_sup_moments(v, rng=97)
-        monkeypatch.setattr(gausstube.cylinder, "SUP_MOMENT_PATHS", 4000)
-        large = derivative_sup_moments(v, rng=101)
-        assert np.all(np.isfinite(small)) and np.all(np.isfinite(large))
-        # p-th-root moments of the sup stabilize: no blow-up between sizes
-        assert np.all(large <= 2.0 * small + 1.0)
 
 
 class TestConvergenceStudy:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -94,6 +95,16 @@ class TestClosedForms:
             gmf_ball(-1.0, 2, 2)
         with pytest.raises(ValueError):
             gmf_ball(1.0, 0, 2)
+
+    @pytest.mark.parametrize("order", [-1, -2])
+    def test_negative_order_rejected(self, order):
+        for build in (
+            lambda: gmf_halfspace(0.5, order),
+            lambda: gmf_two_sided(1.0, order),
+            lambda: gmf_ball(1.0, 2, order),
+        ):
+            with pytest.raises(ValueError, match="order must be >= 0"):
+                build()
 
 
 class TestGmfVector:
@@ -208,6 +219,15 @@ class TestHermiteConsistency:
 
 
 class TestSurfaceMonteCarlo:
+    @pytest.mark.parametrize("order", [-1, -2])
+    def test_negative_order_fails_before_sampling(self, order):
+        def not_reached(gen, size):
+            raise AssertionError("sampled before the order check")
+
+        func = dataclasses.replace(coordinate(2), draw=not_reached)
+        with pytest.raises(ValueError, match="order must be >= 0"):
+            gmf_surface_mc(RegionSpec(func, 0.5, "excursion"), order, 10_000)
+
     def test_halfspace_matches_closed_form(self):
         region = RegionSpec(coordinate(3), 0.5, "excursion")
         est = gmf_surface_mc(region, 3, 100_000, rng=101)

@@ -7,9 +7,16 @@ import pytest
 
 import gausstube.harness
 from gausstube._mc import as_seed_sequence
-from gausstube.cylinder import CylFunctional
+from gausstube.cylinder import CylFunctional, PotentialV
 from gausstube.errors import ConfigError
-from gausstube.fields import ParamSpace, SpatialCov, kinematic_weights
+from gausstube.fields import (
+    ParamSpace,
+    SpatialCov,
+    ec_mc_levels,
+    excursion_volumes_mc,
+    kinematic_weights,
+)
+from gausstube.gmf import gmf_surface_mc_levels
 from gausstube.harness import (
     _COVS,
     _DEFAULTS,
@@ -262,6 +269,40 @@ class TestRunGkf:
         assert one["rows"] == two["rows"]
         assert one["counters"] == two["counters"]
 
+    def test_each_side_draws_from_its_own_child_of_the_root(self):
+        # children 1, 2 and 3 of the root seed drive the EC, GMF and volume
+        # sides (child 0 is unused): moving one would move every payload
+        data = {
+            "experiment": "gkf",
+            "seed": 23,
+            "space": {"kind": "interval", "length": 10.0, "grid": 200},
+            "cov": {"preset": "cosine", "frequency": 1.0},
+            "potential": "identity",
+            "u_levels": [0.5, 1.0],
+            "n": 8,
+            "J": 1,
+            "N": 10_000,
+            "reps": 100,
+        }
+        gkf = run(ExperimentConfig.from_dict(data)).rows
+        crofton = run(ExperimentConfig.from_dict({**data, "experiment": "crofton", "index": 1}))
+        space, cov = ParamSpace.interval(10.0, 200), SpatialCov.cosine(1.0)
+        potential, levels = PotentialV.preset("identity"), data["u_levels"]
+        children = np.random.SeedSequence(23).spawn(4)
+        ec_means, _ = ec_mc_levels(space, cov, potential, levels, 8, 100, rng=children[1])
+        gmfs = gmf_surface_mc_levels(
+            CylFunctional(8, potential).sampled(), "excursion", levels, 1, 10_000,
+            rng=children[2].spawn(1)[0],
+        )
+        vols, _ = excursion_volumes_mc(
+            space, cov, potential, levels, 8, 100, rng=children[3].spawn(1)[0]
+        )
+        for i, gmf in enumerate(gmfs):
+            assert gkf[i]["ec_mean"] == ec_means[i]
+            assert gkf[i]["rhs"] == gmf.dot(kinematic_weights(0, space, cov, 1))[0]
+            assert crofton.rows[i]["rhs"] == gmf.dot(kinematic_weights(1, space, cov, 1))[0]
+            assert crofton.rows[i]["volume_mc"] == vols[i]
+
     def test_crofton_top_index_has_volume_check(self):
         cfg = ExperimentConfig.from_dict(
             {
@@ -291,9 +332,7 @@ class TestRunGkf:
         def not_reached(*args, **kwargs):
             raise AssertionError("ran before the resolution guard")
 
-        for name in (
-            "validate_assumptions", "gmf_surface_mc", "gmf_surface_mc_levels", "ec_mc_levels"
-        ):
+        for name in ("gmf_surface_mc", "gmf_surface_mc_levels", "ec_mc_levels"):
             monkeypatch.setattr(gausstube.harness, name, not_reached)
         data = {
             "experiment": experiment,
@@ -317,9 +356,7 @@ class TestRunGkf:
         def not_reached(*args, **kwargs):
             raise AssertionError("ran before the index check")
 
-        for name in (
-            "validate_assumptions", "gmf_surface_mc", "gmf_surface_mc_levels", "ec_mc_levels"
-        ):
+        for name in ("gmf_surface_mc", "gmf_surface_mc_levels", "ec_mc_levels"):
             monkeypatch.setattr(gausstube.harness, name, not_reached)
         data = {
             "experiment": "crofton",
@@ -353,9 +390,7 @@ class TestRunGkf:
         def not_reached(*args, **kwargs):
             raise AssertionError("ran before the reps and time-grid checks")
 
-        for name in (
-            "validate_assumptions", "ec_mc_levels", "gmf_surface_mc_levels", "convergence_study"
-        ):
+        for name in ("ec_mc_levels", "gmf_surface_mc_levels", "convergence_study"):
             monkeypatch.setattr(gausstube.harness, name, not_reached)
         if experiment == "converge":
             data = {"potential": "identity", "u": 0.0, "J": 1, "N": 30_000}
@@ -382,7 +417,7 @@ class TestRunGkf:
         def reached(*args, **kwargs):
             raise RuntimeError("reached sampling")
 
-        monkeypatch.setattr(gausstube.harness, "validate_assumptions", reached)
+        monkeypatch.setattr(gausstube.harness, "gmf_surface_mc_levels", reached)
         cfg = ExperimentConfig.from_dict(
             {
                 "experiment": "crofton",
@@ -439,8 +474,7 @@ class TestRunGkf:
             raise AssertionError("ran before the config checks")
 
         for name in (
-            "validate_assumptions", "gmf_surface_mc", "gmf_surface_mc_levels", "ec_mc_levels",
-            "validate_tube_series",
+            "gmf_surface_mc", "gmf_surface_mc_levels", "ec_mc_levels", "validate_tube_series",
         ):
             monkeypatch.setattr(gausstube.harness, name, not_reached)
         data = {
@@ -521,7 +555,7 @@ class TestRunGkf:
         def not_reached(*args, **kwargs):
             raise AssertionError("ran before the series-order check")
 
-        monkeypatch.setattr(gausstube.harness, "validate_assumptions", not_reached)
+        monkeypatch.setattr(gausstube.harness, "gmf_surface_mc_levels", not_reached)
         cfg = ExperimentConfig.from_dict(
             {
                 "experiment": "gkf",
