@@ -2,7 +2,8 @@
 
 Subcommands mirror the experiment kinds (``gmf``, ``tube``, ``converge``,
 ``gkf``, ``crofton``) plus ``report`` for post-processing saved results.
-Exit codes: 0 on success, 2 on configuration/validation errors, 3 on
+Exit codes: 0 on success, 2 on configuration, validation and input errors
+(an unreadable config or saved result, an unusable output directory), 3 on
 numerical failures.
 """
 
@@ -41,14 +42,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _out_dir(arg) -> Path:
-    return Path(arg or os.environ.get(OUT_DIR_ENV) or ".")
+    """The output directory, created if missing; a path that cannot be one
+    (an existing file, say) is an input error."""
+    out = Path(arg or os.environ.get(OUT_DIR_ENV) or ".")
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot use {str(out)!r} as the output directory: {exc}") from None
+    return out
 
 
 def _load_config(path: str, command: str, seed, workers) -> ExperimentConfig:
     try:
-        raw = json.loads(Path(path).read_text())
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     if isinstance(raw, dict):  # from_dict rejects any other JSON value
@@ -74,9 +84,8 @@ def main(argv=None) -> int:
                 print(path)
             return 0
         config = _load_config(args.config, args.command, args.seed, args.workers)
-        result = run(config)
         out = _out_dir(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+        result = run(config)
         result_path = out / f"{result.experiment}_{result.config_hash[:8]}.json"
         result.save(result_path)
         written = report([result], out)
@@ -86,9 +95,6 @@ def main(argv=None) -> int:
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except (FileNotFoundError, json.JSONDecodeError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
         return 2
     except (GausstubeError, ValueError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

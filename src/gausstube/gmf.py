@@ -43,6 +43,12 @@ from .series import gaussian_pdf, gaussian_tail, hermite_all
 #: Fewest samples :func:`gmf_surface_mc_levels` accepts (10^4).
 MIN_SURFACE_SAMPLES = 10_000
 
+#: Most samples one per-sample stage of :func:`gmf_surface_mc_levels` holds
+#: at a time.  A float row of a tile is 64 KiB, below glibc's 128 KiB mmap
+#: threshold, so the stages' temporaries are reused from the heap instead of
+#: being mapped and faulted in afresh for every array.
+TILE_SIZE = 8192
+
 #: Half-width of the kernel window in bandwidths: κ_ε is 0 where |F − u| > 8ε.
 KERNEL_CUT = 8.0
 
@@ -277,29 +283,21 @@ def gmf_surface_mc_levels(
     kappa_norm = 1.0 / (eps * math.sqrt(2.0 * math.pi))
 
     # A functional without a moment oracle falls back to a dense Hessian
-    # stack of chunk × k² floats; the cap keeps it at 32 MiB.  The moment
-    # route holds O(chunk·k) and is no slower in chunks of this size.
-    chunk = max(256, min(32768, (1 << 22) // max(k * k, 1)))
+    # stack of tile × k² floats; the cap keeps it at 32 MiB.
+    tile = max(256, min(TILE_SIZE, (1 << 22) // max(k * k, 1)))
 
-    def surface_weights(x: np.ndarray, idx: np.ndarray):
+    def surface_weights(x: np.ndarray):
         """‖∇F‖, the degenerate mask and the Jacobian coefficients c_0..c_{J−1},
-        coefficient-major (J, m), at the rows ``idx`` of x."""
-        m = idx.shape[0]
-        gn = np.empty(m)
-        degenerate = np.empty(m, dtype=bool)
-        coeffs = np.empty((order, m))
-        for start in range(0, m, chunk):
-            rows = slice(start, start + chunk)
-            xw = x[idx[rows]]
-            grads = func.grads(xw)
-            gn[rows] = grad_norms(grads)
-            if order >= 2:
-                coeffs[:, rows], degenerate[rows] = jacobian_coeffs(
-                    xw, grads, gn[rows], lambda v: func.moments(xw, v, order - 1), orientation
-                )
-            else:
-                degenerate[rows] = gn[rows] < DEFAULT_GRAD_FLOOR
-                coeffs[:, rows] = np.where(degenerate[rows], 0.0, 1.0)
+        coefficient-major (J, m), at the m rows of x."""
+        grads = func.grads(x)
+        gn = grad_norms(grads)
+        if order >= 2:
+            coeffs, degenerate = jacobian_coeffs(
+                x, grads, gn, lambda v: func.moments(x, v, order - 1), orientation
+            )
+        else:
+            degenerate = gn < DEFAULT_GRAD_FLOOR
+            coeffs = np.where(degenerate, 0.0, 1.0)[None, :]
         return gn, degenerate, coeffs
 
     def one_block(b: int):
@@ -307,33 +305,46 @@ def gmf_surface_mc_levels(
         w = (1{x ∈ region}, 0!·c_0·base, …, (J−1)!·c_{J−1}·base) with
         base = ‖∇F‖·κ_ε.  Past entry 0, w is zero outside the level's kernel
         window, so the sums run over the window rows only; the entries that
-        only the indicator reaches are the region's exact sample count."""
+        only the indicator reaches are the region's exact sample count.
+
+        The block is drawn whole, which keeps the sample stream, and every
+        per-sample stage runs on tiles of at most ``tile`` rows.  A row's w
+        depends on that row alone, and the window rows reach the sums in
+        block order, so the tiling cannot change the result."""
         gen = np.random.default_rng(children[b + 1])
         x = func.sample(gen, sizes[b])
-        fv = func.values(x)
-        t = [(fv - region.level) / eps for region in regions]
-        in_window = [np.abs(ti) <= KERNEL_CUT for ti in t]
-        union = np.nonzero(np.logical_or.reduce(in_window))[0]
-        if order >= 1 and union.size:
-            gn, degenerate, coeffs = surface_weights(x, union)
+        w_tiles = [[] for _ in regions]
+        n_inside = [0] * len(regions)
+        n_degenerate = [0] * len(regions)
+        for start in range(0, sizes[b], tile):
+            xt = x[start:start + tile]
+            fv = func.values(xt)
+            t = [(fv - region.level) / eps for region in regions]
+            in_window = [np.abs(ti) <= KERNEL_CUT for ti in t]
+            union = np.nonzero(np.logical_or.reduce(in_window))[0]
+            if order >= 1 and union.size:
+                gn, degenerate, coeffs = surface_weights(xt[union])
+            for i, (region, ti, window) in enumerate(zip(regions, t, in_window)):
+                inside = region.contains_values(fv)
+                n_inside[i] += np.count_nonzero(inside)
+                sel = window[union]  # this level's window rows among the union
+                idx = union[sel]
+                w = np.empty((order + 1, idx.shape[0]))
+                w[0] = inside[idx]
+                if order >= 1 and idx.size:
+                    kappa = kappa_norm * np.exp(-0.5 * ti[idx] ** 2)
+                    base = gn[sel] * kappa
+                    base[degenerate[sel]] = 0.0
+                    n_degenerate[i] += int(degenerate[sel].sum())
+                    w[1:] = coeffs[:, sel] * base * factorials[:order, None]
+                w_tiles[i].append(w)
         out = []
-        for region, ti, window in zip(regions, t, in_window):
-            inside = region.contains_values(fv)
-            sel = window[union]  # this level's window rows among the union
-            idx = union[sel]
-            w = np.empty((order + 1, idx.shape[0]))
-            w[0] = inside[idx]
-            n_degenerate = 0
-            if order >= 1 and idx.size:
-                kappa = kappa_norm * np.exp(-0.5 * ti[idx] ** 2)
-                base = gn[sel] * kappa
-                base[degenerate[sel]] = 0.0
-                n_degenerate = int(degenerate[sel].sum())
-                w[1:] = coeffs[:, sel] * base * factorials[:order, None]
+        for tiles, count, skipped in zip(w_tiles, n_inside, n_degenerate):
+            w = np.concatenate(tiles, axis=1)
             s1 = w.sum(axis=1)
             s2 = w @ w.T
-            s1[0] = s2[0, 0] = np.count_nonzero(inside)
-            out.append((s1, s2, idx.shape[0], n_degenerate))
+            s1[0] = s2[0, 0] = count
+            out.append((s1, s2, w.shape[1], skipped))
         return out
 
     results = run_blocks(one_block, len(sizes), workers)

@@ -284,7 +284,10 @@ class RunResult:
 
     @classmethod
     def load(cls, path) -> "RunResult":
-        data = json.loads(Path(path).read_text())
+        try:
+            data = json.loads(Path(path).read_text(encoding="utf-8"))
+        except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or not JSON
+            raise ConfigError(f"cannot read {path} as a saved RunResult: {exc}") from None
         missing = [k for k in _RESULT_FIELDS if not isinstance(data, dict) or k not in data]
         if missing:
             raise ConfigError(f"{path} is not a saved RunResult: missing keys {missing}")

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import gausstube.cli
 import gausstube.harness
 import gausstube.tube
 from gausstube.cli import _build_parser, main
@@ -261,6 +262,38 @@ class TestCli:
 
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["gmf", "--config", str(tmp_path / "nope.json")]) == 2
+
+    @pytest.mark.parametrize("command", ["gmf", "report"])
+    def test_out_naming_a_file_exits_2_before_running(self, tmp_path, capsys, monkeypatch, command):
+        def running(*args, **kwargs):
+            raise AssertionError("the experiment ran before the output directory was checked")
+
+        monkeypatch.setattr(gausstube.cli, "run", running)
+        taken = tmp_path / "taken"
+        taken.write_text("keep me")
+        if command == "gmf":
+            argv = ["gmf", "--config", write_config(tmp_path, GMF)]
+        else:
+            argv = ["report", write_config(tmp_path, SAVED_RESULT, name="result.json")]
+        assert main([*argv, "--out", str(taken)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "output directory" in err
+        assert taken.read_text() == "keep me"
+
+    @pytest.mark.parametrize("command", ["gmf", "report"])
+    @pytest.mark.parametrize("fault", ["not-utf8", "directory"])
+    def test_unreadable_input_exits_2(self, tmp_path, capsys, command, fault):
+        path = tmp_path / "input.json"
+        if fault == "not-utf8":
+            path.write_bytes(json.dumps(GMF if command == "gmf" else SAVED_RESULT)
+                             .replace("gmf", "gmf\xe9").encode("latin-1"))
+        else:
+            path.mkdir()
+        argv = ["gmf", "--config", str(path)] if command == "gmf" else ["report", str(path)]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "cannot read" in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("data", [[1, 2], "gmf"])
     @pytest.mark.parametrize("override", [["--seed", "3"], ["--workers", "2"]])

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from gausstube import _mc, gmf
 from gausstube.cylinder import CylFunctional, PotentialV
 from gausstube.errors import SurfaceDegeneracyError
 from gausstube.functionals import coordinate, norm, quadratic
@@ -329,23 +330,24 @@ GRAD_HOLES = SmoothFunctional(
 )
 
 
+# (functional, kind, levels, order) for the levels sampler's bit-exactness tests
+LEVEL_CASES = [
+    pytest.param(CylFunctional(64, PotentialV.preset("identity")).functional(), "excursion",
+                 [0.0, 0.5, 1.0], 1, id="F64-identity-J1"),
+    pytest.param(CylFunctional(16, PotentialV.preset("one")).functional(), "excursion",
+                 [-0.5, 0.3, 1.2], 2, id="F16-one-J2"),
+    pytest.param(CylFunctional(16, PotentialV.preset("sin")).functional(), "excursion",
+                 [0.0, 0.3, 0.9], 3, id="F16-sin-J3"),
+    pytest.param(norm(3), "sub-level", [1.5, 2.0, 2.6], 4, id="ball-J4"),
+    # no moment oracle: the dense-Hessian route
+    pytest.param(quadratic(np.diag([2.0, 1.0])), "sub-level", [0.5, 1.0, 1.5], 3,
+                 id="ellipse-J3"),
+]
+
+
 class TestLevelsSampler:
     @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize(
-        "func, kind, levels, order",
-        [
-            (CylFunctional(64, PotentialV.preset("identity")).functional(), "excursion",
-             [0.0, 0.5, 1.0], 1),
-            (CylFunctional(16, PotentialV.preset("one")).functional(), "excursion",
-             [-0.5, 0.3, 1.2], 2),
-            (CylFunctional(16, PotentialV.preset("sin")).functional(), "excursion",
-             [0.0, 0.3, 0.9], 3),
-            (norm(3), "sub-level", [1.5, 2.0, 2.6], 4),
-            # no moment oracle: the dense-Hessian route
-            (quadratic(np.diag([2.0, 1.0])), "sub-level", [0.5, 1.0, 1.5], 3),
-        ],
-        ids=["F64-identity-J1", "F16-one-J2", "F16-sin-J3", "ball-J4", "ellipse-J3"],
-    )
+    @pytest.mark.parametrize("func, kind, levels, order", LEVEL_CASES)
     def test_entry_matches_one_level_call(self, func, kind, levels, order, workers):
         # each level keeps the estimator, and the samples, of a call on it alone
         many = gmf_surface_mc_levels(func, kind, levels, order, 40_000, rng=139, workers=workers)
@@ -358,6 +360,31 @@ class TestLevelsSampler:
             assert np.array_equal(got.stderr, one.stderr), f"u={u}"
             assert np.array_equal(got.cov, one.cov), f"u={u}"
             assert got.meta == one.meta, f"u={u}"
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "func, kind, levels, order",
+        LEVEL_CASES + [
+            # k = 32: the dense-Hessian cap bounds a tile at 4096 rows
+            pytest.param(quadratic(np.eye(32)), "sub-level", [12.0, 16.0, 20.0], 2,
+                         id="quadratic32-J2"),
+        ],
+    )
+    def test_tile_size_does_not_move_results(
+        self, monkeypatch, func, kind, levels, order, workers
+    ):
+        # a ragged last tile (1000), the default tile, and one tile per block
+        runs = []
+        for tile in (1000, 8192, _mc.BLOCK_SIZE):
+            monkeypatch.setattr(gmf, "TILE_SIZE", tile)
+            runs.append(
+                gmf_surface_mc_levels(func, kind, levels, order, 40_000, rng=157, workers=workers)
+            )
+        for other in runs[1:]:
+            for u, a, b in zip(levels, runs[0], other):
+                assert np.array_equal(a.values, b.values), f"u={u}"
+                assert np.array_equal(a.cov, b.cov), f"u={u}"
+                assert a.meta == b.meta, f"u={u}"
 
     @pytest.mark.parametrize("order", [0, 1, 3])
     @pytest.mark.parametrize(
