@@ -10,13 +10,12 @@ numerical failures.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
 
 from .errors import ConfigError, GausstubeError
-from .harness import EXPERIMENTS, ExperimentConfig, RunResult, report, run
+from .harness import EXPERIMENTS, ExperimentConfig, RunResult, read_json, report, run
 
 #: Environment variable naming the default output directory.
 OUT_DIR_ENV = "GAUSSTUBE_OUT"
@@ -53,14 +52,7 @@ def _out_dir(arg) -> Path:
 
 
 def _load_config(path: str, command: str, seed, workers) -> ExperimentConfig:
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from None
+    raw = read_json(path, "a config")
     if isinstance(raw, dict):  # from_dict rejects any other JSON value
         if seed is not None:
             raw["seed"] = seed

@@ -36,7 +36,7 @@ tested against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -117,13 +117,6 @@ def check_time_grid(n: int) -> None:
         raise ValueError(f"time-grid size must lie in [2, {MAX_TIME_GRID}], got {n}")
 
 
-@lru_cache(maxsize=8)
-def _max_index_matrix(n: int) -> np.ndarray:
-    idx = np.maximum.outer(np.arange(n), np.arange(n))
-    idx.flags.writeable = False
-    return idx
-
-
 def _suffix_excl(a: np.ndarray) -> np.ndarray:
     """T[m] = Σ_{i>m} a[i] along the last axis."""
     c = np.cumsum(a[:, ::-1], axis=1)[:, ::-1]
@@ -180,7 +173,7 @@ class CylFunctional:
         y = np.asarray(y, dtype=float)
         n = self.n
         d1n, tail2 = self._hess_parts(y)
-        idx = _max_index_matrix(n)
+        idx = np.maximum.outer(np.arange(n), np.arange(n))
         h = d1n[:, idx] + tail2[:, idx]
         diag = np.arange(n)
         h[:, diag, diag] = tail2

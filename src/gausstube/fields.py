@@ -375,7 +375,7 @@ def check_reps(reps: int) -> None:
 
 
 def _replicate(space, cov, potential, u_levels, time_n, reps, rng, workers, statistic):
-    """(levels, reps) array of ``statistic(sample, u_levels)`` over independent fields.
+    """``(means, stderrs)`` per level of ``statistic(sample, u_levels)`` over independent fields.
 
     The resolution guard runs and the wave basis is built once, before any
     field is drawn; the worker threads share only that read-only basis.
@@ -384,8 +384,8 @@ def _replicate(space, cov, potential, u_levels, time_n, reps, rng, workers, stat
     and each replication draws from its own substream of ``rng``, so
     results are reproducible for any worker count and any block size.  All
     levels share the same field realizations, and each level is one
-    contiguous row, so a reduction along it is bit-identical to the same
-    reduction of a one-level call.
+    contiguous row, so its mean and standard error are bit-identical to a
+    one-level call's.
     """
     check_reps(reps)
     u_levels = check_levels(u_levels)
@@ -400,7 +400,8 @@ def _replicate(space, cov, potential, u_levels, time_n, reps, rng, workers, stat
         return statistic(simulate_field(space, basis, potential, time_n, seeds), u_levels)
 
     blocks = run_blocks(one_block, -(-reps // size), workers)
-    return np.concatenate(blocks, axis=1, dtype=float)
+    stats = np.concatenate(blocks, axis=1, dtype=float)
+    return stats.mean(axis=1), stats.std(axis=1, ddof=1) / np.sqrt(reps)
 
 
 def ec_mc_levels(
@@ -420,8 +421,7 @@ def ec_mc_levels(
     ``[u_levels[i]]`` with the same ``rng``.  A grid too coarse for the
     covariance (:func:`check_resolution`) raises before any field is drawn.
     """
-    chi = _replicate(space, cov, potential, u_levels, time_n, reps, rng, workers, euler_char)
-    return chi.mean(axis=1), chi.std(axis=1, ddof=1) / np.sqrt(reps)
+    return _replicate(space, cov, potential, u_levels, time_n, reps, rng, workers, euler_char)
 
 
 def _volume_fractions(sample: FieldSample, u_levels) -> np.ndarray:
@@ -448,11 +448,11 @@ def excursion_volumes_mc(
     ``[u_levels[i]]`` with the same ``rng``.  A grid too coarse for the
     covariance (:func:`check_resolution`) raises before any field is drawn.
     """
-    fractions = _replicate(
+    mean, stderr = _replicate(
         space, cov, potential, u_levels, time_n, reps, rng, workers, _volume_fractions
     )
     top = lkc(space, cov)[-1]
-    return top * fractions.mean(axis=1), top * (fractions.std(axis=1, ddof=1) / np.sqrt(reps))
+    return top * mean, top * stderr
 
 
 def unit_ball_volume(dim: int) -> float:

@@ -38,7 +38,7 @@ from .malliavin import (
     grad_norms,
     jacobian_coeffs,
 )
-from .series import gaussian_pdf, gaussian_tail, hermite_all
+from .series import exp_series, gaussian_pdf, gaussian_tail, hermite_all
 
 #: Fewest samples :func:`gmf_surface_mc_levels` accepts (10^4).
 MIN_SURFACE_SAMPLES = 10_000
@@ -48,6 +48,10 @@ MIN_SURFACE_SAMPLES = 10_000
 #: threshold, so the stages' temporaries are reused from the heap instead of
 #: being mapped and faulted in afresh for every array.
 TILE_SIZE = 8192
+
+#: Largest series order J: the tube series divides by J!, and 171! is
+#: beyond the range of a double.
+MAX_ORDER = 170
 
 #: Half-width of the kernel window in bandwidths: κ_ε is 0 where |F − u| > 8ε.
 KERNEL_CUT = 8.0
@@ -142,9 +146,9 @@ def _factorials(count: int) -> np.ndarray:
 
 
 def _check_order(order: int) -> None:
-    """Reject a negative series order J."""
-    if order < 0:
-        raise ValueError(f"order must be >= 0, got {order}")
+    """Reject a series order J outside [0, MAX_ORDER]."""
+    if not 0 <= order <= MAX_ORDER:
+        raise ValueError(f"order must be >= 0 and <= {MAX_ORDER}, got {order}")
 
 
 def gmf_halfspace(u: float, order: int) -> GmfVector:
@@ -178,10 +182,11 @@ def gmf_ball(radius: float, dim: int, order: int) -> GmfVector:
     """Functionals of the centered ball {‖x‖ ≤ R} in ℝᵏ.
 
     The tube of the ball is the ball of radius R+ρ, so
-    M_j = dʲ/dρʲ P(χ_k ≤ R+ρ)|₀: M₀ is the chi CDF at R and the higher
-    functionals are derivatives of the chi density.  Each derivative of
-    r^{k−1}e^{−r²/2} is p(r)·e^{−r²/2}, and the next one has polynomial
-    part p′ − r·p.
+    M_j = dʲ/dρʲ P(χ_k ≤ R+ρ)|₀: M₀ is the chi CDF at R and
+    M_{m+1} = f(R)·m!·[ρᵐ] exp(log f(R+ρ) − log f(R)) for the chi density
+    f, whose exponent (k−1)·log(1 + ρ/R) − Rρ − ρ²/2 is exponentiated by
+    :func:`exp_series`.  f(R) is taken in log space, so R^{k−1} never
+    overflows.
     """
     from scipy import special
 
@@ -193,12 +198,12 @@ def gmf_ball(radius: float, dim: int, order: int) -> GmfVector:
     values = np.empty(order + 1)
     values[0] = special.gammainc(dim / 2.0, radius**2 / 2.0)
     if order >= 1:
-        norm_const = 1.0 / (2.0 ** (dim / 2.0 - 1.0) * special.gamma(dim / 2.0))
-        weight = norm_const * math.exp(-(radius**2) / 2.0)
-        p = np.eye(dim)[-1]  # coefficients of r^{k−1}, lowest degree first
-        for m in range(order):
-            values[m + 1] = weight * float(np.polyval(p[::-1], radius))
-            p = np.append(p[1:] * np.arange(1, p.size), [0.0, 0.0]) - np.append(0.0, p)
+        log_f = (dim - 1) * math.log(radius) - radius**2 / 2.0
+        log_f -= (dim / 2.0 - 1.0) * math.log(2.0) + special.gammaln(dim / 2.0)
+        m = np.arange(order)  # row 0 of the exponent is ignored
+        expo = (dim - 1) * (-1.0) ** (m + 1) / (np.maximum(m, 1) * radius**m)
+        expo -= (m == 1) * radius + (m == 2) * 0.5
+        values[1:] = math.exp(log_f) * _factorials(order) * exp_series(expo[:, None])[:, 0]
     return GmfVector(values)
 
 
@@ -283,8 +288,8 @@ def gmf_surface_mc_levels(
     kappa_norm = 1.0 / (eps * math.sqrt(2.0 * math.pi))
 
     # A functional without a moment oracle falls back to a dense Hessian
-    # stack of tile × k² floats; the cap keeps it at 32 MiB.
-    tile = max(256, min(TILE_SIZE, (1 << 22) // max(k * k, 1)))
+    # stack of tile × k² floats; the cap keeps it at 32 MiB for k ≤ 2048.
+    tile = max(1, min(TILE_SIZE, (1 << 22) // (k * k)))
 
     def surface_weights(x: np.ndarray):
         """‖∇F‖, the degenerate mask and the Jacobian coefficients c_0..c_{J−1},
@@ -333,10 +338,8 @@ def gmf_surface_mc_levels(
                 w[0] = inside[idx]
                 if order >= 1 and idx.size:
                     kappa = kappa_norm * np.exp(-0.5 * ti[idx] ** 2)
-                    base = gn[sel] * kappa
-                    base[degenerate[sel]] = 0.0
                     n_degenerate[i] += int(degenerate[sel].sum())
-                    w[1:] = coeffs[:, sel] * base * factorials[:order, None]
+                    w[1:] = coeffs[:, sel] * (gn[sel] * kappa) * factorials[:order, None]
                 w_tiles[i].append(w)
         out = []
         for tiles, count, skipped in zip(w_tiles, n_inside, n_degenerate):

@@ -42,6 +42,7 @@ from .fields import (
     lkc,
 )
 from .gmf import (
+    MAX_ORDER,
     MIN_SURFACE_SAMPLES,
     gmf_ball,
     gmf_halfspace,
@@ -157,7 +158,7 @@ _NUMBER = (_is_number, "a finite number")
 _KEYS = {
     "seed": _NON_NEGATIVE,
     "workers": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
-    "J": _NON_NEGATIVE,
+    "J": (lambda v: _is_int(v) and 0 <= v <= MAX_ORDER, f"an integer in [0, {MAX_ORDER}]"),
     "N": _INT,
     "n": _INT,
     "reps": _INT,
@@ -239,6 +240,15 @@ class ExperimentConfig:
         return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
+def read_json(path, what: str):
+    """The JSON value in the file at ``path``; a file that is missing,
+    unreadable, not UTF-8 or not JSON is a ConfigError naming ``what``."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read {path} as {what}: {exc}") from None
+
+
 # What each field of a saved RunResult holds, with the test and what it asks for.
 _RESULT_FIELDS = {
     "config_hash": (lambda v: isinstance(v, str), "a string"),
@@ -284,10 +294,7 @@ class RunResult:
 
     @classmethod
     def load(cls, path) -> "RunResult":
-        try:
-            data = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or not JSON
-            raise ConfigError(f"cannot read {path} as a saved RunResult: {exc}") from None
+        data = read_json(path, "a saved RunResult")
         missing = [k for k in _RESULT_FIELDS if not isinstance(data, dict) or k not in data]
         if missing:
             raise ConfigError(f"{path} is not a saved RunResult: missing keys {missing}")

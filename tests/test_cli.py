@@ -179,6 +179,9 @@ class TestCli:
             ("converge", {"J": -1}),
             ("tube", {"J": -1}),
             ("gmf", {"J": -2}),
+            # an order whose factorial is beyond the float range
+            ("tube", {"J": 171}),
+            ("gkf", {"J": 172}),
             ("converge", {"n_grid": [8, 4]}),
             ("converge", {"n_grid": [8, 8]}),
             ("tube", {"rho_grid": [0.1, -0.2]}),
@@ -260,9 +263,6 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["[]", "[]"]
 
-    def test_missing_config_exits_2(self, tmp_path):
-        assert main(["gmf", "--config", str(tmp_path / "nope.json")]) == 2
-
     @pytest.mark.parametrize("command", ["gmf", "report"])
     def test_out_naming_a_file_exits_2_before_running(self, tmp_path, capsys, monkeypatch, command):
         def running(*args, **kwargs):
@@ -281,13 +281,15 @@ class TestCli:
         assert taken.read_text() == "keep me"
 
     @pytest.mark.parametrize("command", ["gmf", "report"])
-    @pytest.mark.parametrize("fault", ["not-utf8", "directory"])
+    @pytest.mark.parametrize("fault", ["missing", "not-json", "not-utf8", "directory"])
     def test_unreadable_input_exits_2(self, tmp_path, capsys, command, fault):
         path = tmp_path / "input.json"
-        if fault == "not-utf8":
-            path.write_bytes(json.dumps(GMF if command == "gmf" else SAVED_RESULT)
-                             .replace("gmf", "gmf\xe9").encode("latin-1"))
-        else:
+        text = json.dumps(GMF if command == "gmf" else SAVED_RESULT)
+        if fault == "not-json":
+            path.write_text(text[:-1])
+        elif fault == "not-utf8":
+            path.write_bytes(text.replace("gmf", "gmf\xe9").encode("latin-1"))
+        elif fault == "directory":
             path.mkdir()
         argv = ["gmf", "--config", str(path)] if command == "gmf" else ["report", str(path)]
         assert main([*argv, "--out", str(tmp_path / "out")]) == 2

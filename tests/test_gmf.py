@@ -97,6 +97,36 @@ class TestClosedForms:
         with pytest.raises(ValueError):
             gmf_ball(1.0, 0, 2)
 
+    @pytest.mark.parametrize("k", [257, 400, 1000])
+    def test_ball_large_dim(self, k):
+        # R^{k-1} overflows a double from k = 257 at R = sqrt(k); the density
+        # must come out finite and equal to the chi density
+        from scipy import stats
+
+        r = math.sqrt(k)
+        g = gmf_ball(r, k, 4)
+        assert np.all(np.isfinite(g.values))
+        assert g.values[1] == pytest.approx(stats.chi(k).pdf(r), rel=1e-12)
+        assert g.values[2] == pytest.approx(((k - 1) / r - r) * g.values[1], rel=1e-12)
+
+    def test_order_beyond_factorial_range_rejected(self):
+        # 171! is beyond the float range: order 170 is the largest with a finite
+        # tube series, and every closed form and the estimator reject 171
+        assert np.isfinite(assemble_tube_series(gmf_halfspace(0.5, gmf.MAX_ORDER), 0.1))
+
+        def not_reached(gen, size):
+            raise AssertionError("sampled before the order check")
+
+        func = dataclasses.replace(coordinate(2), draw=not_reached)
+        for build in (
+            lambda: gmf_halfspace(0.5, 171),
+            lambda: gmf_two_sided(1.0, 171),
+            lambda: gmf_ball(1.0, 2, 171),
+            lambda: gmf_surface_mc(RegionSpec(func, 0.5, "excursion"), 171, 10_000),
+        ):
+            with pytest.raises(ValueError, match="<= 170"):
+                build()
+
     @pytest.mark.parametrize("order", [-1, -2])
     def test_negative_order_rejected(self, order):
         for build in (
@@ -385,6 +415,22 @@ class TestLevelsSampler:
                 assert np.array_equal(a.values, b.values), f"u={u}"
                 assert np.array_equal(a.cov, b.cov), f"u={u}"
                 assert a.meta == b.meta, f"u={u}"
+
+    def test_dense_hessian_tile_stays_within_cap(self):
+        # the 32 MiB cap allows 2**22 // 150**2 = 186 rows of a k = 150 Hessian
+        # stack per call; eps = 1e3 puts every sample in the kernel window
+        k = 150
+        base = coordinate(k)
+        rows = []
+
+        def hessians(x):
+            rows.append(x.shape[0])
+            return base.hessians(x)
+
+        func = dataclasses.replace(base, hessians=hessians)
+        gmf_surface_mc_levels(func, "excursion", [0.0], 2, 10_000, eps=1e3, rng=1)
+        assert sum(rows) == 10_000
+        assert max(rows) <= (1 << 22) // k**2
 
     @pytest.mark.parametrize("order", [0, 1, 3])
     @pytest.mark.parametrize(
