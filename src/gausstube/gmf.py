@@ -182,11 +182,14 @@ def gmf_ball(radius: float, dim: int, order: int) -> GmfVector:
     """Functionals of the centered ball {‖x‖ ≤ R} in ℝᵏ.
 
     The tube of the ball is the ball of radius R+ρ, so
-    M_j = dʲ/dρʲ P(χ_k ≤ R+ρ)|₀: M₀ is the chi CDF at R and
-    M_{m+1} = f(R)·m!·[ρᵐ] exp(log f(R+ρ) − log f(R)) for the chi density
-    f, whose exponent (k−1)·log(1 + ρ/R) − Rρ − ρ²/2 is exponentiated by
-    :func:`exp_series`.  f(R) is taken in log space, so R^{k−1} never
-    overflows.
+    M_j = dʲ/dρʲ P(χ_k ≤ R+ρ)|₀: M₀ is the chi CDF at R and M_{m+1} is the
+    m-th derivative of the chi density f, whose value at R is taken in log
+    space.  M_{m+1}/f(R) comes from whichever of two recursions has the
+    smaller rounding estimate: the ladder p → p′ − r·p of the polynomial
+    parts of the derivatives of r^{k−1}e^{−r²/2}, as terms p_i·R^{i−k+1},
+    which cancel at large R (estimate: the ladder on absolute values); and
+    m!·[ρᵐ] exp((k−1)·log(1 + ρ/R) − Rρ − ρ²/2) by :func:`exp_series`, whose
+    exponent's coefficients grow like R^{−m} (estimate: one step's rounding).
     """
     from scipy import special
 
@@ -198,12 +201,30 @@ def gmf_ball(radius: float, dim: int, order: int) -> GmfVector:
     values = np.empty(order + 1)
     values[0] = special.gammainc(dim / 2.0, radius**2 / 2.0)
     if order >= 1:
-        log_f = (dim - 1) * math.log(radius) - radius**2 / 2.0
-        log_f -= (dim / 2.0 - 1.0) * math.log(2.0) + special.gammaln(dim / 2.0)
-        m = np.arange(order)  # row 0 of the exponent is ignored
-        expo = (dim - 1) * (-1.0) ** (m + 1) / (np.maximum(m, 1) * radius**m)
-        expo -= (m == 1) * radius + (m == 2) * 0.5
-        values[1:] = math.exp(log_f) * _factorials(order) * exp_series(expo[:, None])[:, 0]
+        # f(R) = R^{k−1}·e^{−R²/2} / (2^{k/2−1}·Γ(k/2)), as log₂
+        log_g = (dim - 1) * math.log(radius) - radius**2 / 2.0 - special.gammaln(dim / 2.0)
+        log2_f = log_g / math.log(2.0) - dim / 2.0 + 1.0
+        q = np.zeros((2, dim + order))  # terms scaled by 2^−shift; row 1 on |·|
+        q[:, dim - 1] = 1.0
+        degree, pad = np.arange(1, dim + order), np.zeros((2, 1))
+        up = np.array([[-radius], [radius]])  # the −r·p part of the ladder, and its |·|
+        ladder, shift = np.empty((2, order)), np.zeros(order, dtype=int)
+        for m in range(order):
+            top = math.frexp(q[1].max())[1]  # exact rescaling keeps every term in range
+            q, shift[m:] = np.ldexp(q, -top), shift[m] + top
+            ladder[:, m] = q.sum(axis=1)
+            rise = np.concatenate((pad, q[:, :-1] * up), 1)
+            q = np.concatenate((q[:, 1:] * degree / radius, pad), 1) + rise
+        m = np.arange(order)  # entry 0 of the exponent is ignored
+        with np.errstate(all="ignore"):  # Rᵐ underflows at tiny R and high J
+            expo = (dim - 1) * (-1.0) ** (m + 1) / (np.maximum(m, 1) * radius**m)
+            expo -= (m == 1) * radius + (m == 2) * 0.5
+            e = exp_series(expo[:, None])[:, 0]
+            rounding = np.convolve(m * np.abs(expo), np.abs(e))[:order] / np.maximum(m, 1)
+            factorials = _factorials(order)
+            use = rounding * factorials < np.ldexp(ladder[1], shift)
+            best = np.where(use, e * factorials, ladder[0]) * 2.0 ** (log2_f % 1.0)
+            values[1:] = np.ldexp(best, math.floor(log2_f) + np.where(use, 0, shift))
     return GmfVector(values)
 
 
@@ -289,7 +310,9 @@ def gmf_surface_mc_levels(
 
     # A functional without a moment oracle falls back to a dense Hessian
     # stack of tile × k² floats; the cap keeps it at 32 MiB for k ≤ 2048.
-    tile = max(1, min(TILE_SIZE, (1 << 22) // (k * k)))
+    # With an oracle a tile holds only (tile, k) arrays, and never < 256 rows.
+    floor = 1 if func.moments_batch is None else 256
+    tile = max(floor, min(TILE_SIZE, (1 << 22) // (k * k)))
 
     def surface_weights(x: np.ndarray):
         """‖∇F‖, the degenerate mask and the Jacobian coefficients c_0..c_{J−1},

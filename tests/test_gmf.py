@@ -109,6 +109,26 @@ class TestClosedForms:
         assert g.values[1] == pytest.approx(stats.chi(k).pdf(r), rel=1e-12)
         assert g.values[2] == pytest.approx(((k - 1) / r - r) * g.values[1], rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "radius, k, order, tail",
+        [
+            # small R: the log-density's coefficients grow like R^{-m}
+            (0.3, 2, 8, [4.0461924220348669, 10.58362919795091, -27.452243291594474,
+                         -65.849731398178025]),
+            (0.5, 3, 20, [13470110.212769053, 84077248.471215537, -299319373.71864786,
+                          -1542608749.3223641]),
+            # large R: the derivative ladder's terms cancel
+            (6.0, 20, 20, [-17912093.145428902, 84672947.671420425, 156854963.19073813,
+                           -3049696651.0335671]),
+            (math.sqrt(1000), 1000, 20, [275618266.73193823, -560064174.83252352,
+                                         -9181997249.4039705, 23012115649.579735]),
+        ],
+    )
+    def test_ball_high_order_reference(self, radius, k, order, tail):
+        # M_{J-3}..M_J from the convolution of (R+rho)^{k-1} with the Hermite
+        # series of e^{-(R+rho)^2/2}, at 400 digits (mpmath)
+        assert gmf_ball(radius, k, order).values[-4:] == pytest.approx(tail, rel=1e-12)
+
     def test_order_beyond_factorial_range_rejected(self):
         # 171! is beyond the float range: order 170 is the largest with a finite
         # tube series, and every closed form and the estimator reject 171
@@ -431,6 +451,21 @@ class TestLevelsSampler:
         gmf_surface_mc_levels(func, "excursion", [0.0], 2, 10_000, eps=1e3, rng=1)
         assert sum(rows) == 10_000
         assert max(rows) <= (1 << 22) // k**2
+
+    def test_moment_oracle_tile_keeps_256_rows(self):
+        # a functional with a moment oracle builds no Hessian stack, so the
+        # dense cap does not shrink its tiles below 256 rows at n = 150
+        base = CylFunctional(150, PotentialV.preset("sin")).functional()
+        rows = []
+
+        def moments_batch(x, v, order):
+            rows.append(x.shape[0])
+            return base.moments_batch(x, v, order)
+
+        func = dataclasses.replace(base, moments_batch=moments_batch)
+        gmf_surface_mc_levels(func, "excursion", [0.0], 2, 10_000, eps=1e3, rng=1)
+        assert sum(rows) == 10_000
+        assert max(rows) == 256
 
     @pytest.mark.parametrize("order", [0, 1, 3])
     @pytest.mark.parametrize(
