@@ -12,6 +12,9 @@ paths W_k and an orthogonal cos/sin basis e_k(x) scaled so that
 
     B^x(t) = Σ_k W_k(t) e_k(x).
 
+Each wave e^{i⟨ω_k, x⟩} = Π_a e^{i ω_{k,a} x_a} is built from its per-axis
+factors on the product grid, with no array of grid points.
+
 The Itô integral is evaluated by the same left-point sum as the
 cylindrical functional F_n, so the simulated field and the functional-space
 side of the kinematic formula share one time discretization.
@@ -101,11 +104,6 @@ class ParamSpace:
             return np.arange(self.grid) * (length / self.grid)
         return np.linspace(0.0, length, self.grid)
 
-    def points(self) -> np.ndarray:
-        """All grid points as a (G, dim) array (row-major over the grid)."""
-        axes = np.meshgrid(*map(self.axis_points, range(self.dim)), indexing="ij")
-        return np.column_stack([axis.ravel() for axis in axes])
-
     @property
     def spacing(self) -> float:
         denom = self.grid if self.wraps else self.grid - 1
@@ -191,16 +189,25 @@ class SpatialCov:
     def dim(self) -> int:
         return self.frequencies.shape[1]
 
-    def basis(self, points: np.ndarray) -> np.ndarray:
-        """Orthogonal wave basis e(x), wave-major: shape (2K, G), one
-        contiguous row per wave, with Σ_k e_k(x)e_k(y) = C(x,y).
+    def basis(self, space: ParamSpace) -> np.ndarray:
+        """Orthogonal wave basis e(x) on the grid of ``space``, wave-major: shape
+        (2K, G), one contiguous row per wave, with Σ_k e_k(x)e_k(y) = C(x,y).
 
-        The replication loops build it once per field set, after
-        :func:`check_resolution`, and share it read-only.
+        Row k is the real part and row K + k the imaginary part of
+        w_k·Π_a e^{i ω_{k,a} x_a}, the outer product of per-axis factors.
+        Each factor is numpy's cos and sin of ω_{k,a}·x_a, so a wave with one
+        non-zero frequency component (any 1-D wave, the torus pair) is
+        w_k·cos⟨ω_k, x⟩ and w_k·sin⟨ω_k, x⟩ bit for bit.  The replication
+        loops build it once per field set, after :func:`check_resolution`,
+        and share it read-only.
         """
-        phase = np.asarray(points, dtype=float) @ self.frequencies.T
-        waves = np.concatenate([self.weights * np.cos(phase), self.weights * np.sin(phase)], axis=1)
-        return np.ascontiguousarray(waves.T)
+        axes = [space.axis_points(a) for a in range(space.dim)]
+        waves = np.empty((2, self.weights.size) + space.grid_shape)
+        for k, (wave, omega) in enumerate(zip(self.weights, self.frequencies)):
+            for o, x in zip(omega, axes):
+                wave = np.multiply.outer(wave, np.cos(o * x) + 1j * np.sin(o * x))
+            waves[0, k], waves[1, k] = wave.real, wave.imag
+        return waves.reshape(2 * self.weights.size, -1)
 
     def compatible_with(self, space: ParamSpace) -> None:
         """Reject frequencies that break periodicity on wrapped spaces."""
@@ -259,8 +266,8 @@ def simulate_field(
     """Draw a block of fields f(x) = Σᵢ V(B^x(tᵢ))·(B^x(tᵢ₊₁) − B^x(tᵢ)), one per seed.
 
     The Brownian motions B^x are generated on the shared uniform time grid
-    through ``basis``, the wave-major (2K, G) :meth:`SpatialCov.basis` on the
-    grid's points.  Row r of the block draws its (time_n, 2K) Gaussian
+    through ``basis``, the wave-major (2K, G) :meth:`SpatialCov.basis` of the
+    grid.  Row r of the block draws its (time_n, 2K) Gaussian
     increments, of variance 1/time_n, from ``seeds[r]`` alone.  Every
     product is a stacked matmul over the block, one BLAS call per row with
     the same shapes whatever R is, so row r is bit-identical to a call with
@@ -377,8 +384,9 @@ def check_reps(reps: int) -> None:
 def _replicate(space, cov, potential, u_levels, time_n, reps, rng, workers, statistic):
     """``(means, stderrs)`` per level of ``statistic(sample, u_levels)`` over independent fields.
 
-    The resolution guard runs and the wave basis is built once, before any
-    field is drawn; the worker threads share only that read-only basis.
+    The resolution guard runs and the wave basis is built once, from the
+    grid's per-axis factors (:meth:`SpatialCov.basis`), before any field is
+    drawn; the worker threads share only that read-only basis.
     Replications run in fixed blocks of ``max(1, BLOCK_SIZE // G)``, one
     :func:`simulate_field` stack and one (levels, R) statistic per block,
     and each replication draws from its own substream of ``rng``, so
@@ -390,7 +398,7 @@ def _replicate(space, cov, potential, u_levels, time_n, reps, rng, workers, stat
     check_reps(reps)
     u_levels = check_levels(u_levels)
     check_resolution(space, cov)
-    basis = cov.basis(space.points())
+    basis = cov.basis(space)
     basis.flags.writeable = False
     children = as_seed_sequence(rng).spawn(reps)
     size = max(1, _mc.BLOCK_SIZE // basis.shape[1])

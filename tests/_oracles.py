@@ -62,14 +62,23 @@ def lambda2_fd(cov, step=1e-4):
     return out
 
 
-def grid_basis(space, cov):
-    """The wave-major (2K, G) basis of ``cov`` on the grid of ``space``, for ``simulate_field``."""
-    return cov.basis(space.points())
+def grid_points(space):
+    """All grid points of ``space`` as a (G, dim) array (row-major over the grid)."""
+    axes = np.meshgrid(*map(space.axis_points, range(space.dim)), indexing="ij")
+    return np.column_stack([axis.ravel() for axis in axes])
+
+
+def dense_basis(space, cov):
+    """The (2K, G) wave basis of ``cov`` by the phase route: the (G, K) phases
+    ⟨ω_k, x⟩ of every grid point, then w_k·cos and w_k·sin of each."""
+    phase = grid_points(space) @ cov.frequencies.T
+    waves = np.concatenate([cov.weights * np.cos(phase), cov.weights * np.sin(phase)], axis=1)
+    return np.ascontiguousarray(waves.T)
 
 
 def _wave_increments(space, cov, time_n, seed):
     """The wave basis and the (time_n, 2K) increments ``simulate_field`` draws from ``seed``."""
-    basis = grid_basis(space, cov)
+    basis = cov.basis(space)
     gen = np.random.default_rng(as_seed_sequence(seed))
     return basis, gen.standard_normal((time_n, basis.shape[0])) / np.sqrt(time_n)
 

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,8 +28,9 @@ from gausstube.gmf import gmf_surface_mc
 from gausstube.series import gaussian_pdf, gaussian_tail
 
 from _oracles import (
+    dense_basis,
     driving_paths,
-    grid_basis,
+    grid_points,
     ito_loop_field,
     lambda2_fd,
     load_field,
@@ -41,6 +43,8 @@ DIMS = {"interval": 1, "circle": 1, "torus": 2}
 ONE = PotentialV.preset("one")
 IDENTITY = PotentialV.preset("identity")
 AFFINE = PotentialV.polynomial("affine", (0.3, 2.0))  # a degree-1 potential that is no preset
+# plane waves off the axes, isotropic at second order and periodic on 2π-multiple tori
+OBLIQUE = SpatialCov.wave_sum([[1, 1], [1, -1], [2, 1], [1, 2], [2, -1], [1, -2]])
 
 
 AFFINE_CASES = [
@@ -62,13 +66,13 @@ class TestParamSpace:
 
     def test_interval_endpoints(self):
         s = ParamSpace.interval(10.0, 101)
-        pts = s.points()
+        pts = grid_points(s)
         assert pts[0, 0] == 0.0 and pts[-1, 0] == 10.0
         assert s.spacing == pytest.approx(0.1)
 
     def test_circle_wraps_without_duplicate(self):
         s = ParamSpace.circle(2 * np.pi, 8)
-        pts = s.points()[:, 0]
+        pts = grid_points(s)[:, 0]
         assert pts[0] == 0.0
         assert pts[-1] < 2 * np.pi
 
@@ -135,6 +139,60 @@ class TestSpatialCov:
         target = np.exp(-cov.lambda2 * 0.49 / 2)
         assert wave_cov(cov, h, np.array([[0.0]])) == pytest.approx(target, abs=0.05)
 
+    @pytest.mark.parametrize(
+        "space, cov",
+        [
+            (ParamSpace.interval(10.0, 400), SpatialCov.cosine(1.0)),
+            (ParamSpace.interval(10.0, 400), SpatialCov.squared_exponential(1.0, rng=5)),
+            (ParamSpace.circle(2 * np.pi, 400), SpatialCov.cosine(3.0)),
+            (ParamSpace.circle(2 * np.pi, 400), SpatialCov.squared_exponential(2.0, rng=7)),
+            (ParamSpace.torus(2 * np.pi, 2 * np.pi, 400), SpatialCov.torus_pair(2.0)),
+            (ParamSpace.torus(4 * np.pi, 2 * np.pi, 50), SpatialCov.torus_pair(1.0)),
+        ],
+        ids=[
+            "interval-cosine",
+            "interval-sqexp",
+            "circle-cosine",
+            "circle-sqexp",
+            "torus-pair",
+            "torus-pair-oblong",
+        ],
+    )
+    def test_basis_matches_phase_route_bit_for_bit(self, space, cov):
+        # one non-zero frequency component per wave: the per-axis product
+        # multiplies by exact ones and zeros, so no bit moves
+        basis = cov.basis(space)
+        assert basis.shape == (2 * cov.weights.size, space.grid**space.dim)
+        assert np.array_equal(basis, dense_basis(space, cov))
+
+    def test_oblique_waves_match_phase_route(self):
+        # ⟨ω, x⟩ summed over two non-zero components rounds differently from
+        # the product of the per-axis factors, by a few ulps of a unit value
+        space = ParamSpace.torus(2 * np.pi, 2 * np.pi, 96)
+        basis = OBLIQUE.basis(space)
+        assert np.max(np.abs(basis - dense_basis(space, OBLIQUE))) <= 1e-14
+
+    def test_basis_reproduces_covariance(self):
+        # Σ_k e_k(x)e_k(y) = C(x, y) at random pairs of torus grid points
+        space = ParamSpace.torus(2 * np.pi, 4 * np.pi, 64)
+        basis, pts = OBLIQUE.basis(space), grid_points(space)
+        i, j = np.random.default_rng(41).integers(0, pts.shape[0], (2, 200))
+        products = np.einsum("kb,kb->b", basis[:, i], basis[:, j])
+        assert np.max(np.abs(products - wave_cov(OBLIQUE, pts[i], pts[j]))) <= 1e-14
+
+    def test_basis_peak_memory(self):
+        # the waves are written into the result as they are built: no (G, ·)
+        # grid-point or phase array, only one wave's complex product besides
+        space = ParamSpace.torus(2 * np.pi, 2 * np.pi, 400)
+        cov = SpatialCov.torus_pair(2.0)
+        tracemalloc.start()
+        try:
+            basis = cov.basis(space)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * basis.nbytes
+
     def test_periodicity_validation(self):
         cov = SpatialCov.cosine(1.1)
         with pytest.raises(ValueError, match="periodic"):
@@ -146,7 +204,7 @@ class TestSimulateField:
     def test_deterministic(self):
         space = ParamSpace.interval(5.0, 64)
         cov = SpatialCov.cosine(1.0)
-        basis = grid_basis(space, cov)
+        basis = cov.basis(space)
         a = simulate_field(space, basis, IDENTITY, 16, [11])
         b = simulate_field(space, basis, IDENTITY, 16, [11])
         assert np.array_equal(a.f_values, b.f_values)
@@ -155,7 +213,7 @@ class TestSimulateField:
         # V = 1 telescopes: f(x) = B^x(1) = W(1)·e(x) exactly
         space = ParamSpace.interval(5.0, 32)
         cov = SpatialCov.cosine(1.0)
-        basis = grid_basis(space, cov)
+        basis = cov.basis(space)
         s = simulate_field(space, basis, ONE, 8, [13])
         w1 = driving_paths(space, cov, 8, 13)[-1]
         assert np.allclose(s.f_values[0], w1 @ basis, atol=1e-12)
@@ -166,9 +224,9 @@ class TestSimulateField:
         cov = SpatialCov.cosine(1.0)
         reps = 10_000
         seeds = [(17, i) for i in range(reps)]
-        vals = simulate_field(space, grid_basis(space, cov), ONE, 4, seeds).f_values
+        vals = simulate_field(space, cov.basis(space), ONE, 4, seeds).f_values
         rng = np.random.default_rng(19)
-        pts = space.points()
+        pts = grid_points(space)
         for _ in range(10):
             i, j = rng.integers(0, 40, 2)
             products = vals[:, i] * vals[:, j]
@@ -181,7 +239,7 @@ class TestSimulateField:
         space = ParamSpace.interval(4.0, 64)
         cov = SpatialCov.cosine(1.0)
         reps = 4000
-        x_basis = cov.basis(space.points()[3:4])[:, 0]
+        x_basis = cov.basis(space)[:, 3]
         samples = {0.25: [], 0.5: [], 1.0: []}
         for i in range(reps):
             paths = driving_paths(space, cov, 8, (23, i))
@@ -201,8 +259,8 @@ class TestSimulateField:
         built = []
         original = SpatialCov.basis
 
-        def counting(self, points):
-            built.append(original(self, points))
+        def counting(self, space):
+            built.append(original(self, space))
             return built[-1]
 
         monkeypatch.setattr(SpatialCov, "basis", counting)
@@ -237,11 +295,11 @@ class TestSimulateField:
     def test_time_grid_guard(self):
         space = ParamSpace.interval(5.0, 64)
         with pytest.raises(ValueError, match="time_n"):
-            simulate_field(space, grid_basis(space, SpatialCov.cosine(1.0)), ONE, 1, [1])
+            simulate_field(space, SpatialCov.cosine(1.0).basis(space), ONE, 1, [1])
 
     def test_field_values_finite_invariant(self):
         space = ParamSpace.circle(2 * np.pi, 128)
-        s = simulate_field(space, grid_basis(space, SpatialCov.cosine(2.0)), IDENTITY, 8, [29])
+        s = simulate_field(space, SpatialCov.cosine(2.0).basis(space), IDENTITY, 8, [29])
         assert np.all(np.isfinite(s.f_values))
 
     @pytest.mark.parametrize("name", ["one", "identity", "sin", "cubic"])
@@ -250,7 +308,7 @@ class TestSimulateField:
         # each row draws from its own seed alone, and every block product sums
         # an entry in the same order whatever the block size
         potential = PotentialV.preset(name)
-        basis = grid_basis(space, cov)
+        basis = cov.basis(space)
         seeds = [np.random.SeedSequence((127, i)) for i in range(5)]
         block = simulate_field(space, basis, potential, 8, seeds)
         assert block.f_values.shape == (5,) + space.grid_shape
@@ -290,7 +348,7 @@ class TestAffineClosedForm:
     )
     @pytest.mark.parametrize("space,cov", AFFINE_CASES, ids=["interval", "circle", "torus"])
     def test_matches_time_loop(self, space, cov, potential):
-        basis = grid_basis(space, cov)
+        basis = cov.basis(space)
         closed = simulate_field(space, basis, potential, 16, [101])
         loop = simulate_field(space, basis, dataclasses.replace(potential, coeffs=None), 16, [101])
         scale = np.max(np.abs(loop.f_values))
@@ -302,7 +360,7 @@ class TestAffineClosedForm:
     def test_torus_workload_never_evaluates_v(self, potential):
         space = ParamSpace.torus(2 * np.pi, 2 * np.pi, 400)
         cov = SpatialCov.torus_pair(2.0)
-        closed = simulate_field(space, grid_basis(space, cov), _no_value(potential), 16, [103])
+        closed = simulate_field(space, cov.basis(space), _no_value(potential), 16, [103])
         loop = ito_loop_field(space, cov, potential, 16, 103)
         scale = np.max(np.abs(loop))
         assert np.max(np.abs(closed.f_values.ravel() - loop)) <= 1e-12 * scale
@@ -311,7 +369,7 @@ class TestAffineClosedForm:
         # 2K = 128 waves against a time grid of 64 steps: still the closed form
         space = ParamSpace.interval(10.0, 400)
         cov = SpatialCov.squared_exponential(1.0, n_waves=64, rng=5)
-        basis = grid_basis(space, cov)
+        basis = cov.basis(space)
         closed = simulate_field(space, basis, _no_value(IDENTITY), 64, [107])
         loop = simulate_field(space, basis, dataclasses.replace(IDENTITY, coeffs=None), 64, [107])
         scale = np.max(np.abs(loop.f_values))
@@ -321,7 +379,7 @@ class TestAffineClosedForm:
     @pytest.mark.parametrize("space,cov", AFFINE_CASES, ids=["interval", "circle", "torus"])
     def test_non_affine_keeps_time_loop(self, space, cov, name):
         potential = PotentialV.preset(name)
-        sample = simulate_field(space, grid_basis(space, cov), potential, 16, [109])
+        sample = simulate_field(space, cov.basis(space), potential, 16, [109])
         loop = ito_loop_field(space, cov, potential, 16, 109)
         assert np.array_equal(sample.f_values.ravel(), loop)
 
@@ -339,7 +397,7 @@ class TestFieldExport:
     def test_round_trip(self, tmp_path):
         space = ParamSpace.torus(2 * np.pi, 2 * np.pi, 32)
         cov = SpatialCov.torus_pair(1.0)
-        s = simulate_field(space, grid_basis(space, cov), IDENTITY, 8, [31, 37])
+        s = simulate_field(space, cov.basis(space), IDENTITY, 8, [31, 37])
         path = tmp_path / "sample.gtfs"
         save_field(s, path, u_levels=[0.5, 1.0])
         loaded, header = load_field(path)
@@ -633,7 +691,7 @@ class TestCroftonBoundaryLength:
         cov = SpatialCov.torus_pair(2.0)
         u, reps = 1.0, 400
         root = np.random.SeedSequence(20_240_777)
-        basis = grid_basis(space, cov)
+        basis = cov.basis(space)
         lengths = np.empty(reps)
         for i, child in enumerate(root.spawn(reps)):
             above = simulate_field(space, basis, ONE, 4, [child]).f_values[0] >= u

@@ -71,13 +71,13 @@ def test_multi_level_ec_is_one_level_calls():
 
 def test_basis_is_wave_major():
     space = ParamSpace.torus(2 * np.pi, 2 * np.pi, 16)
-    basis = SpatialCov.torus_pair(2.0).basis(space.points())
+    basis = SpatialCov.torus_pair(2.0).basis(space)
     assert basis.shape == (4, 256) and basis.flags.c_contiguous
 
 
 def test_field_block_and_counts():
     space = ParamSpace.torus(2 * np.pi, 2 * np.pi, 16)
-    basis = SpatialCov.torus_pair(2.0).basis(space.points())
+    basis = SpatialCov.torus_pair(2.0).basis(space)
     sample = simulate_field(space, basis, PotentialV.preset("one"), 4, [1, 2, 3])
     assert sample.f_values.shape == (3, 16, 16)
     with pytest.raises(ValueError, match="R"):
