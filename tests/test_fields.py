@@ -185,12 +185,16 @@ class TestSpatialCov:
         # grid-point or phase array, only one wave's complex product besides
         space = ParamSpace.torus(2 * np.pi, 2 * np.pi, 400)
         cov = SpatialCov.torus_pair(2.0)
+        tracing = tracemalloc.is_tracing()
         tracemalloc.start()
+        tracemalloc.reset_peak()
         try:
+            before = tracemalloc.get_traced_memory()[0]
             basis = cov.basis(space)
-            peak = tracemalloc.get_traced_memory()[1]
+            peak = tracemalloc.get_traced_memory()[1] - before
         finally:
-            tracemalloc.stop()
+            if not tracing:
+                tracemalloc.stop()
         assert peak <= 2 * basis.nbytes
 
     def test_periodicity_validation(self):
