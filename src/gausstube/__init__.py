@@ -53,7 +53,7 @@ from .gmf import (
     gmf_two_sided,
 )
 from .harness import ExperimentConfig, RunResult, report, run
-from .malliavin import SmoothFunctional, det2_series
+from .malliavin import SmoothFunctional
 from .series import gaussian_pdf, gaussian_tail, hermite_all
 from .tube import (
     DistanceOracle,

@@ -2,14 +2,15 @@
 
 All builders return :class:`~gausstube.malliavin.SmoothFunctional` instances
 with batch oracles, so the Monte Carlo kernels can evaluate them on sample
-stacks without per-point Python overhead.
+stacks without per-point Python overhead.  Their curvature moments come from
+the dense Hessian stack, through :func:`~gausstube.malliavin.dense_moments`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .malliavin import SmoothFunctional
+from .malliavin import SmoothFunctional, dense_moments
 
 
 def coordinate(dim: int) -> SmoothFunctional:
@@ -17,11 +18,12 @@ def coordinate(dim: int) -> SmoothFunctional:
     e = np.zeros(dim)
     e[0] = 1.0
 
+    def hessians(x):
+        return np.zeros((x.shape[0], dim, dim))
+
     return SmoothFunctional(
-        dim=dim,
-        values=lambda x: x[:, 0],
-        grads=lambda x: np.broadcast_to(e, x.shape).copy(),
-        hessians=lambda x: np.zeros((x.shape[0], dim, dim)),
+        dim, lambda x: x[:, 0], lambda x: np.broadcast_to(e, x.shape).copy(),
+        hessians=hessians, moments_batch=dense_moments(hessians),
     )
 
 
@@ -41,7 +43,9 @@ def norm(dim: int) -> SmoothFunctional:
         eye = np.broadcast_to(np.eye(dim), (x.shape[0], dim, dim))
         return (eye - eta[:, :, None] * eta[:, None, :]) / r[:, None, None]
 
-    return SmoothFunctional(dim=dim, values=values, grads=grads, hessians=hessians)
+    return SmoothFunctional(
+        dim, values, grads, hessians=hessians, moments_batch=dense_moments(hessians)
+    )
 
 
 def quadratic(a: np.ndarray) -> SmoothFunctional:
@@ -50,9 +54,10 @@ def quadratic(a: np.ndarray) -> SmoothFunctional:
     dim = a.shape[0]
     a_sym = 0.5 * (a + a.T)
 
+    def hessians(x):
+        return np.broadcast_to(a_sym, (x.shape[0], dim, dim)).copy()
+
     return SmoothFunctional(
-        dim=dim,
-        values=lambda x: 0.5 * np.einsum("bi,ij,bj->b", x, a_sym, x),
-        grads=lambda x: x @ a_sym.T,
-        hessians=lambda x: np.broadcast_to(a_sym, (x.shape[0], dim, dim)).copy(),
+        dim, lambda x: 0.5 * np.einsum("bi,ij,bj->b", x, a_sym, x), lambda x: x @ a_sym.T,
+        hessians=hessians, moments_batch=dense_moments(hessians),
     )

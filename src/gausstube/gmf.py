@@ -293,6 +293,8 @@ def gmf_surface_mc_levels(
         raise ValueError(f"n_samples must be >= 10^4, got {n_samples}")
     if eps is not None and not 0 < eps < math.inf:
         raise ValueError(f"eps must be positive and finite, got {eps}")
+    if order >= 2 and func.moments_batch is None:
+        raise ValueError(f"order {order} needs the functional's moments_batch")
     k = func.dim
     root = as_seed_sequence(rng)
     sizes = block_sizes(n_samples)
@@ -308,11 +310,11 @@ def gmf_surface_mc_levels(
     factorials = _factorials(max(order, 1))
     kappa_norm = 1.0 / (eps * math.sqrt(2.0 * math.pi))
 
-    # A functional without a moment oracle falls back to a dense Hessian
-    # stack of tile × k² floats; the cap keeps it at 32 MiB for k ≤ 2048.
-    # With an oracle a tile holds only (tile, k) arrays, and never < 256 rows.
-    floor = 1 if func.moments_batch is None else 256
-    tile = max(floor, min(TILE_SIZE, (1 << 22) // (k * k)))
+    # One tile rule for every functional: TILE_SIZE rows, shrinking as 2²²/k²
+    # once k > 22 so the (tile, k) stages stay small, and never below 256
+    # rows.  A dense-Hessian oracle chunks its own (rows, k, k) stacks under
+    # the same 2²² cap (``dense_moments``).
+    tile = max(256, min(TILE_SIZE, (1 << 22) // (k * k)))
 
     def surface_weights(x: np.ndarray):
         """‖∇F‖, the degenerate mask and the Jacobian coefficients c_0..c_{J−1},
@@ -321,7 +323,7 @@ def gmf_surface_mc_levels(
         gn = grad_norms(grads)
         if order >= 2:
             coeffs, degenerate = jacobian_coeffs(
-                x, grads, gn, lambda v: func.moments(x, v, order - 1), orientation
+                x, grads, gn, lambda v: func.moments_batch(x, v, order - 1), orientation
             )
         else:
             degenerate = gn < DEFAULT_GRAD_FLOOR

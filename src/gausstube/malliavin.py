@@ -29,6 +29,9 @@ from .series import exp_series
 #: Gradient norms below this are treated as numerically degenerate points.
 DEFAULT_GRAD_FLOOR = 1e-10
 
+# moments_batch(x, v, order) -> (tau, mu), each (order, B)
+_Moments = Callable[[np.ndarray, np.ndarray, int], tuple[np.ndarray, np.ndarray]]
+
 
 @dataclass(frozen=True)
 class SmoothFunctional:
@@ -37,10 +40,11 @@ class SmoothFunctional:
     ``values``, ``grads`` and ``hessians`` act on (B, k) stacks and return
     (B,), (B, k) and (B, k, k) arrays; a single point is a one-row stack.
     ``moments_batch(x, v, order)`` returns the (order, B) curvature moments
-    (τ, μ) of :func:`hessian_moments` without a dense Hessian stack, for
-    functionals whose Hessian has structure.  A functional needs at least
-    one of the two: the moments are taken from ``moments_batch`` when it is
-    set and from the Hessian stack otherwise.
+    (τ, μ) of :func:`hessian_moments`; it is the estimators' only curvature
+    oracle and is needed only for series orders J ≥ 2.  A functional whose
+    Hessian has structure computes them without a dense stack; one with
+    only a dense Hessian passes :func:`dense_moments` of it.  ``hessians``
+    is read only by the projection solver's convexity check.
 
     The Monte Carlo estimators average over canonical Gaussian points of
     ℝᵏ, drawn by :meth:`sample`.  The optional ``draw(gen, size)`` replaces
@@ -54,50 +58,14 @@ class SmoothFunctional:
     values: Callable[[np.ndarray], np.ndarray]
     grads: Callable[[np.ndarray], np.ndarray]
     hessians: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    moments_batch: Optional[
-        Callable[[np.ndarray, np.ndarray, int], tuple[np.ndarray, np.ndarray]]
-    ] = None
+    moments_batch: Optional[_Moments] = None
     draw: Optional[Callable[[np.random.Generator, int], np.ndarray]] = None
-
-    def __post_init__(self):
-        if self.hessians is None and self.moments_batch is None:
-            raise ValueError("a functional needs hessians or moments_batch")
 
     def sample(self, gen: np.random.Generator, size: int) -> np.ndarray:
         """``size`` points, (size, k), of the law the estimators average over."""
         if self.draw is not None:
             return self.draw(gen, size)
         return gen.standard_normal((size, self.dim))
-
-    def moments(
-        self, x: np.ndarray, v: np.ndarray, order: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Curvature moments (τ, μ), each (order, B), of :func:`hessian_moments`
-        at the rows of x, from ``moments_batch`` when the functional has one
-        and from its Hessian stack otherwise."""
-        x = np.asarray(x, dtype=float)
-        if self.moments_batch is not None:
-            return self.moments_batch(x, v, order)
-        return hessian_moments(self.hessians(x), v, order)
-
-
-def det2_series(a: np.ndarray, order: int) -> np.ndarray:
-    """Coefficients of ρ ↦ det₂(I + ρA) = Π(1+ρλᵢ)e^{−ρλᵢ}, shape (order+1,).
-
-    Uses log det₂(I+ρA) = Σ_{m≥2} (−1)^{m+1} tr(Aᵐ) ρᵐ/m with the traces
-    of :func:`hessian_moments`, so no eigendecomposition is needed: the
-    τ-only part of :func:`jacobian_coeffs_from_moments`, without τ₁ and the
-    −ρ²/2 term.  Coefficient 0 is 1 and coefficient 1 is 0 for every A (the
-    exponential factor cancels the trace).
-    """
-    a = np.asarray(a, dtype=float)
-    if order < 0:
-        raise ValueError(f"order must be >= 0, got {order}")
-    tau, _ = hessian_moments(a[None], np.zeros((1, a.shape[0])), order)
-    expo = np.zeros((order + 1, 1))
-    for m in range(2, order + 1):
-        expo[m] = (1.0 if m % 2 else -1.0) * tau[m - 1, 0] / m
-    return exp_series(expo)[:, 0]
 
 
 def hessian_moments(
@@ -107,8 +75,9 @@ def hessian_moments(
 
     Returns ``(tau, mu)``, both (order, B): ``tau[m−1] = tr(Hᵐ)`` and
     ``mu[k−1] = vᵀHᵏv`` for each sample's Hessian H and direction v, one
-    contiguous row per moment.  This is the reference for, and the fallback
-    of, the structured ``SmoothFunctional.moments_batch`` oracles.
+    contiguous row per moment.  This is the reference for the structured
+    ``SmoothFunctional.moments_batch`` oracles, and the oracle of a dense
+    functional through :func:`dense_moments`.
     """
     h = np.asarray(hessians, dtype=float)
     nb = h.shape[0]
@@ -128,6 +97,22 @@ def hessian_moments(
         w = np.einsum("bij,bj->bi", h, w)
         mu[k - 1] = np.einsum("bi,bi->b", v, w)
     return tau, mu
+
+
+def dense_moments(hessians: Callable[[np.ndarray], np.ndarray]) -> _Moments:
+    """A ``moments_batch`` oracle: :func:`hessian_moments` of ``hessians(x)`` on
+    row chunks of x, each (chunk, k, k) stack at most 2²² floats (32 MiB)."""
+
+    def moments_batch(x, v, order):
+        n, k = x.shape
+        step = max(1, (1 << 22) // (k * k))
+        tau, mu = np.empty((2, order, n))
+        for start in range(0, n, step):
+            rows = slice(start, start + step)
+            tau[:, rows], mu[:, rows] = hessian_moments(hessians(x[rows]), v[rows], order)
+        return tau, mu
+
+    return moments_batch
 
 
 def jacobian_coeffs_from_moments(
@@ -194,7 +179,8 @@ def jacobian_coeffs(
     excursion regions {F ≥ u}).  ``grads`` is the (B, k) gradient stack and
     ``gn`` its norms, :func:`grad_norms`; unit normals v come from them, and
     ``moments(v)`` returns the (J, B) moments (τ, μ) of
-    :func:`hessian_moments`, for instance ``lambda v: func.moments(x, v, J)``.
+    :func:`hessian_moments`, for instance
+    ``lambda v: func.moments_batch(x, v, J)``.
     Returns ``(coeffs, degenerate)``: ``coeffs`` is (J+1, B) with row 0
     equal to 1, and integrating j!·coefficient_j against the Gaussian
     surface measure of the boundary gives M_{j+1}.  ``degenerate`` marks

@@ -14,7 +14,14 @@ from gausstube.errors import GausstubeError, ProjectionError
 from gausstube.fields import FieldSample, ParamSpace
 from gausstube.functionals import quadratic
 from gausstube.gmf import KERNEL_CUT, RegionSpec
-from gausstube.malliavin import DEFAULT_GRAD_FLOOR, SmoothFunctional, grad_norms, jacobian_coeffs
+from gausstube.malliavin import (
+    DEFAULT_GRAD_FLOOR,
+    SmoothFunctional,
+    dense_moments,
+    grad_norms,
+    hessian_moments,
+    jacobian_coeffs,
+)
 from gausstube.series import exp_series, hermite_all
 from gausstube.tube import PROJECTION_TOL, distances
 
@@ -33,6 +40,25 @@ def eigen_product_series(lams, order):
         f[1:] += lam * e[:-1]
         out = np.convolve(out, f)[: order + 1]
     return out
+
+
+def det2_series(a: np.ndarray, order: int) -> np.ndarray:
+    """Coefficients of ρ ↦ det₂(I + ρA) = Π(1+ρλᵢ)e^{−ρλᵢ}, shape (order+1,).
+
+    Uses log det₂(I+ρA) = Σ_{m≥2} (−1)^{m+1} tr(Aᵐ) ρᵐ/m with the traces
+    of ``hessian_moments``, so no eigendecomposition is needed: the τ-only
+    part of ``jacobian_coeffs_from_moments``, without τ₁ and the −ρ²/2 term.
+    Coefficient 0 is 1 and coefficient 1 is 0 for every A (the exponential
+    factor cancels the trace).
+    """
+    a = np.asarray(a, dtype=float)
+    if order < 0:
+        raise ValueError(f"order must be >= 0, got {order}")
+    tau, _ = hessian_moments(a[None], np.zeros((1, a.shape[0])), order)
+    expo = np.zeros((order + 1, 1))
+    for m in range(2, order + 1):
+        expo[m] = (1.0 if m % 2 else -1.0) * tau[m - 1, 0] / m
+    return exp_series(expo)[:, 0]
 
 
 def wave_cov(cov, x, y):
@@ -124,11 +150,16 @@ def series_mul(a, b) -> np.ndarray:
 
 def half_norm_squared(dim: int) -> SmoothFunctional:
     """F(x) = ‖x‖²/2; convex with gradient x and Hessian I."""
+
+    def hessians(x):
+        return np.broadcast_to(np.eye(dim), (x.shape[0], dim, dim)).copy()
+
     return SmoothFunctional(
         dim=dim,
         values=lambda x: 0.5 * np.einsum("bi,bi->b", x, x),
         grads=lambda x: x.copy(),
-        hessians=lambda x: np.broadcast_to(np.eye(dim), (x.shape[0], dim, dim)).copy(),
+        hessians=hessians,
+        moments_batch=dense_moments(hessians),
     )
 
 
@@ -142,6 +173,7 @@ def affine_quadratic(a, b, c=0.0) -> SmoothFunctional:
         values=lambda x: quad.values(x) + x @ b + c,
         grads=lambda x: quad.grads(x) + b,
         hessians=quad.hessians,
+        moments_batch=quad.moments_batch,
     )
 
 
@@ -245,7 +277,7 @@ def jacobian_series(func, x, order, orientation):
     ``(coeffs, degenerate)``, coeffs (order+1, B)."""
     grads = func.grads(x)
     return jacobian_coeffs(
-        x, grads, grad_norms(grads), lambda v: func.moments(x, v, order), orientation
+        x, grads, grad_norms(grads), lambda v: func.moments_batch(x, v, order), orientation
     )
 
 
@@ -301,7 +333,8 @@ def dense_surface_sums(func, kind, levels, order, n_samples, eps, rng):
                 gn = np.linalg.norm(grads, axis=1)
                 if order >= 2:
                     coeffs, degenerate = jacobian_coeffs(
-                        xw, grads, grad_norms(grads), lambda v: func.moments(xw, v, order - 1),
+                        xw, grads, grad_norms(grads),
+                        lambda v: func.moments_batch(xw, v, order - 1),
                         region.orientation,
                     )
                 else:

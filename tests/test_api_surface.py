@@ -8,7 +8,8 @@ few documented entry points listed below.  Every public method of an
 exported class must be used there too.  A parameter with a default must be
 passed by some call in the library or the benchmark, or be on its own
 short allowlist.  A new option or function lands with the code that
-calls it.
+calls it.  The estimators take their curvature from one oracle, so only the
+projection solver reads a functional's dense ``hessians``.
 """
 
 import ast
@@ -28,7 +29,6 @@ ENTRY_POINTS = {
     "ExperimentConfig",  # the validated config that `run` takes
     "RunResult",  # what `run` returns and `report` reads
     "GausstubeError",  # base class of every library error, for callers to catch
-    "det2_series",  # the det2 coefficients that acceptance criterion 5 checks
 }
 
 
@@ -179,3 +179,17 @@ def test_every_defaulted_parameter_has_a_setter():
         f"defaulted parameters no call sets: {sorted(unset - UNSET_DEFAULTS)}; "
         f"allowlisted but now set or gone: {sorted(UNSET_DEFAULTS - unset)}"
     )
+
+
+def test_only_the_projection_solver_reads_hessians():
+    """The co-area estimator and the Jacobian series read curvature moments
+    through ``moments_batch`` alone; a dense Hessian oracle reaches them as
+    ``dense_moments(hessians)``, so no module but ``tube.py`` (the projection
+    solver's convexity check) reads the ``hessians`` attribute."""
+    readers = {
+        path.name
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr == "hessians"
+    }
+    assert readers <= {"tube.py"}, f"modules reading .hessians: {sorted(readers)}"

@@ -19,7 +19,7 @@ from gausstube.gmf import (
     gmf_surface_mc_levels,
     gmf_two_sided,
 )
-from gausstube.malliavin import hessian_moments, jacobian_coeffs_batch
+from gausstube.malliavin import dense_moments, hessian_moments, jacobian_coeffs_batch
 from gausstube.series import gaussian_pdf
 
 from _oracles import check_derivatives, jacobian_series
@@ -163,8 +163,10 @@ class TestMomentKernel:
 
     def test_surface_mc_needs_no_hessian(self, monkeypatch):
         region = CylFunctional(16, PotentialV.preset("sin")).excursion(0.3)
+        func = region.functional
         dense = RegionSpec(
-            dataclasses.replace(region.functional, moments_batch=None), region.level, region.kind
+            dataclasses.replace(func, moments_batch=dense_moments(func.hessians)),
+            region.level, region.kind,
         )
         ref = gmf_surface_mc(dense, 4, 40_000, rng=79)
 
@@ -257,8 +259,8 @@ class TestMeridian:
         close(gn_mer, gn_full, gn_full)
         v_full, v_mer = g_full / gn_full[:, None], g_mer / gn_mer[:, None]
         close((v_mer * x).sum(axis=1), (v_full * y).sum(axis=1), np.linalg.norm(y, axis=1))
-        tau_full, mu_full = full.moments(y, v_full, 4)
-        tau_mer, mu_mer = meridian.moments(x, v_mer, 4)
+        tau_full, mu_full = full.moments_batch(y, v_full, 4)
+        tau_mer, mu_mer = meridian.moments_batch(x, v_mer, 4)
         k = np.arange(1, 5)[:, None]
         close(tau_mer, tau_full, h**k * ((n - 1.0) ** k + n - 1))
         close(mu_mer, mu_full, h**k * (n - 1.0) ** k)

@@ -19,7 +19,7 @@ from gausstube.gmf import (
     gmf_two_sided,
     silverman_bandwidth,
 )
-from gausstube.malliavin import SmoothFunctional
+from gausstube.malliavin import SmoothFunctional, dense_moments
 from gausstube.series import hermite_all
 
 from _oracles import dense_surface_sums, jacobian_series
@@ -340,7 +340,7 @@ class TestSurfaceMonteCarlo:
             dim=2,
             values=lambda x: np.zeros(x.shape[0]),
             grads=lambda x: np.zeros_like(x),
-            hessians=lambda x: np.zeros((x.shape[0], 2, 2)),
+            moments_batch=dense_moments(lambda x: np.zeros((x.shape[0], 2, 2))),
         )
         region = RegionSpec(flat, 0.0, "excursion")
         with pytest.raises(SurfaceDegeneracyError):
@@ -376,7 +376,7 @@ GRAD_HOLES = SmoothFunctional(
     dim=2,
     values=lambda x: x[:, 0].copy(),
     grads=lambda x: np.where(np.abs(x[:, 1:]) > 2.0, 0.0, 1.0) * np.array([1.0, 0.0]),
-    hessians=lambda x: np.zeros((x.shape[0], 2, 2)),
+    moments_batch=dense_moments(lambda x: np.zeros((x.shape[0], 2, 2))),
 )
 
 
@@ -389,7 +389,7 @@ LEVEL_CASES = [
     pytest.param(CylFunctional(16, PotentialV.preset("sin")).functional(), "excursion",
                  [0.0, 0.3, 0.9], 3, id="F16-sin-J3"),
     pytest.param(norm(3), "sub-level", [1.5, 2.0, 2.6], 4, id="ball-J4"),
-    # no moment oracle: the dense-Hessian route
+    # moments from the dense Hessian stack
     pytest.param(quadratic(np.diag([2.0, 1.0])), "sub-level", [0.5, 1.0, 1.5], 3,
                  id="ellipse-J3"),
 ]
@@ -415,7 +415,7 @@ class TestLevelsSampler:
     @pytest.mark.parametrize(
         "func, kind, levels, order",
         LEVEL_CASES + [
-            # k = 32: the dense-Hessian cap bounds a tile at 4096 rows
+            # k = 32: the tile rule bounds a tile at 4096 rows
             pytest.param(quadratic(np.eye(32)), "sub-level", [12.0, 16.0, 20.0], 2,
                          id="quadratic32-J2"),
         ],
@@ -437,20 +437,28 @@ class TestLevelsSampler:
                 assert a.meta == b.meta, f"u={u}"
 
     def test_dense_hessian_tile_stays_within_cap(self):
-        # the 32 MiB cap allows 2**22 // 150**2 = 186 rows of a k = 150 Hessian
-        # stack per call; eps = 1e3 puts every sample in the kernel window
+        # the 32 MiB cap of dense_moments allows 2**22 // 150**2 = 186 rows of a
+        # k = 150 Hessian stack per call, inside the estimator's 256-row tiles;
+        # eps = 1e3 puts every sample in the kernel window
         k = 150
         base = coordinate(k)
-        rows = []
+        chunks, tiles = [], []
 
         def hessians(x):
-            rows.append(x.shape[0])
+            chunks.append(x.shape[0])
             return base.hessians(x)
 
-        func = dataclasses.replace(base, hessians=hessians)
+        dense = dense_moments(hessians)
+
+        def moments_batch(x, v, order):
+            tiles.append(x.shape[0])
+            return dense(x, v, order)
+
+        func = dataclasses.replace(base, hessians=hessians, moments_batch=moments_batch)
         gmf_surface_mc_levels(func, "excursion", [0.0], 2, 10_000, eps=1e3, rng=1)
-        assert sum(rows) == 10_000
-        assert max(rows) <= (1 << 22) // k**2
+        assert sum(chunks) == sum(tiles) == 10_000
+        assert max(chunks) <= (1 << 22) // k**2 == 186
+        assert max(tiles) == 256
 
     def test_moment_oracle_tile_keeps_256_rows(self):
         # a functional with a moment oracle builds no Hessian stack, so the

@@ -44,10 +44,10 @@ def test_moments_and_series_are_rows(name):
     func, x = _route(name, np.random.default_rng(3))
     grads = func.grads(x)
     gn = grad_norms(grads)
-    for moment in func.moments(x, grads / gn[:, None], ORDER):
+    for moment in func.moments_batch(x, grads / gn[:, None], ORDER):
         assert moment.shape == (ORDER, SAMPLES) and moment.flags.c_contiguous
     coeffs, degenerate = jacobian_coeffs(
-        x, grads, gn, lambda v: func.moments(x, v, ORDER), -1
+        x, grads, gn, lambda v: func.moments_batch(x, v, ORDER), -1
     )
     assert coeffs.shape == (ORDER + 1, SAMPLES) and coeffs.flags.c_contiguous
     assert degenerate.shape == (SAMPLES,)

@@ -5,11 +5,8 @@ import pytest
 
 from gausstube.cylinder import CylFunctional, PotentialV
 from gausstube.functionals import coordinate, norm
-from gausstube.malliavin import (
-    SmoothFunctional,
-    det2_series,
-    jacobian_coeffs_batch,
-)
+from gausstube.gmf import gmf_surface_mc_levels
+from gausstube.malliavin import SmoothFunctional, dense_moments, jacobian_coeffs_batch
 from gausstube.series import exp_series, hermite_all
 
 
@@ -19,6 +16,7 @@ from _oracles import (
     affine_quadratic,
     check_derivatives,
     check_jacobian,
+    det2_series,
     divergence,
     eigen_product_series,
     half_norm_squared,
@@ -221,7 +219,7 @@ class TestJacobianSeries:
             dim=3,
             values=lambda x: x @ a,
             grads=lambda x: np.broadcast_to(a, x.shape).copy(),
-            hessians=lambda x: np.zeros((x.shape[0], 3, 3)),
+            moments_batch=dense_moments(lambda x: np.zeros((x.shape[0], 3, 3))),
         )
         x = np.array([[0.4, 1.0, -0.2]])
         eta = -a / np.linalg.norm(a)
@@ -303,16 +301,22 @@ class TestJacobianSeries:
 
 
 class TestOracleChecks:
-    def test_needs_hessians_or_moments(self):
+    def test_moments_needed_only_from_order_two(self):
+        # orders 0 and 1 read values and gradients alone; order 2 needs the
+        # curvature moments and says so before drawing a sample
         values, grads = (lambda x: x[:, 0]), (lambda x: np.ones_like(x))
-        with pytest.raises(ValueError, match="hessians or moments_batch"):
-            SmoothFunctional(dim=2, values=values, grads=grads)
-        flat = SmoothFunctional(
-            dim=2, values=values, grads=grads,
-            moments_batch=lambda x, v, order: (np.zeros((order, len(x))),) * 2,
-        )
-        assert flat.hessians is None
-        assert np.all(flat.moments(np.zeros((3, 2)), np.ones((3, 2)), 2)[1] == 0.0)
+        f = SmoothFunctional(dim=2, values=values, grads=grads)
+        assert f.hessians is None and f.moments_batch is None
+        for order in (0, 1):
+            (est,) = gmf_surface_mc_levels(f, "excursion", [0.5], order, 10_000, eps=0.05, rng=3)
+            assert est.order == order and est.meta["n_window"] > 0
+
+        def draw(gen, size):
+            raise AssertionError("drew samples before rejecting the order")
+
+        blind = SmoothFunctional(dim=2, values=values, grads=grads, draw=draw)
+        with pytest.raises(ValueError, match="moments_batch"):
+            gmf_surface_mc_levels(blind, "excursion", [0.5], 2, 10_000, rng=3)
 
     def test_builders_pass(self):
         rng = np.random.default_rng(41)

@@ -218,7 +218,7 @@ class TestTubeVolume:
     @pytest.mark.xfail(
         strict=True,
         raises=ProjectionError,
-        reason="projection stall (ROADMAP item 3): 217 of 8192 solves fail here, and any "
+        reason="projection stall (ROADMAP item 12): 217 of 8192 solves fail here, and any "
         "failed solve aborts the run. "
         "The retraction accepts any |F - u| <= tol*(1 + |u|), so iterates ride the edge of "
         "that band; a full tangential step leaves it, Newton snaps it back farther from x, "
