@@ -266,8 +266,10 @@ class CylFunctional:
         h = a1 / n
 
         def draw(gen, size):
-            z = gen.standard_normal(size)
-            return np.column_stack((z, np.sqrt(gen.chisquare(n - 1, size))))
+            x = np.empty((2, size))  # one row per coordinate, so each column is contiguous
+            gen.standard_normal(out=x[0])
+            np.sqrt(gen.chisquare(n - 1, size), out=x[1])
+            return x.T
 
         def values(x):
             z, r = x[:, 0], x[:, 1]

@@ -268,7 +268,10 @@ def simulate_field(
     The Brownian motions B^x are generated on the shared uniform time grid
     through ``basis``, the wave-major (2K, G) :meth:`SpatialCov.basis` of the
     grid.  Row r of the block draws its (time_n, 2K) Gaussian
-    increments, of variance 1/time_n, from ``seeds[r]`` alone.  Every
+    increments, of variance 1/time_n, from ``seeds[r]`` alone: a seed (an
+    int, a tuple or list of ints, a ``SeedSequence``), whose stream is that
+    of ``np.random.default_rng(seed)``, or a ``PCG64.state`` dict.  The
+    block reuses one bit generator and sets its state before each row.  Every
     product is a stacked matmul over the block, one BLAS call per row with
     the same shapes whatever R is, so row r is bit-identical to a call with
     ``[seeds[r]]`` (a 2-D product of the whole block would switch from GEMV
@@ -285,8 +288,13 @@ def simulate_field(
     if time_n < 2:
         raise ValueError(f"time_n must be >= 2, got {time_n}")
     increments = np.empty((len(seeds), time_n, basis.shape[0]))
+    bits = np.random.PCG64(0)  # each row sets its own state before it draws
+    gen = np.random.Generator(bits)
     for row, seed in zip(increments, seeds):
-        np.random.default_rng(as_seed_sequence(seed)).standard_normal(out=row)
+        if not isinstance(seed, dict):
+            seed = _mc.pcg64_state(as_seed_sequence(seed).generate_state(4, np.uint64).tolist())
+        bits.state = seed
+        gen.standard_normal(out=row)
     increments /= np.sqrt(time_n)
     affine = potential.affine
     if affine is not None:
@@ -388,9 +396,16 @@ def _replicate(space, cov, potential, u_levels, time_n, reps, rng, workers, stat
     grid's per-axis factors (:meth:`SpatialCov.basis`), before any field is
     drawn; the worker threads share only that read-only basis.
     Replications run in fixed blocks of ``max(1, BLOCK_SIZE // G)``, one
-    :func:`simulate_field` stack and one (levels, R) statistic per block,
-    and each replication draws from its own substream of ``rng``, so
-    results are reproducible for any worker count and any block size.  All
+    :func:`simulate_field` stack and one (levels, R) statistic per block.
+    Replication i draws from child ``rng.n_children_spawned + i`` of the
+    seed, the stream ``np.random.default_rng(rng.spawn(reps)[i])`` would
+    give, so results are reproducible for any worker count and any block
+    size.  The children's seeds come from one vectorized pass
+    (:func:`~gausstube._mc.spawned_seed_words`), kept as a (reps, 4) uint64
+    array, and each block turns its rows into ``PCG64.state`` dicts
+    (:func:`~gausstube._mc.pcg64_state`), with no SeedSequence or Generator
+    per replication.  The caller's ``n_children_spawned`` is left alone:
+    two calls with one seed object draw the same fields.  All
     levels share the same field realizations, and each level is one
     contiguous row, so its mean and standard error are bit-identical to a
     one-level call's.
@@ -400,11 +415,11 @@ def _replicate(space, cov, potential, u_levels, time_n, reps, rng, workers, stat
     check_resolution(space, cov)
     basis = cov.basis(space)
     basis.flags.writeable = False
-    children = as_seed_sequence(rng).spawn(reps)
+    words = _mc.spawned_seed_words(as_seed_sequence(rng), reps)
     size = max(1, _mc.BLOCK_SIZE // basis.shape[1])
 
     def one_block(i: int) -> np.ndarray:
-        seeds = children[i * size : (i + 1) * size]
+        seeds = [_mc.pcg64_state(w) for w in words[i * size : (i + 1) * size].tolist()]
         return statistic(simulate_field(space, basis, potential, time_n, seeds), u_levels)
 
     blocks = run_blocks(one_block, -(-reps // size), workers)
@@ -426,7 +441,9 @@ def ec_mc_levels(
 
     Returns ``(means, stderrs)``, like :func:`excursion_volumes_mc`; all
     levels share one field set, and entry i is bit-identical to a call at
-    ``[u_levels[i]]`` with the same ``rng``.  A grid too coarse for the
+    ``[u_levels[i]]`` with the same ``rng``.  Replication i draws from child
+    ``n_children_spawned + i`` of ``rng``, as ``rng.spawn(reps)[i]`` would,
+    and ``rng``'s spawn counter is not advanced.  A grid too coarse for the
     covariance (:func:`check_resolution`) raises before any field is drawn.
     """
     return _replicate(space, cov, potential, u_levels, time_n, reps, rng, workers, euler_char)
@@ -453,8 +470,10 @@ def excursion_volumes_mc(
     Estimates the supra-threshold volume fraction on the grid and scales by
     the top Lipschitz–Killing curvature; returns ``(means, stderrs)``.  All
     levels share one field set, and entry i is bit-identical to a call at
-    ``[u_levels[i]]`` with the same ``rng``.  A grid too coarse for the
-    covariance (:func:`check_resolution`) raises before any field is drawn.
+    ``[u_levels[i]]`` with the same ``rng``.  Replications draw from the
+    children of ``rng`` as in :func:`ec_mc_levels`, without advancing its
+    spawn counter.  A grid too coarse for the covariance
+    (:func:`check_resolution`) raises before any field is drawn.
     """
     mean, stderr = _replicate(
         space, cov, potential, u_levels, time_n, reps, rng, workers, _volume_fractions

@@ -11,7 +11,7 @@ import numpy as np
 from gausstube import tube
 from gausstube._mc import as_seed_sequence, block_sizes, fsum_arrays
 from gausstube.errors import GausstubeError, ProjectionError
-from gausstube.fields import FieldSample, ParamSpace
+from gausstube.fields import FieldSample, ParamSpace, simulate_field
 from gausstube.functionals import quadratic
 from gausstube.gmf import KERNEL_CUT, RegionSpec
 from gausstube.malliavin import (
@@ -135,6 +135,25 @@ def driving_paths(space, cov, time_n, seed):
     """
     _, increments = _wave_increments(space, cov, time_n, seed)
     return np.vstack([np.zeros((1, increments.shape[1])), np.cumsum(increments, axis=0)])
+
+
+def spawned_field_stats(space, cov, potential, u_levels, time_n, reps, rng, statistic):
+    """``(means, stderrs)`` of ``statistic(sample, u_levels)`` over ``reps`` fields
+    seeded one replication at a time.
+
+    Field i is drawn alone, from the state of ``np.random.default_rng`` on
+    child i of ``as_seed_sequence(rng).spawn(reps)``: a SeedSequence and a
+    Generator per replication, the seeding rule the field estimators
+    reproduce in one vectorized pass.  Unlike them, it advances ``rng``'s
+    spawn counter.
+    """
+    basis = cov.basis(space)
+    rows = []
+    for child in as_seed_sequence(rng).spawn(reps):
+        state = np.random.default_rng(child).bit_generator.state
+        rows.append(statistic(simulate_field(space, basis, potential, time_n, [state]), u_levels))
+    stats = np.concatenate(rows, axis=1, dtype=float)
+    return stats.mean(axis=1), stats.std(axis=1, ddof=1) / np.sqrt(reps)
 
 
 def series_mul(a, b) -> np.ndarray:

@@ -239,16 +239,17 @@ class TestCli:
 
     def test_config_validation_does_not_load_scipy(self):
         # a fresh interpreter: importing the package and checking configs
-        # must leave scipy and numpy.polynomial unloaded, which keeps start-up
-        # cheap; checking the presets' assumptions must not load numpy.polynomial
+        # must leave scipy, numpy.polynomial and numpy.random unloaded, which
+        # keeps start-up cheap; checking the presets' assumptions must not load
+        # numpy.polynomial
         code = (
             "import json, sys\n"
             "import gausstube\n"
             "from gausstube.harness import ExperimentConfig\n"
             "for data in json.loads(sys.argv[1]):\n"
             "    ExperimentConfig.from_dict(data)\n"
-            "print(sorted(m for m in sys.modules\n"
-            "             if m.split('.')[0] == 'scipy' or m.startswith('numpy.polynomial')))\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
+            "             or m.startswith(('numpy.polynomial', 'numpy.random'))))\n"
             "from gausstube.cylinder import _PRESETS, PotentialV\n"
             "for name in _PRESETS:\n"
             "    gausstube.validate_assumptions(PotentialV.preset(name))\n"

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import tracemalloc
 
@@ -36,6 +37,7 @@ from _oracles import (
     load_field,
     reference_euler_char,
     save_field,
+    spawned_field_stats,
     wave_cov,
 )
 
@@ -335,6 +337,95 @@ class TestSimulateField:
                 results.append(estimate(space, cov, IDENTITY, levels, 8, 150, 131, workers))
         for other in results[1:]:
             assert np.array_equal(np.asarray(other), np.asarray(results[0]))
+
+
+class TestReplicationStreams:
+    """The field estimators seed replication i from child i of ``rng``, all
+    children's seeds derived in one pass, without spawning."""
+
+    @pytest.mark.parametrize(
+        "entropy",
+        [0, 2**32 - 1, 2**32, 2**64 + 3, 10**30, (17, 2**40), [5, 0, 2**32 + 1]],
+        ids=["0", "2^32-1", "2^32", "2^64+3", "10^30", "tuple", "list"],
+    )
+    @pytest.mark.parametrize(
+        "spawn_key", [(), (3,), (2**33 + 1, 7)], ids=["root", "key", "wide-key"]
+    )
+    def test_states_match_numpy(self, entropy, spawn_key):
+        parent = np.random.SeedSequence(entropy, spawn_key=spawn_key)
+        parent.spawn(5)  # children start after those already spawned
+        words = _mc.spawned_seed_words(parent, 40)
+        assert parent.n_children_spawned == 5
+        children = parent.spawn(40)
+        assert np.array_equal(words, [child.generate_state(4, np.uint64) for child in children])
+        states = [_mc.pcg64_state(w) for w in words.tolist()]
+        assert states == [np.random.PCG64(child).state for child in children]
+
+    def test_states_match_numpy_on_a_wide_pool(self):
+        parent = np.random.SeedSequence(12345, pool_size=8)
+        states = [_mc.pcg64_state(w) for w in _mc.spawned_seed_words(parent, 3).tolist()]
+        assert states == [np.random.PCG64(child).state for child in parent.spawn(3)]
+
+    def test_child_indices_are_32_bit(self):
+        with pytest.raises(ValueError, match="32-bit"):
+            _mc.spawned_seed_words(np.random.SeedSequence(1, n_children_spawned=2**32 - 1), 2)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("name", ["one", "identity", "sin"])
+    @pytest.mark.parametrize("space,cov", AFFINE_CASES, ids=["interval", "circle", "torus"])
+    def test_estimators_match_per_replication_seeding(self, space, cov, name, workers):
+        # bit for bit the fields of spawn + default_rng per replication, over
+        # several blocks on the interval and the torus
+        potential = PotentialV.preset(name)
+        levels = [-0.5, 0.5]
+        rng = np.random.SeedSequence(71)
+        rng.spawn(2)
+        got_ec = ec_mc_levels(space, cov, potential, levels, 8, 100, rng, workers)
+        got_volume = excursion_volumes_mc(space, cov, potential, levels, 8, 100, rng, workers)
+        want_ec = spawned_field_stats(space, cov, potential, levels, 8, 100, rng, euler_char)
+        rng = np.random.SeedSequence(71)
+        rng.spawn(2)
+        means, stderrs = spawned_field_stats(
+            space, cov, potential, levels, 8, 100, rng, gausstube.fields._volume_fractions
+        )
+        top = lkc(space, cov)[-1]
+        assert np.array_equal(np.asarray(got_ec), np.asarray(want_ec))
+        assert np.array_equal(np.asarray(got_volume), [top * means, top * stderrs])
+
+    def test_no_seed_object_per_replication(self, monkeypatch):
+        # SeedSequence, PCG64, Generator and default_rng calls do not grow
+        # with reps, and the caller's spawn counter stays where it was
+        calls = collections.Counter()
+        for name in ("SeedSequence", "PCG64", "Generator"):
+            cls = getattr(np.random, name)
+            counted = type(name, (cls,), {"__init__": _counted(calls, name, cls.__init__)})
+            monkeypatch.setattr(np.random, name, counted)
+        monkeypatch.setattr(
+            np.random, "default_rng", _counted(calls, "default_rng", np.random.default_rng)
+        )
+        space, cov = ParamSpace.interval(5.0, 64), SpatialCov.cosine(1.0)  # one block of 512
+        counts = []
+        for reps in (100, 400):
+            calls.clear()
+            ec_mc_levels(space, cov, IDENTITY, [0.0], 4, reps, rng=3)
+            counts.append(dict(calls))
+        # the root SeedSequence, and one bit generator and Generator for the one block
+        assert counts == [{"SeedSequence": 1, "PCG64": 1, "Generator": 1}] * 2
+        seed = np.random.SeedSequence(3)
+        first = ec_mc_levels(space, cov, IDENTITY, [0.0], 4, 100, rng=seed)
+        second = ec_mc_levels(space, cov, IDENTITY, [0.0], 4, 100, rng=seed)
+        assert seed.n_children_spawned == 0
+        assert np.array_equal(np.asarray(first), np.asarray(second))
+
+
+def _counted(calls, name, fn):
+    """``fn`` counting its calls under ``name``."""
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    return counted
 
 
 def _no_value(potential):

@@ -3,9 +3,10 @@
 The curvature moments, the Jacobian series and the field replications are
 each reduced one quantity at a time, so every route hands them over as one
 contiguous row per quantity, with no transpose between the oracle and the
-reduction.  The field side keeps the same layout throughout: the wave basis
-is one row per wave, a block of fields one row per replication, and the
-Euler characteristics one row per level.
+reduction; the meridian draws its sample as one row per coordinate.  The
+field side keeps the same layout throughout: the wave basis is one row per
+wave, a block of fields one row per replication, and the Euler
+characteristics one row per level.
 """
 
 import numpy as np
@@ -54,6 +55,20 @@ def test_moments_and_series_are_rows(name):
     if func.hessians is not None:
         dense, _ = jacobian_coeffs_batch(x, grads, func.hessians(x), -1, ORDER)
         assert dense.shape == (ORDER + 1, SAMPLES)
+
+
+def test_meridian_draw_is_one_row_per_coordinate():
+    # z and r fill the rows of one (2, size) array, so each coordinate of the
+    # (size, 2) sample is a contiguous column, drawn from the same stream
+    n = 64
+    x = CylFunctional(n, PotentialV.preset("identity")).meridian().sample(
+        np.random.default_rng(3), SAMPLES
+    )
+    gen = np.random.default_rng(3)
+    z = gen.standard_normal(SAMPLES)
+    r = np.sqrt(gen.chisquare(n - 1, SAMPLES))
+    assert x[:, 0].flags.c_contiguous and x[:, 1].flags.c_contiguous
+    assert np.array_equal(x, np.column_stack((z, r)))
 
 
 def test_multi_level_ec_is_one_level_calls():
